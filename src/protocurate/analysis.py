@@ -19,7 +19,7 @@ import numpy as np
 from .config import EngineConfig
 from .embedding import unify_batch
 from .errors import DegenerateVectorError, UsageError
-from .io import Corpus
+from .io import Corpus, rows_for_ids
 
 _KNN_CHUNK = 1024
 
@@ -40,16 +40,7 @@ class DensityProfile:
 
     def restrict(self, ids: np.ndarray) -> "DensityProfile":
         """Sub-profile for the given ids (must all be present), keeping their order."""
-        order = np.argsort(self.ids, kind="stable")
-        sorted_ids = self.ids[order]
-        ids = np.asarray(ids, dtype=self.ids.dtype)
-        pos = np.searchsorted(sorted_ids, ids)
-        pos_clamped = np.minimum(pos, len(sorted_ids) - 1)
-        bad = sorted_ids[pos_clamped] != ids
-        if np.any(bad):
-            missing = int(ids[np.flatnonzero(bad)[0]])
-            raise UsageError(f"id {missing} not present in the density profile")
-        rows = order[pos_clamped]
+        rows = rows_for_ids(self.ids, ids)
         return DensityProfile(ids=self.ids[rows], values=self.values[rows], k=self.k)
 
 
@@ -395,22 +386,9 @@ def run_analysis(corpus: Corpus, cfg: EngineConfig, selection_ids: np.ndarray | 
             density_quantile=cfg.density_quantile,
         )
         if corpus.labels is not None:
-            rows = _rows_for_ids(corpus, selection_ids)
+            rows = rows_for_ids(corpus.ids, selection_ids)
             bundle["label_table"] = label_comparison(corpus.labels, corpus.labels[rows])
     return bundle
-
-
-def _rows_for_ids(corpus: Corpus, ids: np.ndarray) -> np.ndarray:
-    order = np.argsort(corpus.ids, kind="stable")
-    sorted_ids = corpus.ids[order]
-    ids = np.asarray(ids, dtype=np.uint64)
-    pos = np.searchsorted(sorted_ids, ids)
-    pos_clamped = np.minimum(pos, len(sorted_ids) - 1)
-    bad = sorted_ids[pos_clamped] != ids
-    if np.any(bad):
-        missing = int(ids[np.flatnonzero(bad)[0]])
-        raise UsageError(f"selection id {missing} not present in corpus")
-    return order[pos_clamped]
 
 
 def write_analysis_bundle(out_dir, bundle: dict) -> None:

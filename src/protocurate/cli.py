@@ -23,7 +23,7 @@ from .errors import (
     ProtocurateError,
     UsageError,
 )
-from .io import read_corpus, validate_corpus
+from .io import read_corpus, rows_for_ids, validate_corpus
 from .metrics import PromptPair, evaluate_zero_shot
 from .prototypes import save_bank
 from .synth import (
@@ -37,7 +37,6 @@ from .trainer import (
     identity_head,
     load_head,
     save_head,
-    selection_rows,
     train_head,
     train_joint,
     write_loss_csv,
@@ -66,8 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="selection CSV output path")
     p.add_argument("--proto-out", required=True, help="prototype checkpoint output path")
     p.add_argument("--stats-out", help="per-iteration stats JSON output path")
-    p.add_argument("--mode", choices=("frozen", "joint"), default="frozen")
-    p.add_argument("--head-out", help="joint mode: also write the trained head")
     p.add_argument("--target-size", type=int, help="override target_subset_size")
 
     p = sub.add_parser("train", help="train the projection head")
@@ -81,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss-out", required=True, help="per-step loss CSV")
     p.add_argument("--selection-out", help="joint mode: write the curated selection")
     p.add_argument("--proto-out", help="joint mode: write the prototype checkpoint")
+    p.add_argument("--stats-out", help="joint mode: write the per-iteration stats JSON")
     p.add_argument("--target-size", type=int, help="override target_subset_size")
 
     p = sub.add_parser("eval", help="zero-shot classification and retrieval metrics")
@@ -128,12 +126,7 @@ def _cmd_generate(args) -> int:
 def _cmd_curate(args) -> int:
     cfg = _load_cfg(args)
     corpus = _read_corpus_checked(args.corpus)
-    if args.mode == "joint":
-        head, _, selection, bank = train_joint(corpus, cfg)
-        if args.head_out:
-            save_head(args.head_out, head)
-    else:
-        selection, bank = run_curation(corpus, cfg, mode="frozen")
+    selection, bank = run_curation(corpus, cfg)
     selection.write_csv(args.out)
     save_bank(args.proto_out, bank)
     if args.stats_out:
@@ -149,7 +142,7 @@ def _cmd_train(args) -> int:
         selection = CuratedSelection.read_csv(args.selection)
         if len(selection) == 0:
             raise UsageError(f"selection file {args.selection} holds no samples")
-        rows = selection_rows(corpus, selection)
+        rows = rows_for_ids(corpus.ids, selection.ids())
         head, loss_rows = train_head(corpus, cfg, rows=rows)
     else:
         head, loss_rows, selection, bank = train_joint(corpus, cfg)
@@ -157,6 +150,8 @@ def _cmd_train(args) -> int:
             selection.write_csv(args.selection_out)
         if args.proto_out:
             save_bank(args.proto_out, bank)
+        if args.stats_out:
+            selection.write_stats(args.stats_out)
     save_head(args.head_out, head)
     write_loss_csv(args.loss_out, loss_rows)
     final = loss_rows[-1].loss if loss_rows else float("nan")
@@ -177,6 +172,12 @@ def _cmd_eval(args) -> int:
     if args.head:
         head = load_head(args.head)
         tau = head.tau
+        head_dims = (head.W_img.shape[0], head.W_txt.shape[0])
+        if head_dims != (corpus.d_img, corpus.d_txt):
+            raise UsageError(
+                f"head {args.head} takes {head_dims[0]}+{head_dims[1]} input dims, "
+                f"corpus has {corpus.d_img}+{corpus.d_txt}"
+            )
     else:
         if corpus.d_img != corpus.d_txt:
             raise UsageError(

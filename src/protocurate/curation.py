@@ -27,7 +27,7 @@ from .errors import (
     NumericalFailureError,
     UsageError,
 )
-from .io import Corpus
+from .io import Corpus, rows_for_ids
 from .prototypes import (
     PrototypeBank,
     init_kmeans,
@@ -75,6 +75,7 @@ class CuratedSelection:
         if not lines or lines[0] != "id,iteration,reason,proto,distance":
             raise FormatError("selection file missing expected CSV header")
         rows = []
+        line_of_id: dict[int, int] = {}
         for lineno, line in enumerate(lines[1:], start=2):
             if not line:
                 continue
@@ -95,6 +96,12 @@ class CuratedSelection:
                 raise FormatError(
                     f"selection line {lineno}: unknown reason {row.reason!r}"
                 )
+            if row.id in line_of_id:
+                raise FormatError(
+                    f"selection line {lineno}: duplicate id {row.id} "
+                    f"(first on line {line_of_id[row.id]})"
+                )
+            line_of_id[row.id] = lineno
             rows.append(row)
         return cls(rows=rows)
 
@@ -289,7 +296,6 @@ def curate_superbatch(
 def run_curation(
     corpus: Corpus,
     cfg: EngineConfig,
-    mode: str = "frozen",
     head=None,
     on_minibatch=None,
 ) -> tuple[CuratedSelection, PrototypeBank]:
@@ -300,16 +306,13 @@ def run_curation(
     The rest is consumed in super-batch chunks, each contributing one
     curated mini-batch, until the stream or target_subset_size runs out.
 
-    In joint mode the unified embeddings are recomputed through ``head``
-    (any object with a ``unified(img, txt, space)`` method) before every
-    iteration, and ``on_minibatch`` is invoked with the selected corpus row
-    indices after each iteration so a trainer can take a step; the space
-    then evolves with the head.  Frozen mode embeds the raw corpus once.
+    Without ``head`` (frozen mode) the raw corpus is embedded once.  With
+    one (joint mode: any object with a ``unified(img, txt, space)`` method)
+    the embeddings are recomputed through it before every iteration, so
+    the space evolves with the head.  ``on_minibatch`` is invoked with the
+    selected corpus row indices after each iteration so a trainer can take
+    a step.
     """
-    if mode not in ("frozen", "joint"):
-        raise UsageError(f"unknown curation mode {mode!r}; expected 'frozen' or 'joint'")
-    if mode == "joint" and head is None:
-        raise UsageError("joint mode requires a projection head")
     if corpus.n < cfg.warmup_samples:
         raise InsufficientWarmupError(
             f"corpus has {corpus.n} samples but warmup_samples={cfg.warmup_samples}; "
@@ -321,19 +324,19 @@ def run_curation(
     warm = perm[: cfg.warmup_samples]
     stream = perm[cfg.warmup_samples :]
 
-    def embed(rows: np.ndarray) -> np.ndarray:
-        img, txt = corpus.img[rows], corpus.txt[rows]
-        if mode == "joint":
-            return head.unified(img, txt, cfg.curation_space)
-        return unify_batch(img, txt, cfg.curation_space)
+    if head is None:
+        frozen = unify_batch(corpus.img, corpus.txt, cfg.curation_space)
 
-    frozen_unified = None
-    if mode == "frozen":
-        frozen_unified = unify_batch(corpus.img, corpus.txt, cfg.curation_space)
+        def embed(rows: np.ndarray) -> np.ndarray:
+            return frozen[rows]
 
-    warm_z = frozen_unified[warm] if frozen_unified is not None else embed(warm)
+    else:
+
+        def embed(rows: np.ndarray) -> np.ndarray:
+            return head.unified(corpus.img[rows], corpus.txt[rows], cfg.curation_space)
+
     bank = init_kmeans(
-        warm_z,
+        embed(warm),
         cfg.K,
         max_iters=cfg.kmeans_max_iters,
         seed=cfg.seed,
@@ -346,13 +349,10 @@ def run_curation(
     for start in range(0, len(stream), cfg.superbatch_size):
         rows = stream[start : start + cfg.superbatch_size]
         iteration += 1
-        z = frozen_unified[rows] if frozen_unified is not None else embed(rows)
-        records, stats = curate_superbatch(z, corpus.ids[rows], bank, cfg)
+        records, stats = curate_superbatch(embed(rows), corpus.ids[rows], bank, cfg)
 
         if target is not None and len(selection) + len(records) > target:
             records = records[: target - len(selection)]
-        pos_by_id = {int(corpus.ids[r]): int(r) for r in rows}
-        taken = [pos_by_id[rec[0]] for rec in records]
         for rec in records:
             selection.rows.append(
                 SelectionRow(
@@ -367,8 +367,9 @@ def run_curation(
         stats["emitted"] = len(records)
         selection.stats.append(stats)
 
-        if on_minibatch is not None and taken:
-            on_minibatch(np.asarray(taken, dtype=np.int64))
+        if on_minibatch is not None and records:
+            taken = rows_for_ids(corpus.ids[rows], [rec[0] for rec in records])
+            on_minibatch(rows[taken])
 
         if target is not None and len(selection) >= target:
             break

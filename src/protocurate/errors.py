@@ -25,10 +25,6 @@ class DegenerateVectorError(UsageError):
     """All-zero or non-finite embedding vector where a direction is required."""
 
 
-class StateError(ProtocurateError):
-    """Operation invoked on an object in the wrong lifecycle state."""
-
-
 class FormatError(ProtocurateError):
     """Malformed binary/CSV artifact.  Carries the byte offset when known."""
 

@@ -8,10 +8,14 @@ Layout (all little-endian):
 Label bits are packed LSB-first within each byte.  Vectors are stored in
 32-bit precision and widened to float64 on decode; encode casts through
 float32, so decode(encode(x)) is bitwise-stable for any x.
+
+The prototype and head checkpoints use the same codec: a magic tag, u32
+header fields, then fixed records described by one numpy structured dtype.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -21,8 +25,10 @@ from .errors import DegenerateVectorError, FormatError, UsageError
 
 MAGIC = b"XFICEMB1"
 VERSION = 1
-HEADER_SIZE = 28
-_HEADER_STRUCT = struct.Struct("<8s5I")
+HEADER_FIELDS = ("version", "count", "d_img", "d_txt", "n_labels")
+HEADER_SIZE = len(MAGIC) + 4 * len(HEADER_FIELDS)
+# numpy keeps a structured dtype's itemsize and subarray dims in a C int.
+_MAX_DTYPE_SIZE = 2**31 - 1
 
 
 @dataclass
@@ -67,83 +73,90 @@ class Corpus:
     def n_labels(self) -> int:
         return 0 if self.labels is None else self.labels.shape[1]
 
-    def take(self, index: np.ndarray) -> "Corpus":
-        """Row-subset view (copying) in the given order."""
-        return Corpus(
-            ids=self.ids[index],
-            img=self.img[index],
-            txt=self.txt[index],
-            labels=None if self.labels is None else self.labels[index],
+
+def _layout_size(layout) -> int:
+    """Bytes of one record of ``layout``: (name, base dtype, shape) fields, packed."""
+    return sum(np.dtype(base).itemsize * math.prod(shape) for _, base, shape in layout)
+
+
+def encode_records(magic: bytes, header: tuple[int, ...], layout_of, values: dict) -> bytes:
+    """``magic``, the u32 ``header`` fields, then the records ``layout_of`` gives.
+
+    ``layout_of`` maps the header values to (record count, record layout).
+    ``values`` maps field names to arrays broadcast into the records and
+    cast to the field dtype; fields it leaves out are zero.
+    """
+    count, layout = layout_of(*header)
+    records = np.zeros(count, dtype=np.dtype(layout))
+    for name, value in values.items():
+        records[name] = value
+    return magic + struct.pack(f"<{len(header)}I", *header) + records.tobytes()
+
+
+def decode_records(
+    data: bytes, magic: bytes, fields: tuple[str, ...], layout_of, version: int | None = None
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Check a binary artifact's header and size; return its header and records.
+
+    The header is ``magic`` then one u32 per name in ``fields``; when
+    ``version`` is given the first of them must equal it.  ``layout_of``
+    maps the header values to (record count, record layout).  Sizes are
+    checked in Python ints before any dtype is built, so no header value
+    can overflow them.  The records are a read-only view of ``data``.
+    """
+    header_size = len(magic) + 4 * len(fields)
+    if len(data) < header_size:
+        raise FormatError(
+            f"file too short for header: {len(data)} bytes < {header_size}", offset=0
         )
+    if data[: len(magic)] != magic:
+        raise FormatError(f"bad magic {bytes(data[: len(magic)])!r}, expected {magic!r}", offset=0)
+    header = struct.unpack_from(f"<{len(fields)}I", data, len(magic))
+    if version is not None and header[0] != version:
+        raise FormatError(
+            f"unsupported version {header[0]}, expected {version}", offset=len(magic)
+        )
+    count, layout = layout_of(*header)
+    record = _layout_size(layout)
+    expected = header_size + count * record
+    described = ", ".join(f"{name}={value}" for name, value in zip(fields, header))
+    if len(data) != expected:
+        raise FormatError(
+            f"header ({described}) implies {expected} bytes, file has {len(data)}",
+            offset=min(len(data), expected),
+        )
+    if max([record, *(dim for _, _, shape in layout for dim in shape)]) > _MAX_DTYPE_SIZE:
+        raise FormatError(f"header ({described}) exceeds the {_MAX_DTYPE_SIZE}-byte record limit")
+    return header, np.frombuffer(data, dtype=np.dtype(layout), count=count, offset=header_size)
+
+
+def _corpus_layout(version: int, n: int, d_img: int, d_txt: int, n_labels: int):
+    labels = ("labels", "u1", ((n_labels + 7) // 8,))
+    return n, [("id", "<u8", ()), ("img", "<f4", (d_img,)), ("txt", "<f4", (d_txt,)), labels]
 
 
 def record_size(d_img: int, d_txt: int, n_labels: int) -> int:
-    return 8 + 4 * (d_img + d_txt) + (n_labels + 7) // 8
+    return _layout_size(_corpus_layout(VERSION, 1, d_img, d_txt, n_labels)[1])
 
 
 def encode_corpus(corpus: Corpus) -> bytes:
     """Serialize a corpus to the binary format."""
-    n, d_img, d_txt, n_labels = corpus.n, corpus.d_img, corpus.d_txt, corpus.n_labels
-    header = _HEADER_STRUCT.pack(MAGIC, VERSION, n, d_img, d_txt, n_labels)
-    if n == 0:
-        return header
-
-    rec = record_size(d_img, d_txt, n_labels)
-    buf = np.zeros((n, rec), dtype=np.uint8)
-    buf[:, :8] = corpus.ids.astype("<u8").view(np.uint8).reshape(n, 8)
-    off = 8
-    buf[:, off : off + 4 * d_img] = (
-        corpus.img.astype("<f4").view(np.uint8).reshape(n, 4 * d_img)
-    )
-    off += 4 * d_img
-    buf[:, off : off + 4 * d_txt] = (
-        corpus.txt.astype("<f4").view(np.uint8).reshape(n, 4 * d_txt)
-    )
-    off += 4 * d_txt
-    if n_labels:
-        buf[:, off:] = np.packbits(corpus.labels, axis=1, bitorder="little")
-    return header + buf.tobytes()
+    values = {"id": corpus.ids, "img": corpus.img, "txt": corpus.txt}
+    if corpus.labels is not None:
+        values["labels"] = np.packbits(corpus.labels, axis=1, bitorder="little")
+    header = (VERSION, corpus.n, corpus.d_img, corpus.d_txt, corpus.n_labels)
+    return encode_records(MAGIC, header, _corpus_layout, values)
 
 
 def decode_corpus(data: bytes) -> Corpus:
     """Parse the binary format back into a Corpus, widening vectors to float64."""
-    if len(data) < HEADER_SIZE:
-        raise FormatError(
-            f"file too short for header: {len(data)} bytes < {HEADER_SIZE}", offset=0
-        )
-    magic, version, n, d_img, d_txt, n_labels = _HEADER_STRUCT.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}, expected {VERSION}", offset=8)
-    rec = record_size(d_img, d_txt, n_labels)
-    expected = HEADER_SIZE + n * rec
-    if len(data) != expected:
-        raise FormatError(
-            f"record count {n} implies {expected} bytes, file has {len(data)}",
-            offset=min(len(data), expected),
-        )
-
-    if n == 0:
-        return Corpus(
-            ids=np.zeros(0, dtype=np.uint64),
-            img=np.zeros((0, d_img)),
-            txt=np.zeros((0, d_txt)),
-            labels=np.zeros((0, n_labels), dtype=bool) if n_labels else None,
-        )
-
-    buf = np.frombuffer(data, dtype=np.uint8, offset=HEADER_SIZE).reshape(n, rec)
-    ids = buf[:, :8].copy().view("<u8").reshape(n).astype(np.uint64)
-    off = 8
-    img = buf[:, off : off + 4 * d_img].copy().view("<f4").reshape(n, d_img)
-    off += 4 * d_img
-    txt = buf[:, off : off + 4 * d_txt].copy().view("<f4").reshape(n, d_txt)
-    off += 4 * d_txt
+    header, rec = decode_records(data, MAGIC, HEADER_FIELDS, _corpus_layout, version=VERSION)
+    n_labels = header[-1]
     labels = None
     if n_labels:
-        bits = np.unpackbits(buf[:, off:], axis=1, bitorder="little")[:, :n_labels]
-        labels = bits.astype(bool)
-    return Corpus(ids=ids, img=img, txt=txt, labels=labels)
+        labels = np.unpackbits(rec["labels"], axis=1, count=n_labels, bitorder="little")
+    # Every field is copied out, so the corpus does not keep ``data`` alive.
+    return Corpus(ids=rec["id"].copy(), img=rec["img"], txt=rec["txt"], labels=labels)
 
 
 def write_corpus(path, corpus: Corpus) -> None:
@@ -176,3 +189,16 @@ def validate_corpus(corpus: Corpus) -> None:
         if np.any(norms == 0.0):
             bad = int(corpus.ids[np.flatnonzero(norms == 0.0)[0]])
             raise DegenerateVectorError(f"sample id {bad} has all-zero {name} vector")
+
+
+def rows_for_ids(haystack_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Position of each of ``ids`` in the unique ``haystack_ids``, in ``ids`` order."""
+    haystack_ids = np.asarray(haystack_ids, dtype=np.uint64)
+    ids = np.asarray(ids, dtype=np.uint64)
+    order = np.argsort(haystack_ids, kind="stable")
+    pos = np.searchsorted(haystack_ids[order], ids)
+    found = pos < len(order)
+    found[found] = haystack_ids[order[pos[found]]] == ids[found]
+    if not found.all():
+        raise UsageError(f"sample id {int(ids[np.argmin(found)])} not present in corpus")
+    return order[pos]

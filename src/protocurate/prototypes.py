@@ -10,18 +10,13 @@ estimate in with an exponential moving average.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embedding import pairwise_sq_distance
-from .errors import (
-    FormatError,
-    InsufficientWarmupError,
-    StateError,
-    UsageError,
-)
+from .errors import FormatError, InsufficientWarmupError, UsageError
+from .io import decode_records, encode_records
 
 PROTO_MAGIC = b"XFICPRO1"
 
@@ -49,7 +44,6 @@ class TransportPlan:
 class PrototypeBank:
     protos: np.ndarray
     ema_alpha: float = 0.1
-    warmup_done: bool = False
     update_count: int = 0
 
     def __post_init__(self) -> None:
@@ -119,7 +113,7 @@ def init_kmeans(
             if len(members):
                 centers[j] = members.mean(axis=0)
 
-    return PrototypeBank(protos=centers, ema_alpha=ema_alpha, warmup_done=True)
+    return PrototypeBank(protos=centers, ema_alpha=ema_alpha)
 
 
 def sinkhorn_plan(
@@ -136,7 +130,6 @@ def sinkhorn_plan(
     not underflow.  Never raises on non-convergence; the plan carries a
     converged flag and the achieved residual.
     """
-    _require_ready(bank)
     cost = pairwise_sq_distance(np.asarray(embeddings, dtype=np.float64), bank.protos)
     return sinkhorn_from_cost(cost, epsilon=epsilon, max_iters=max_iters, tol=tol)
 
@@ -206,7 +199,6 @@ def update_prototypes(
     mass leaves its prototype untouched; the list of skipped indices is
     returned.  Mutates the bank in place.
     """
-    _require_ready(bank)
     z = np.asarray(embeddings, dtype=np.float64)
     p = np.asarray(plan.plan, dtype=np.float64)
     if p.shape != (z.shape[0], bank.k):
@@ -229,7 +221,6 @@ def update_prototypes(
 
 def nearest_prototype(z: np.ndarray, bank: PrototypeBank) -> tuple[int, float]:
     """Index and Euclidean distance of the closest prototype (ties: smallest index)."""
-    _require_ready(bank)
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (bank.dim,):
         raise UsageError(f"expected a vector of dimension {bank.dim}, got {z.shape}")
@@ -240,15 +231,9 @@ def nearest_prototype(z: np.ndarray, bank: PrototypeBank) -> tuple[int, float]:
 
 def nearest_prototype_batch(z: np.ndarray, bank: PrototypeBank) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized nearest_prototype over rows; same tie rule (argmin is first min)."""
-    _require_ready(bank)
     sq = pairwise_sq_distance(np.asarray(z, dtype=np.float64), bank.protos)
     idx = np.argmin(sq, axis=1)
     return idx, np.sqrt(sq[np.arange(sq.shape[0]), idx])
-
-
-def _require_ready(bank: PrototypeBank) -> None:
-    if not bank.warmup_done:
-        raise StateError("prototype bank not initialized: run the k-means warm-up first")
 
 
 def save_bank(path, bank: PrototypeBank) -> None:
@@ -261,34 +246,22 @@ def load_bank(path) -> PrototypeBank:
         return decode_bank(fh.read())
 
 
+def _bank_layout(k: int, dim: int) -> tuple[int, list]:
+    return 1, [("protos", "<f8", (k, dim)), ("ema_alpha", "<f8", ()), ("update_count", "<u8", ())]
+
+
 def encode_bank(bank: PrototypeBank) -> bytes:
-    head = PROTO_MAGIC + struct.pack("<2I", bank.k, bank.dim)
-    body = bank.protos.astype("<f8").tobytes()
-    tail = struct.pack("<dQ", bank.ema_alpha, bank.update_count)
-    return head + body + tail
+    values = dict(protos=bank.protos, ema_alpha=bank.ema_alpha, update_count=bank.update_count)
+    return encode_records(PROTO_MAGIC, (bank.k, bank.dim), _bank_layout, values)
 
 
 def decode_bank(data: bytes) -> PrototypeBank:
-    if len(data) < 16:
-        raise FormatError(f"file too short for prototype header: {len(data)} bytes", offset=0)
-    if data[:8] != PROTO_MAGIC:
-        raise FormatError(f"bad magic {data[:8]!r}, expected {PROTO_MAGIC!r}", offset=0)
-    k, dim = struct.unpack_from("<2I", data, 8)
-    expected = 16 + 8 * k * dim + 16
-    if len(data) != expected:
-        raise FormatError(
-            f"K={k}, dim={dim} implies {expected} bytes, file has {len(data)}",
-            offset=min(len(data), expected),
+    _, (rec,) = decode_records(data, PROTO_MAGIC, ("K", "dim"), _bank_layout)
+    try:
+        return PrototypeBank(
+            protos=rec["protos"].copy(),
+            ema_alpha=float(rec["ema_alpha"]),
+            update_count=int(rec["update_count"]),
         )
-    protos = (
-        np.frombuffer(data, dtype="<f8", count=k * dim, offset=16)
-        .reshape(k, dim)
-        .astype(np.float64)
-    )
-    ema_alpha, update_count = struct.unpack_from("<dQ", data, 16 + 8 * k * dim)
-    return PrototypeBank(
-        protos=protos,
-        ema_alpha=float(ema_alpha),
-        warmup_done=True,
-        update_count=int(update_count),
-    )
+    except UsageError as exc:
+        raise FormatError(f"invalid prototype checkpoint: {exc}") from None

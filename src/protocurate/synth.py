@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EngineConfig
-from .errors import UsageError
+from .errors import FormatError, UsageError
 from .io import Corpus, write_corpus
 
 
@@ -184,12 +184,24 @@ def write_prompts(path, positive: np.ndarray, negative: np.ndarray, class_names=
 
 
 def read_prompts(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Inverse of write_prompts; any malformed document is a FormatError."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    classes = doc["classes"]
-    names = [entry["name"] for entry in classes]
-    positive = np.asarray([entry["positive"] for entry in classes], dtype=np.float64)
-    negative = np.asarray([entry["negative"] for entry in classes], dtype=np.float64)
+        try:
+            classes = json.load(fh)["classes"]
+            names = [entry["name"] for entry in classes]
+            positive, negative = (
+                np.asarray([entry[key] for entry in classes], dtype=np.float64)
+                for key in ("positive", "negative")
+            )
+        except KeyError as exc:
+            raise FormatError(f"prompts file {path}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"prompts file {path}: {exc}") from None
+    if positive.ndim != 2 or positive.shape != negative.shape:
+        raise FormatError(
+            f"prompts file {path}: needs equal-length positive and negative vectors "
+            "for one or more classes"
+        )
     return names, positive, negative
 
 

@@ -14,17 +14,16 @@ curated selection.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import EngineConfig
 from .curation import CuratedSelection, run_curation
-from .embedding import normalize_rows
-from .errors import FormatError, UsageError
-from .io import Corpus
-from .prototypes import PrototypeBank
+from .embedding import unify_batch
+from .errors import UsageError
+from .io import Corpus, decode_records, encode_records, rows_for_ids
+from .prototypes import PrototypeBank, _logsumexp
 
 HEAD_MAGIC = b"XFICHEAD"
 LOG_TAU_MIN = math.log(1e-3)
@@ -68,13 +67,7 @@ class ProjectionHead:
 
     def unified(self, img: np.ndarray, txt: np.ndarray, space: str = "concat") -> np.ndarray:
         """Curation-space embedding through the head: normalized projected halves."""
-        if space == "image_only":
-            return normalize_rows(self.project_img(img))
-        if space == "text_only":
-            return normalize_rows(self.project_txt(txt))
-        return np.hstack(
-            [normalize_rows(self.project_img(img)), normalize_rows(self.project_txt(txt))]
-        )
+        return unify_batch(self.project_img(img), self.project_txt(txt), space)
 
     def params(self) -> dict[str, np.ndarray]:
         return {
@@ -120,11 +113,6 @@ def identity_head(dim: int, tau: float = 1.0) -> ProjectionHead:
     )
 
 
-def _logsumexp_rows(s: np.ndarray) -> np.ndarray:
-    peak = s.max(axis=1, keepdims=True)
-    return (peak + np.log(np.exp(s - peak).sum(axis=1, keepdims=True)))[:, 0]
-
-
 def info_nce(u: np.ndarray, v: np.ndarray, tau: float) -> float:
     """Symmetric InfoNCE over matched unit-row batches.
 
@@ -142,8 +130,8 @@ def info_nce(u: np.ndarray, v: np.ndarray, tau: float) -> float:
         raise UsageError("batch must be nonempty")
     s = (u @ v.T) / tau
     diag = np.diag(s)
-    row_ce = _logsumexp_rows(s) - diag
-    col_ce = _logsumexp_rows(s.T) - diag
+    row_ce = _logsumexp(s, axis=1) - diag
+    col_ce = _logsumexp(s, axis=0) - diag
     return float(0.5 * (row_ce.mean() + col_ce.mean()))
 
 
@@ -172,19 +160,15 @@ def info_nce_grad(
     tau = head.tau
     s = (u @ v.T) / tau
 
-    # dL/dS: softmax over rows and columns minus twice the matched diagonal.
-    p_row = np.exp(s - _logsumexp_rows(s)[:, None])
-    p_col = np.exp(s.T - _logsumexp_rows(s.T)[:, None]).T
-    g = (p_row + p_col - 2.0 * np.eye(b)) / (2.0 * b)
-
+    lse_row = _logsumexp(s, axis=1)
+    lse_col = _logsumexp(s, axis=0)
     diag = np.diag(s)
-    loss = float(
-        0.5
-        * (
-            (_logsumexp_rows(s) - diag).mean()
-            + (_logsumexp_rows(s.T) - diag).mean()
-        )
-    )
+    loss = float(0.5 * ((lse_row - diag).mean() + (lse_col - diag).mean()))
+
+    # dL/dS: softmax over rows and columns minus twice the matched diagonal.
+    p_row = np.exp(s - lse_row[:, None])
+    p_col = np.exp(s - lse_col[None, :])
+    g = (p_row + p_col - 2.0 * np.eye(b)) / (2.0 * b)
 
     du = (g @ v) / tau
     dv = (g.T @ u) / tau
@@ -320,18 +304,6 @@ def train_head(
     return head, loss_rows
 
 
-def selection_rows(corpus: Corpus, selection: CuratedSelection) -> np.ndarray:
-    """Corpus row indices for a selection's ids, in selection order."""
-    order = np.argsort(corpus.ids, kind="stable")
-    sorted_ids = corpus.ids[order]
-    ids = selection.ids()
-    pos = np.searchsorted(sorted_ids, ids)
-    if np.any(pos >= corpus.n) or np.any(sorted_ids[np.minimum(pos, corpus.n - 1)] != ids):
-        missing = int(ids[np.flatnonzero(sorted_ids[np.minimum(pos, corpus.n - 1)] != ids)[0]])
-        raise UsageError(f"selection id {missing} not present in corpus")
-    return order[pos]
-
-
 def train_joint(
     corpus: Corpus, cfg: EngineConfig
 ) -> tuple[ProjectionHead, list[LossRow], CuratedSelection, PrototypeBank]:
@@ -353,59 +325,31 @@ def train_joint(
         head.set_params(params)
         loss_rows.append(LossRow(step=len(loss_rows) + 1, epoch=1, lr=lr, loss=loss))
 
-    selection, bank = run_curation(
-        corpus, cfg, mode="joint", head=head, on_minibatch=on_minibatch
-    )
+    selection, bank = run_curation(corpus, cfg, head=head, on_minibatch=on_minibatch)
     if len(selection) == 0:
         raise UsageError("joint training curated an empty selection; corpus too small")
 
-    rows = selection_rows(corpus, selection)
+    rows = rows_for_ids(corpus.ids, selection.ids())
     for epoch in range(2, cfg.epochs + 1):
         _epoch_steps(corpus, rows, head, state, rng, cfg, epoch, loss_rows)
     return head, loss_rows, selection, bank
 
 
+def _head_layout(d_img: int, d_txt: int, d_shared: int) -> tuple[int, list]:
+    shapes = ((d_img, d_shared), (d_shared,), (d_txt, d_shared), (d_shared,), ())
+    return 1, [(name, "<f8", shape) for name, shape in zip(PARAM_NAMES, shapes)]
+
+
 def encode_head(head: ProjectionHead) -> bytes:
-    d_img = head.W_img.shape[0]
-    d_txt = head.W_txt.shape[0]
-    parts = [
-        HEAD_MAGIC,
-        struct.pack("<3I", d_img, d_txt, head.d_shared),
-        head.W_img.astype("<f8").tobytes(),
-        head.b_img.astype("<f8").tobytes(),
-        head.W_txt.astype("<f8").tobytes(),
-        head.b_txt.astype("<f8").tobytes(),
-        struct.pack("<d", head.log_tau),
-    ]
-    return b"".join(parts)
+    dims = (head.W_img.shape[0], head.W_txt.shape[0], head.d_shared)
+    return encode_records(HEAD_MAGIC, dims, _head_layout, head.params())
 
 
 def decode_head(data: bytes) -> ProjectionHead:
-    if len(data) < 20:
-        raise FormatError(f"file too short for head header: {len(data)} bytes", offset=0)
-    if data[:8] != HEAD_MAGIC:
-        raise FormatError(f"bad magic {data[:8]!r}, expected {HEAD_MAGIC!r}", offset=0)
-    d_img, d_txt, d_shared = struct.unpack_from("<3I", data, 8)
-    counts = (d_img * d_shared, d_shared, d_txt * d_shared, d_shared, 1)
-    expected = 20 + 8 * sum(counts)
-    if len(data) != expected:
-        raise FormatError(
-            f"dims ({d_img}, {d_txt}, {d_shared}) imply {expected} bytes, "
-            f"file has {len(data)}",
-            offset=min(len(data), expected),
-        )
-    offset = 20
-    arrays = []
-    for count in counts:
-        arrays.append(np.frombuffer(data, dtype="<f8", count=count, offset=offset))
-        offset += 8 * count
-    return ProjectionHead(
-        W_img=arrays[0].reshape(d_img, d_shared),
-        b_img=arrays[1].copy(),
-        W_txt=arrays[2].reshape(d_txt, d_shared),
-        b_txt=arrays[3].copy(),
-        log_tau=float(arrays[4][0]),
-    )
+    _, (rec,) = decode_records(data, HEAD_MAGIC, ("d_img", "d_txt", "d_shared"), _head_layout)
+    params = {name: rec[name].copy() for name in PARAM_NAMES}
+    params["log_tau"] = float(params["log_tau"])
+    return ProjectionHead(**params)
 
 
 def save_head(path, head: ProjectionHead) -> None:

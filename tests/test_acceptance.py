@@ -27,6 +27,7 @@ from protocurate.cli import main
 from protocurate.config import EngineConfig
 from protocurate.curation import fps_select, run_curation
 from protocurate.embedding import l2_normalize
+from protocurate.io import Corpus, rows_for_ids
 from protocurate.metrics import PromptPair, auprc, auroc, evaluate_zero_shot
 from protocurate.prototypes import PrototypeBank, nearest_prototype, sinkhorn_from_cost
 from protocurate.synth import MixtureSpec, generate_corpus, generate_prompts
@@ -34,7 +35,6 @@ from protocurate.trainer import (
     info_nce,
     info_nce_grad,
     init_head,
-    selection_rows,
     train_head,
 )
 
@@ -188,7 +188,7 @@ def test_01_oracle_equivalences():
         d = int(rng.integers(1, 6))
         protos = rng.integers(0, 3, size=(k, d)).astype(np.float64)
         z = rng.integers(0, 3, size=d).astype(np.float64)
-        bank = PrototypeBank(protos=protos, warmup_done=True)
+        bank = PrototypeBank(protos=protos)
         idx, dist = nearest_prototype(z, bank)
         want = min(
             ((float(np.linalg.norm(protos[j] - z)), j) for j in range(k)),
@@ -495,6 +495,10 @@ def zero_shot_numbers(head, held, prompt_raw):
     return rep.macro_auroc, rep.recall_img_to_txt
 
 
+def take_rows(corpus, index):
+    return Corpus(corpus.ids[index], corpus.img[index], corpus.txt[index], corpus.labels[index])
+
+
 def test_07_curated_beats_random(default_runs):
     t0 = time.time()
     rows_per_seed = []
@@ -502,11 +506,11 @@ def test_07_curated_beats_random(default_runs):
     rec = {"cur": [], "rnd": []}
     for seed, run in enumerate(default_runs):
         corpus = run["corpus"]
-        pool = corpus.take(np.arange(corpus.n - HELD_OUT))
-        held = corpus.take(np.arange(corpus.n - HELD_OUT, corpus.n))
+        pool = take_rows(corpus, slice(0, corpus.n - HELD_OUT))
+        held = take_rows(corpus, slice(corpus.n - HELD_OUT, corpus.n))
 
         selection, _ = run_curation(pool, EngineConfig(seed=seed))
-        rows_cur = selection_rows(pool, selection)
+        rows_cur = rows_for_ids(pool.ids, selection.ids())
         rng = np.random.default_rng(9000 + seed)
         rows_rnd = rng.choice(pool.n, size=len(rows_cur), replace=False)
         rows_per_seed.append(len(rows_cur))

@@ -1,14 +1,19 @@
 """End-to-end CLI behavior: subcommands, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import protocurate
 from protocurate.cli import main
 from protocurate.curation import CuratedSelection
+from protocurate.io import Corpus, write_corpus
 from protocurate.prototypes import load_bank
-from protocurate.trainer import load_head
+from protocurate.trainer import init_head, load_head, save_head
 
 SMALL_CONFIG = """\
 # compact setup for fast end-to-end runs
@@ -28,6 +33,25 @@ batch_size = 16
 learning_rate = 0.001
 knn_k = 5
 """
+
+
+def run_cli(*argv):
+    """Run the CLI in a child process: (exit code, stderr), tracebacks included."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(protocurate.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "protocurate.cli", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    return done.returncode, done.stderr
+
+
+def assert_one_line_error(stderr):
+    assert "Traceback" not in stderr
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), stderr
 
 
 @pytest.fixture(scope="module")
@@ -223,29 +247,18 @@ class TestModes:
                 "--loss-out", str(tmp_path / "l.csv"),
                 "--selection-out", str(tmp_path / "s.csv"),
                 "--proto-out", str(tmp_path / "p.bin"),
+                "--stats-out", str(tmp_path / "stats.json"),
             ]
         )
         assert code == 0
         sel = CuratedSelection.read_csv(tmp_path / "s.csv")
         assert len(sel) > 0
         assert load_bank(tmp_path / "p.bin").update_count == 3
+        stats = json.loads((tmp_path / "stats.json").read_text())
+        assert [s["iteration"] for s in stats] == [1, 2, 3]
+        assert sum(s["emitted"] for s in stats) == len(sel)
         head = load_head(tmp_path / "h.bin")
         assert head.W_img.shape == (8, 8)
-
-    def test_curate_joint_mode(self, workspace, tmp_path):
-        code = main(
-            [
-                "curate",
-                "--config", workspace["cfg"],
-                "--corpus", workspace["corpus"],
-                "--mode", "joint",
-                "--out", str(tmp_path / "s.csv"),
-                "--proto-out", str(tmp_path / "p.bin"),
-                "--head-out", str(tmp_path / "h.bin"),
-            ]
-        )
-        assert code == 0
-        assert (tmp_path / "h.bin").exists()
 
     def test_eval_with_trained_head(self, workspace, tmp_path):
         out = tmp_path / "m.json"
@@ -394,3 +407,64 @@ class TestFailureModes:
         )
         assert code == 1
         assert "no samples" in capsys.readouterr().err
+
+
+class TestMalformedInputs:
+    """Each malformed input exits with its documented code and one error line."""
+
+    def test_selection_on_zero_row_corpus(self, workspace, tmp_path):
+        corpus = tmp_path / "empty.bin"
+        write_corpus(corpus, Corpus(ids=np.zeros(0, np.uint64), img=np.zeros((0, 8)),
+                                    txt=np.zeros((0, 8))))
+        sel = tmp_path / "sel.csv"
+        sel.write_text("id,iteration,reason,proto,distance\n5,1,fps,0,0.5\n")
+        code, err = run_cli(
+            "train", "--config", workspace["cfg"], "--corpus", corpus,
+            "--selection", sel, "--head-out", tmp_path / "h.bin",
+            "--loss-out", tmp_path / "l.csv",
+        )
+        assert code == 1
+        assert_one_line_error(err)
+        assert "id 5" in err
+
+    def test_duplicate_selection_ids(self, workspace, tmp_path):
+        rows = open(workspace["selection"]).read().splitlines()
+        sel = tmp_path / "dup.csv"
+        sel.write_text("\n".join(rows + [rows[1]]) + "\n")
+        code, err = run_cli(
+            "train", "--config", workspace["cfg"], "--corpus", workspace["corpus"],
+            "--selection", sel, "--head-out", tmp_path / "h.bin",
+            "--loss-out", tmp_path / "l.csv",
+        )
+        assert code == 2
+        assert_one_line_error(err)
+        assert f"line {len(rows) + 1}: duplicate id {rows[1].split(',')[0]}" in err
+        assert not (tmp_path / "h.bin").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"classes": [', '{"classes": [{"name": "a", "negative": [0.0]}]}'],
+        ids=["bad-syntax", "no-positive"],
+    )
+    def test_malformed_prompts(self, workspace, tmp_path, text):
+        prompts = tmp_path / "p.json"
+        prompts.write_text(text)
+        code, err = run_cli(
+            "eval", "--config", workspace["cfg"], "--corpus", workspace["corpus"],
+            "--prompts", prompts, "--out", tmp_path / "m.json",
+        )
+        assert code == 2
+        assert_one_line_error(err)
+        assert "prompts file" in err
+
+    def test_head_dims_mismatch_corpus(self, workspace, tmp_path):
+        head = tmp_path / "h.bin"
+        save_head(head, init_head(5, 8, 8))
+        code, err = run_cli(
+            "eval", "--config", workspace["cfg"], "--corpus", workspace["corpus"],
+            "--prompts", workspace["prompts"], "--head", head, "--out", tmp_path / "m.json",
+        )
+        assert code == 1
+        assert_one_line_error(err)
+        assert "5+8" in err and "8+8" in err
+        assert not (tmp_path / "m.json").exists()

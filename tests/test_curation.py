@@ -329,16 +329,6 @@ class TestRunCuration:
             corpus.ids[flat], selection.ids()
         )
 
-    def test_joint_mode_requires_head(self):
-        corpus = small_corpus(128 + 64)
-        with pytest.raises(UsageError, match="head"):
-            run_curation(corpus, small_cfg(), mode="joint")
-
-    def test_unknown_mode(self):
-        corpus = small_corpus(128 + 64)
-        with pytest.raises(UsageError):
-            run_curation(corpus, small_cfg(), mode="online")
-
 
 class TestSelectionCsv:
     def test_round_trip(self):

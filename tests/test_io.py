@@ -1,13 +1,16 @@
 """Binary corpus codec: round trips, size arithmetic, format errors."""
 
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from protocurate.errors import DegenerateVectorError, FormatError, UsageError
 from protocurate.io import (
     HEADER_SIZE,
+    MAGIC,
     Corpus,
     decode_corpus,
     encode_corpus,
@@ -16,6 +19,8 @@ from protocurate.io import (
     validate_corpus,
     write_corpus,
 )
+from protocurate.prototypes import PROTO_MAGIC, PrototypeBank, decode_bank, encode_bank
+from protocurate.trainer import HEAD_MAGIC, decode_head, encode_head, init_head
 
 
 def make_corpus(n, d_img, d_txt, n_labels=0, seed=0):
@@ -76,6 +81,13 @@ class TestRoundTrip:
         back = read_corpus(path)
         assert np.array_equal(back.img, corpus.img)
         assert np.array_equal(back.labels, corpus.labels)
+
+    def test_decoded_corpus_does_not_alias_input(self):
+        data = encode_corpus(make_corpus(3, 2, 2, n_labels=3))
+        back = decode_corpus(data)
+        buf = np.frombuffer(data, dtype=np.uint8)
+        for arr in (back.ids, back.img, back.txt, back.labels):
+            assert not np.shares_memory(arr, buf)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -158,3 +170,52 @@ class TestValidation:
                 img=np.zeros((3, 2)),
                 txt=np.zeros((2, 2)),
             )
+
+
+# decoder -> (magic, number of u32 header fields, a valid encoding)
+DECODERS = {
+    "corpus": (decode_corpus, MAGIC, 5, encode_corpus(make_corpus(2, 2, 3, n_labels=9))),
+    "bank": (decode_bank, PROTO_MAGIC, 2, encode_bank(PrototypeBank(protos=np.eye(3)[:2]))),
+    "head": (decode_head, HEAD_MAGIC, 3, encode_head(init_head(2, 3, 2))),
+}
+
+
+def _mutate(valid: bytes, cut: int, at: int, xor: int) -> bytes:
+    """A prefix of ``valid`` with one byte flipped."""
+    blob = bytearray(valid[:cut])
+    if blob:
+        blob[at % len(blob)] ^= xor
+    return bytes(blob)
+
+
+def _fuzz_blobs(name: str):
+    _, magic, n_fields, valid = DECODERS[name]
+    small = st.integers(0, 3) | st.just(2**31) | st.just(2**32 - 1)
+    framed = st.builds(
+        lambda fields, body: magic + struct.pack(f"<{n_fields}I", *fields) + body,
+        st.lists(small, min_size=n_fields, max_size=n_fields),
+        st.binary(max_size=160),
+    )
+    mutated = st.builds(
+        _mutate,
+        st.just(valid),
+        st.integers(0, len(valid)),
+        st.integers(0, len(valid)),
+        st.integers(0, 255),
+    )
+    return st.tuples(st.just(name), st.binary(max_size=40) | framed | mutated)
+
+
+class TestDecoderFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(case=st.sampled_from(sorted(DECODERS)).flatmap(_fuzz_blobs))
+    @example(case=("corpus", MAGIC + struct.pack("<5I", 1, 0, 2**32 - 1, 0, 0)))
+    @example(case=("bank", PROTO_MAGIC + struct.pack("<2I", 2**32 - 1, 0) + bytes(16)))
+    @example(case=("bank", PROTO_MAGIC + struct.pack("<2IddQ", 1, 1, np.nan, 0.1, 0)))
+    @example(case=("head", HEAD_MAGIC + struct.pack("<3I", 2**32 - 1, 0, 0) + bytes(8)))
+    def test_decoders_return_or_raise_format_error(self, case):
+        name, blob = case
+        try:
+            DECODERS[name][0](blob)
+        except FormatError:
+            pass

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from protocurate.errors import FormatError, InsufficientWarmupError, StateError, UsageError
+from protocurate.errors import FormatError, InsufficientWarmupError, UsageError
 from protocurate.prototypes import (
     PrototypeBank,
     TransportPlan,
@@ -76,7 +76,6 @@ class TestInitKmeans:
 
     def test_warmup_flag_set(self):
         bank = init_kmeans(np.random.default_rng(0).standard_normal((10, 2)), 2)
-        assert bank.warmup_done
         assert bank.update_count == 0
 
 
@@ -155,7 +154,7 @@ class TestSinkhorn:
 
 class TestUpdatePrototypes:
     def _bank(self, protos, alpha):
-        return PrototypeBank(protos=np.asarray(protos, float), ema_alpha=alpha, warmup_done=True)
+        return PrototypeBank(protos=np.asarray(protos, float), ema_alpha=alpha)
 
     def test_alpha_zero_is_identity(self):
         rng = np.random.default_rng(7)
@@ -218,20 +217,20 @@ class TestUpdatePrototypes:
 
 class TestNearestPrototype:
     def test_exact_match(self):
-        bank = PrototypeBank(protos=np.eye(4), warmup_done=True)
+        bank = PrototypeBank(protos=np.eye(4))
         idx, d = nearest_prototype(np.eye(4)[3], bank)
         assert idx == 3
         assert d == 0.0
 
     def test_equidistant_tie_smallest_index(self):
         protos = np.array([[9.0, 9.0], [1.0, 0.0], [9.0, -9.0], [8.0, 8.0], [-1.0, 0.0]])
-        idx, d = nearest_prototype(np.array([0.0, 0.0]), bank := PrototypeBank(protos=protos, warmup_done=True))
+        idx, d = nearest_prototype(np.array([0.0, 0.0]), bank := PrototypeBank(protos=protos))
         assert idx == 1
         assert d == 1.0
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(10)
-        bank = PrototypeBank(protos=rng.standard_normal((6, 5)), warmup_done=True)
+        bank = PrototypeBank(protos=rng.standard_normal((6, 5)))
         for _ in range(50):
             z = rng.standard_normal(5)
             idx, d = nearest_prototype(z, bank)
@@ -241,18 +240,13 @@ class TestNearestPrototype:
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(11)
-        bank = PrototypeBank(protos=rng.standard_normal((4, 3)), warmup_done=True)
+        bank = PrototypeBank(protos=rng.standard_normal((4, 3)))
         z = rng.standard_normal((25, 3))
         idx, d = nearest_prototype_batch(z, bank)
         for i in range(len(z)):
             si, sd = nearest_prototype(z[i], bank)
             assert idx[i] == si
             np.testing.assert_allclose(d[i], sd, atol=1e-12)
-
-    def test_uninitialized_bank_raises(self):
-        bank = PrototypeBank(protos=np.zeros((2, 2)))
-        with pytest.raises(StateError):
-            nearest_prototype(np.zeros(2), bank)
 
 
 class TestCheckpoint:
@@ -261,7 +255,6 @@ class TestCheckpoint:
         bank = PrototypeBank(
             protos=rng.standard_normal((6, 10)),
             ema_alpha=0.1,
-            warmup_done=True,
             update_count=17,
         )
         data = encode_bank(bank)
@@ -269,7 +262,6 @@ class TestCheckpoint:
         assert np.array_equal(back.protos, bank.protos)
         assert back.ema_alpha == bank.ema_alpha
         assert back.update_count == 17
-        assert back.warmup_done
         assert encode_bank(back) == data
 
         save_bank(tmp_path / "p.bin", bank)
@@ -280,6 +272,6 @@ class TestCheckpoint:
             decode_bank(b"WRONGMAG" + b"\x00" * 24)
 
     def test_truncation(self):
-        bank = PrototypeBank(protos=np.zeros((2, 2)), warmup_done=True)
+        bank = PrototypeBank(protos=np.zeros((2, 2)))
         with pytest.raises(FormatError):
             decode_bank(encode_bank(bank)[:-3])

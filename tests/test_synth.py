@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from protocurate.config import EngineConfig
-from protocurate.errors import UsageError
+from protocurate.errors import FormatError, UsageError
 from protocurate.metrics import PromptPair, evaluate_zero_shot
 from protocurate.synth import (
     MixtureSpec,
@@ -122,6 +122,20 @@ class TestPrompts:
         assert names == [f"class_{i}" for i in range(6)]
         np.testing.assert_allclose(rpos, pos, atol=1e-15)
         np.testing.assert_allclose(rneg, neg, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"classes": [{"name": "a", "positive": [1.0], "negative": [0.0, 1.0]}]}',
+            '[1, 2]',
+        ],
+        ids=["ragged", "not-an-object"],
+    )
+    def test_malformed_prompts_are_format_errors(self, tmp_path, text):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="prompts file"):
+            read_prompts(path)
 
     def test_identity_head_perfect_separation_auroc(self):
         # well-separated clusters, fully aligned text: zero-shot with the raw

@@ -9,6 +9,7 @@ import pytest
 from protocurate.config import EngineConfig
 from protocurate.curation import CuratedSelection, SelectionRow
 from protocurate.errors import FormatError, UsageError
+from protocurate.io import rows_for_ids
 from protocurate.synth import MixtureSpec, generate_corpus
 from protocurate.trainer import (
     LOG_TAU_MAX,
@@ -25,7 +26,6 @@ from protocurate.trainer import (
     load_head,
     optimizer_step,
     save_head,
-    selection_rows,
     train_head,
     train_joint,
     write_loss_csv,
@@ -353,7 +353,7 @@ class TestSelectionRows:
                 SelectionRow(id=int(corpus.ids[3]), iteration=1, reason="distant", proto=1, distance=0.9),
             ]
         )
-        np.testing.assert_array_equal(selection_rows(corpus, sel), [7, 3])
+        np.testing.assert_array_equal(rows_for_ids(corpus.ids, sel.ids()), [7, 3])
 
     def test_missing_id_named(self):
         corpus = paired_corpus(16, seed=27)
@@ -361,7 +361,7 @@ class TestSelectionRows:
             rows=[SelectionRow(id=999999, iteration=1, reason="fps", proto=0, distance=0.0)]
         )
         with pytest.raises(UsageError, match="999999"):
-            selection_rows(corpus, sel)
+            rows_for_ids(corpus.ids, sel.ids())
 
 
 class TestTrainJoint:
