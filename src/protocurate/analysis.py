@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .config import EngineConfig
 from .embedding import unify_batch
 from .errors import DegenerateVectorError, UsageError
-from .io import Corpus, rows_for_ids
+from .io import Corpus, commit_outputs, rows_for_ids
 
 _KNN_CHUNK = 1024
 
@@ -391,52 +392,44 @@ def run_analysis(corpus: Corpus, cfg: EngineConfig, selection_ids: np.ndarray | 
     return bundle
 
 
+def _csv(header: str, lines) -> str:
+    return header + "\n" + "".join(line + "\n" for line in lines)
+
+
 def write_analysis_bundle(out_dir, bundle: dict) -> None:
-    """Persist the bundle as the documented CSV/JSON files."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-
-    def path(name: str) -> str:
-        return os.path.join(out_dir, name)
-
+    """Persist the bundle as the documented CSV/JSON files, all or none of them."""
     profile: DensityProfile = bundle["full_profile"]
-    with open(path("knn_profile.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,knn_mean\n")
-        for i, value in zip(profile.ids, profile.values):
-            fh.write(f"{int(i)},{value:.9g}\n")
-
-    def write_ecdf(name: str, steps: tuple[np.ndarray, np.ndarray]) -> None:
-        with open(path(name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("value,cum_frac\n")
-            for value, frac in zip(*steps):
-                fh.write(f"{value:.9g},{frac:.9g}\n")
-
-    write_ecdf("ecdf_full.csv", bundle["ecdf_full"])
-    if "ecdf_subset" in bundle:
-        write_ecdf("ecdf_subset.csv", bundle["ecdf_subset"])
-
-    proj = bundle["pca_projection"]
-    with open(path("pca2.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,pc1,pc2\n")
-        for i, row in zip(profile.ids, proj):
-            fh.write(f"{int(i)},{row[0]:.9g},{row[1]:.9g}\n")
-
-    with open(path("tests.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(bundle["tests"], fh, indent=2)
-        fh.write("\n")
-
+    ids = [int(i) for i in profile.ids]
+    files = {
+        "knn_profile.csv": _csv(
+            "id,knn_mean", (f"{i},{value:.9g}" for i, value in zip(ids, profile.values))
+        ),
+        "pca2.csv": _csv(
+            "id,pc1,pc2",
+            (f"{i},{row[0]:.9g},{row[1]:.9g}" for i, row in zip(ids, bundle["pca_projection"])),
+        ),
+        "tests.json": json.dumps(bundle["tests"], indent=2) + "\n",
+    }
+    for name in ("ecdf_full", "ecdf_subset"):
+        if name in bundle:
+            steps = zip(*bundle[name])
+            files[f"{name}.csv"] = _csv(
+                "value,cum_frac", (f"{value:.9g},{frac:.9g}" for value, frac in steps)
+            )
     if "label_table" in bundle:
-        with open(path("labels.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("class,count_full,frac_full,count_subset,frac_subset,delta\n")
-            for row in bundle["label_table"]:
-                fh.write(
-                    f"{row['class']},{row['count_full']},{row['frac_full']:.9g},"
-                    f"{row['count_subset']},{row['frac_subset']:.9g},{row['delta']:.9g}\n"
-                )
+        files["labels.csv"] = _csv(
+            "class,count_full,frac_full,count_subset,frac_subset,delta",
+            (
+                f"{row['class']},{row['count_full']},{row['frac_full']:.9g},"
+                f"{row['count_subset']},{row['frac_subset']:.9g},{row['delta']:.9g}"
+                for row in bundle["label_table"]
+            ),
+        )
     elif "label_counts" in bundle:
-        counts, fracs = bundle["label_counts"], bundle["label_fracs"]
-        with open(path("labels.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("class,count,frac\n")
-            for i in range(len(counts)):
-                fh.write(f"class_{i},{int(counts[i])},{fracs[i]:.9g}\n")
+        counts = zip(bundle["label_counts"], bundle["label_fracs"])
+        files["labels.csv"] = _csv(
+            "class,count,frac",
+            (f"class_{i},{int(count)},{frac:.9g}" for i, (count, frac) in enumerate(counts)),
+        )
+    os.makedirs(out_dir, exist_ok=True)
+    commit_outputs([(os.path.join(out_dir, name), text) for name, text in files.items()])

@@ -2,16 +2,16 @@
 
 Exit codes: 0 success, 1 usage or validation error, 2 I/O or file-format
 error, 3 numerical failure (e.g. Sinkhorn non-convergence).  All file
-outputs are deterministic functions of (inputs, config, seed).
+outputs are deterministic functions of (inputs, config, seed), and each
+command writes all of its outputs or none of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from .analysis import run_analysis, write_analysis_bundle
 from .config import EngineConfig, load_config
@@ -23,24 +23,11 @@ from .errors import (
     ProtocurateError,
     UsageError,
 )
-from .io import read_corpus, rows_for_ids, validate_corpus
+from .io import commit_outputs, encode_corpus, read_corpus, rows_for_ids, validate_corpus
 from .metrics import PromptPair, evaluate_zero_shot
-from .prototypes import save_bank
-from .synth import (
-    MixtureSpec,
-    generate_prompts,
-    read_prompts,
-    write_prompts,
-    write_synthetic_corpus,
-)
-from .trainer import (
-    identity_head,
-    load_head,
-    save_head,
-    train_head,
-    train_joint,
-    write_loss_csv,
-)
+from .prototypes import encode_bank
+from .synth import MixtureSpec, generate_corpus, generate_prompts, prompts_json, read_prompts
+from .trainer import encode_head, identity_head, load_head, loss_csv, train_head, train_joint
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,13 +99,22 @@ def _read_corpus_checked(path):
     return corpus
 
 
+def _commit(*pairs) -> None:
+    """Commit the (path, data) outputs whose path was given, all or nothing."""
+    commit_outputs([(path, data) for path, data in pairs if path is not None])
+
+
 def _cmd_generate(args) -> int:
     cfg = _load_cfg(args)
     spec = MixtureSpec.from_config(cfg)
-    corpus = write_synthetic_corpus(args.out, spec)
-    if args.prompts_out:
-        positive, negative = generate_prompts(spec)
-        write_prompts(args.prompts_out, positive, negative)
+    corpus, _ = generate_corpus(spec)
+    outputs = [
+        (args.out, encode_corpus(corpus)),
+        (f"{args.out}.manifest.json", json.dumps(spec.to_manifest(), indent=2) + "\n"),
+    ]
+    if args.prompts_out is not None:
+        outputs.append((args.prompts_out, prompts_json(*generate_prompts(spec))))
+    commit_outputs(outputs)
     print(f"generated {corpus.n} samples ({spec.clusters} classes) -> {args.out}")
     return 0
 
@@ -127,17 +123,24 @@ def _cmd_curate(args) -> int:
     cfg = _load_cfg(args)
     corpus = _read_corpus_checked(args.corpus)
     selection, bank = run_curation(corpus, cfg)
-    selection.write_csv(args.out)
-    save_bank(args.proto_out, bank)
-    if args.stats_out:
-        selection.write_stats(args.stats_out)
+    _commit(
+        (args.out, selection.to_csv()),
+        (args.proto_out, encode_bank(bank)),
+        (args.stats_out, selection.stats_json()),
+    )
     print(f"curated {len(selection)} of {corpus.n} samples -> {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
+    joint_only = {"--selection-out": args.selection_out, "--proto-out": args.proto_out,
+                  "--stats-out": args.stats_out}
+    given = [flag for flag, path in joint_only.items() if path is not None]
+    if args.selection and given:
+        raise UsageError(f"joint-train outputs {', '.join(given)} cannot be used with --selection")
     cfg = _load_cfg(args)
     corpus = _read_corpus_checked(args.corpus)
+    joint_outputs = []
     if args.selection:
         selection = CuratedSelection.read_csv(args.selection)
         if len(selection) == 0:
@@ -146,14 +149,14 @@ def _cmd_train(args) -> int:
         head, loss_rows = train_head(corpus, cfg, rows=rows)
     else:
         head, loss_rows, selection, bank = train_joint(corpus, cfg)
-        if args.selection_out:
-            selection.write_csv(args.selection_out)
-        if args.proto_out:
-            save_bank(args.proto_out, bank)
-        if args.stats_out:
-            selection.write_stats(args.stats_out)
-    save_head(args.head_out, head)
-    write_loss_csv(args.loss_out, loss_rows)
+        joint_outputs = [
+            (args.selection_out, selection.to_csv()),
+            (args.proto_out, encode_bank(bank)),
+            (args.stats_out, selection.stats_json()),
+        ]
+    _commit(
+        (args.head_out, encode_head(head)), (args.loss_out, loss_csv(loss_rows)), *joint_outputs
+    )
     final = loss_rows[-1].loss if loss_rows else float("nan")
     print(f"trained {len(loss_rows)} steps, final loss {final:.6g} -> {args.head_out}")
     return 0
@@ -208,7 +211,7 @@ def _cmd_eval(args) -> int:
         prompts,
         tau=tau,
     )
-    report.write(args.out, args.csv_out)
+    _commit((args.out, report.to_json()), (args.csv_out, report.to_csv()))
     macro = "n/a" if report.macro_auroc is None else f"{report.macro_auroc:.4f}"
     print(
         f"evaluated {report.n_samples} samples: macro AUROC {macro}, "

@@ -105,19 +105,13 @@ class CuratedSelection:
             rows.append(row)
         return cls(rows=rows)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv())
-
     @classmethod
     def read_csv(cls, path) -> "CuratedSelection":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_csv(fh.read())
 
-    def write_stats(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.stats, fh, indent=2)
-            fh.write("\n")
+    def stats_json(self) -> str:
+        return json.dumps(self.stats, indent=2) + "\n"
 
 
 def score_superbatch(

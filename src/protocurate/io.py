@@ -11,11 +11,18 @@ float32, so decode(encode(x)) is bitwise-stable for any x.
 
 The prototype and head checkpoints use the same codec: a magic tag, u32
 header fields, then fixed records described by one numpy structured dtype.
+
+Every file the engine writes goes through ``commit_outputs``, which writes a
+command's outputs all or nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -159,11 +166,6 @@ def decode_corpus(data: bytes) -> Corpus:
     return Corpus(ids=rec["id"].copy(), img=rec["img"], txt=rec["txt"], labels=labels)
 
 
-def write_corpus(path, corpus: Corpus) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode_corpus(corpus))
-
-
 def read_corpus(path) -> Corpus:
     with open(path, "rb") as fh:
         return decode_corpus(fh.read())
@@ -202,3 +204,46 @@ def rows_for_ids(haystack_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
     if not found.all():
         raise UsageError(f"sample id {int(ids[np.argmin(found)])} not present in corpus")
     return order[pos]
+
+
+def commit_outputs(pairs: list[tuple[str, bytes | str]]) -> None:
+    """Write each (path, bytes or text) pair: all of them or none.
+
+    Each output is written in full to ``<target>.<pid>.tmp`` beside its
+    target, the file the path names after symlinks are resolved, and the
+    temps replace their targets only once every one is written.  On any
+    failure the temps are removed and the targets stay as they were.  A new
+    file gets the umask-derived mode ``open(path, "w")`` would give it, a
+    replaced one keeps its mode.  Text is written as UTF-8 without newline
+    translation.  Two paths naming the same file are a UsageError, and a
+    target that is a directory an IsADirectoryError, both raised before any
+    file is opened.
+    """
+    targets: dict[str, str] = {}  # resolved target -> the path as given
+    for path, _ in pairs:
+        real = os.path.realpath(path)
+        if real in targets:
+            raise UsageError(f"outputs {targets[real]} and {path} name the same file")
+        if os.path.isdir(real):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        targets[real] = str(path)
+    temps: list[str] = []
+    try:
+        for (real, path), (_, data) in zip(targets.items(), pairs):
+            temp = f"{real}.{os.getpid()}.tmp"
+            try:
+                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            temps.append(temp)
+            with open(fd, "wb") as fh:
+                with contextlib.suppress(FileNotFoundError):
+                    os.fchmod(fd, stat.S_IMODE(os.stat(real).st_mode))
+                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        for temp, real in zip(temps, targets):
+            os.replace(temp, real)
+    except BaseException:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.unlink(temp)
+        raise

@@ -78,13 +78,6 @@ class MetricReport:
             lines.append(f"{c.name},{auroc},{auprc},{c.n_pos},{c.n_neg}")
         return "\n".join(lines) + "\n"
 
-    def write(self, json_path, csv_path=None) -> None:
-        with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_json())
-        if csv_path is not None:
-            with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(self.to_csv())
-
 
 def zero_shot_prob(
     image_emb: np.ndarray, prompt: PromptPair, tau: float = 1.0, head=None

@@ -236,11 +236,6 @@ def nearest_prototype_batch(z: np.ndarray, bank: PrototypeBank) -> tuple[np.ndar
     return idx, np.sqrt(sq[np.arange(sq.shape[0]), idx])
 
 
-def save_bank(path, bank: PrototypeBank) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode_bank(bank))
-
-
 def load_bank(path) -> PrototypeBank:
     with open(path, "rb") as fh:
         return decode_bank(fh.read())

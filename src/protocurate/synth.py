@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import EngineConfig
 from .errors import FormatError, UsageError
-from .io import Corpus, write_corpus
+from .io import Corpus
 
 
 @dataclass(frozen=True)
@@ -163,28 +163,17 @@ def generate_prompts(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray]:
     return positive, negative
 
 
-def write_prompts(path, positive: np.ndarray, negative: np.ndarray, class_names=None) -> None:
-    """Store prompts as JSON: {"classes": [{name, positive, negative}, ...]}."""
-    c = positive.shape[0]
-    if class_names is None:
-        class_names = [f"class_{i}" for i in range(c)]
-    doc = {
-        "classes": [
-            {
-                "name": class_names[i],
-                "positive": [float(x) for x in positive[i]],
-                "negative": [float(x) for x in negative[i]],
-            }
-            for i in range(c)
-        ]
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+def prompts_json(positive: np.ndarray, negative: np.ndarray) -> str:
+    """Prompts as JSON text: {"classes": [{name, positive, negative}, ...]}, named class_<i>."""
+    classes = [
+        {"name": f"class_{i}", "positive": pos.tolist(), "negative": neg.tolist()}
+        for i, (pos, neg) in enumerate(zip(positive, negative))
+    ]
+    return json.dumps({"classes": classes}, indent=2) + "\n"
 
 
 def read_prompts(path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Inverse of write_prompts; any malformed document is a FormatError."""
+    """Inverse of prompts_json; any malformed document is a FormatError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             classes = json.load(fh)["classes"]
@@ -203,14 +192,3 @@ def read_prompts(path) -> tuple[list[str], np.ndarray, np.ndarray]:
             "for one or more classes"
         )
     return names, positive, negative
-
-
-def write_synthetic_corpus(path, spec: MixtureSpec) -> Corpus:
-    """Generate and write the corpus plus its sidecar manifest."""
-    corpus, _ = generate_corpus(spec)
-    write_corpus(path, corpus)
-    manifest_path = str(path) + ".manifest.json"
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(spec.to_manifest(), fh, indent=2)
-        fh.write("\n")
-    return corpus

@@ -254,11 +254,10 @@ class LossRow:
     loss: float
 
 
-def write_loss_csv(path, rows: list[LossRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,epoch,lr,loss\n")
-        for row in rows:
-            fh.write(f"{row.step},{row.epoch},{row.lr:.9g},{row.loss:.9g}\n")
+def loss_csv(rows: list[LossRow]) -> str:
+    return "step,epoch,lr,loss\n" + "".join(
+        f"{row.step},{row.epoch},{row.lr:.9g},{row.loss:.9g}\n" for row in rows
+    )
 
 
 def _epoch_steps(
@@ -350,11 +349,6 @@ def decode_head(data: bytes) -> ProjectionHead:
     params = {name: rec[name].copy() for name in PARAM_NAMES}
     params["log_tau"] = float(params["log_tau"])
     return ProjectionHead(**params)
-
-
-def save_head(path, head: ProjectionHead) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode_head(head))
 
 
 def load_head(path) -> ProjectionHead:

@@ -11,9 +11,9 @@ import pytest
 import protocurate
 from protocurate.cli import main
 from protocurate.curation import CuratedSelection
-from protocurate.io import Corpus, write_corpus
+from protocurate.io import Corpus, commit_outputs, encode_corpus
 from protocurate.prototypes import load_bank
-from protocurate.trainer import init_head, load_head, save_head
+from protocurate.trainer import encode_head, init_head, load_head
 
 SMALL_CONFIG = """\
 # compact setup for fast end-to-end runs
@@ -414,8 +414,8 @@ class TestMalformedInputs:
 
     def test_selection_on_zero_row_corpus(self, workspace, tmp_path):
         corpus = tmp_path / "empty.bin"
-        write_corpus(corpus, Corpus(ids=np.zeros(0, np.uint64), img=np.zeros((0, 8)),
-                                    txt=np.zeros((0, 8))))
+        empty = Corpus(ids=np.zeros(0, np.uint64), img=np.zeros((0, 8)), txt=np.zeros((0, 8)))
+        commit_outputs([(corpus, encode_corpus(empty))])
         sel = tmp_path / "sel.csv"
         sel.write_text("id,iteration,reason,proto,distance\n5,1,fps,0,0.5\n")
         code, err = run_cli(
@@ -459,7 +459,7 @@ class TestMalformedInputs:
 
     def test_head_dims_mismatch_corpus(self, workspace, tmp_path):
         head = tmp_path / "h.bin"
-        save_head(head, init_head(5, 8, 8))
+        commit_outputs([(head, encode_head(init_head(5, 8, 8)))])
         code, err = run_cli(
             "eval", "--config", workspace["cfg"], "--corpus", workspace["corpus"],
             "--prompts", workspace["prompts"], "--head", head, "--out", tmp_path / "m.json",
@@ -468,3 +468,80 @@ class TestMalformedInputs:
         assert_one_line_error(err)
         assert "5+8" in err and "8+8" in err
         assert not (tmp_path / "m.json").exists()
+
+
+# Each case: (argv after the subcommand's --config, the output made to exist
+# beforehand).  The last output written sits in a missing directory.
+PARTIAL_OUTPUT_CASES = {
+    "generate": lambda ws, t: (
+        ["generate", "--out", t / "corpus.bin", "--prompts-out", t / "nodir" / "p.json"],
+        "corpus.bin",
+    ),
+    "curate": lambda ws, t: (
+        ["curate", "--corpus", ws["corpus"], "--out", t / "sel.csv",
+         "--proto-out", t / "p.bin", "--stats-out", t / "nodir" / "st.json"],
+        "sel.csv",
+    ),
+    "train-selection": lambda ws, t: (
+        ["train", "--corpus", ws["corpus"], "--selection", ws["selection"],
+         "--head-out", t / "h.bin", "--loss-out", t / "nodir" / "l.csv"],
+        "h.bin",
+    ),
+    "train-joint": lambda ws, t: (
+        ["train", "--corpus", ws["corpus"], "--selection-out", t / "s.csv",
+         "--proto-out", t / "p.bin", "--stats-out", t / "st.json",
+         "--head-out", t / "h.bin", "--loss-out", t / "nodir" / "l.csv"],
+        "s.csv",
+    ),
+    "eval": lambda ws, t: (
+        ["eval", "--corpus", ws["corpus"], "--prompts", ws["prompts"], "--head", ws["head"],
+         "--out", t / "m.json", "--csv-out", t / "nodir" / "m.csv"],
+        "m.json",
+    ),
+}
+
+
+class TestOutputCommit:
+    """A command writes all of its outputs or none of them."""
+
+    @pytest.mark.parametrize("case", sorted(PARTIAL_OUTPUT_CASES))
+    def test_failed_output_writes_nothing(self, workspace, tmp_path, case):
+        argv, existing = PARTIAL_OUTPUT_CASES[case](workspace, tmp_path)
+        missing = next(str(arg) for arg in argv if "nodir" in str(arg))
+        (tmp_path / existing).write_bytes(b"known bytes")
+        code, err = run_cli(argv[0], "--config", workspace["cfg"], *argv[1:])
+        assert code == 2
+        assert_one_line_error(err)
+        assert missing in err and ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [existing]
+        assert (tmp_path / existing).read_bytes() == b"known bytes"
+
+    @pytest.mark.parametrize(
+        "flags", [("--selection-out",), ("--stats-out", "--proto-out")], ids=["one", "two"]
+    )
+    def test_joint_only_outputs_rejected_with_selection(self, workspace, tmp_path, flags):
+        extra = [arg for i, flag in enumerate(flags) for arg in (flag, tmp_path / f"out{i}")]
+        code, err = run_cli(
+            "train", "--config", workspace["cfg"], "--corpus", workspace["corpus"],
+            "--selection", workspace["selection"], "--head-out", tmp_path / "h.bin",
+            "--loss-out", tmp_path / "l.csv", *extra,
+        )
+        assert code == 1
+        assert_one_line_error(err)
+        assert all(flag in err for flag in flags)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["curate", "eval"])
+    def test_two_outputs_one_file(self, workspace, tmp_path, command):
+        out, alias = tmp_path / "x", os.path.join(tmp_path, ".", "x")
+        argv = {
+            "curate": ["curate", "--corpus", workspace["corpus"], "--out", out,
+                       "--proto-out", tmp_path / "p.bin", "--stats-out", alias],
+            "eval": ["eval", "--corpus", workspace["corpus"], "--prompts", workspace["prompts"],
+                     "--out", out, "--csv-out", alias],
+        }[command]
+        code, err = run_cli(argv[0], "--config", workspace["cfg"], *argv[1:])
+        assert code == 1
+        assert_one_line_error(err)
+        assert "name the same file" in err and str(out) in err
+        assert list(tmp_path.iterdir()) == []

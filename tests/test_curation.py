@@ -15,6 +15,7 @@ from protocurate.curation import (
     trim_outliers,
 )
 from protocurate.errors import FormatError, InsufficientWarmupError, UsageError
+from protocurate.io import commit_outputs
 from protocurate.prototypes import init_kmeans
 from protocurate.synth import MixtureSpec, generate_corpus
 
@@ -341,7 +342,7 @@ class TestSelectionCsv:
         corpus = small_corpus(128 + 64, seed=12)
         selection, _ = run_curation(corpus, small_cfg())
         p = tmp_path / "sel.csv"
-        selection.write_csv(p)
+        commit_outputs([(p, selection.to_csv())])
         assert CuratedSelection.read_csv(p).rows == selection.rows
         text = p.read_text()
         assert text.startswith("id,iteration,reason,proto,distance\n")
@@ -360,12 +361,10 @@ class TestSelectionCsv:
         with pytest.raises(FormatError, match="line 2"):
             CuratedSelection.from_csv(good + "x,1,fps,0,0.5\n")
 
-    def test_stats_json(self, tmp_path):
+    def test_stats_json(self):
         corpus = small_corpus(128 + 64, seed=13)
         selection, _ = run_curation(corpus, small_cfg())
-        p = tmp_path / "stats.json"
-        selection.write_stats(p)
         import json
 
-        data = json.loads(p.read_text())
+        data = json.loads(selection.stats_json())
         assert data[0]["superbatch"] == 64

@@ -1,5 +1,9 @@
-"""Binary corpus codec: round trips, size arithmetic, format errors."""
+"""Binary corpus codec: round trips, size arithmetic, format errors; output commits."""
 
+import os
+import pathlib
+import re
+import stat
 import struct
 
 import numpy as np
@@ -8,16 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from protocurate.errors import DegenerateVectorError, FormatError, UsageError
+import protocurate
 from protocurate.io import (
     HEADER_SIZE,
     MAGIC,
     Corpus,
+    commit_outputs,
     decode_corpus,
     encode_corpus,
     read_corpus,
     record_size,
     validate_corpus,
-    write_corpus,
 )
 from protocurate.prototypes import PROTO_MAGIC, PrototypeBank, decode_bank, encode_bank
 from protocurate.trainer import HEAD_MAGIC, decode_head, encode_head, init_head
@@ -77,7 +82,7 @@ class TestRoundTrip:
     def test_file_round_trip(self, tmp_path):
         corpus = make_corpus(12, 3, 4, n_labels=2)
         path = tmp_path / "c.emb"
-        write_corpus(path, corpus)
+        commit_outputs([(path, encode_corpus(corpus))])
         back = read_corpus(path)
         assert np.array_equal(back.img, corpus.img)
         assert np.array_equal(back.labels, corpus.labels)
@@ -219,3 +224,119 @@ class TestDecoderFuzz:
             DECODERS[name][0](blob)
         except FormatError:
             pass
+
+
+class TestCommitOutputs:
+    @staticmethod
+    def listing(root):
+        return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+    def test_text_and_bytes(self, tmp_path):
+        text = "line 1\nline \u00e9\n"
+        commit_outputs([(tmp_path / "a.txt", text), (tmp_path / "b.bin", b"\x00\xff")])
+        assert (tmp_path / "a.txt").read_bytes() == text.encode("utf-8")
+        assert (tmp_path / "b.bin").read_bytes() == b"\x00\xff"
+        assert self.listing(tmp_path) == ["a.txt", "b.bin"]
+
+    def test_replaces_existing_target(self, tmp_path):
+        (tmp_path / "a").write_bytes(b"old contents, longer than the new")
+        commit_outputs([(tmp_path / "a", b"new")])
+        assert (tmp_path / "a").read_bytes() == b"new"
+        assert self.listing(tmp_path) == ["a"]
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("failure", ["missing-dir", "bad-data"])
+    def test_failure_on_kth_file_changes_nothing(self, tmp_path, k, failure):
+        names = ["a", "b", "c"]
+        for name in names[::2]:
+            (tmp_path / name).write_bytes(f"old {name}".encode())
+        pairs = [(tmp_path / name, f"new {name}") for name in names]
+        if failure == "missing-dir":
+            pairs[k] = (tmp_path / "nodir" / "x", "new x")
+            with pytest.raises(FileNotFoundError) as info:
+                commit_outputs(pairs)
+            assert info.value.filename == str(tmp_path / "nodir" / "x")
+            assert ".tmp" not in str(info.value)
+        else:
+            pairs[k] = (pairs[k][0], 3.5)
+            with pytest.raises(TypeError):
+                commit_outputs(pairs)
+        assert self.listing(tmp_path) == ["a", "c"]
+        assert (tmp_path / "a").read_bytes() == b"old a"
+        assert (tmp_path / "c").read_bytes() == b"old c"
+
+    def test_interrupt_before_replace_changes_nothing(self, tmp_path, monkeypatch):
+        (tmp_path / "a").write_bytes(b"old a")
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            commit_outputs([(tmp_path / "a", b"new a"), (tmp_path / "b", b"new b")])
+        monkeypatch.undo()
+        assert self.listing(tmp_path) == ["a"]
+        assert (tmp_path / "a").read_bytes() == b"old a"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_matches_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            commit_outputs([(tmp_path / "committed", "x")])
+            with open(tmp_path / "opened", "w") as fh:
+                fh.write("x")
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "committed").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "opened").stat().st_mode) == 0o666 & ~umask
+
+    def test_replaced_target_keeps_its_mode(self, tmp_path):
+        (tmp_path / "a").write_bytes(b"old a")
+        os.chmod(tmp_path / "a", 0o600)
+        commit_outputs([(tmp_path / "a", b"new a")])
+        assert stat.S_IMODE((tmp_path / "a").stat().st_mode) == 0o600
+        assert (tmp_path / "a").read_bytes() == b"new a"
+
+    def test_symlinked_target_written_through(self, tmp_path):
+        (tmp_path / "real").write_bytes(b"old")
+        (tmp_path / "link").symlink_to(tmp_path / "real")
+        commit_outputs([(tmp_path / "link", b"new")])
+        assert (tmp_path / "link").is_symlink()
+        assert (tmp_path / "real").read_bytes() == b"new"
+        assert self.listing(tmp_path) == ["link", "real"]
+
+    @pytest.mark.parametrize("alias", ["same", "dot", "symlink"])
+    def test_two_paths_one_file(self, tmp_path, alias):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "d")
+        first = tmp_path / "d" / "x"
+        second = {
+            "same": first,
+            "dot": tmp_path / "d" / "." / "x",
+            "symlink": tmp_path / "link" / "x",
+        }[alias]
+        with pytest.raises(UsageError, match="name the same file"):
+            commit_outputs([(first, "one"), (tmp_path / "y", "two"), (second, "three")])
+        assert self.listing(tmp_path) == ["d", "link"]
+
+    def test_directory_target(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            commit_outputs([(tmp_path / "a", "one"), (tmp_path / "d", "two")])
+        assert info.value.filename == str(tmp_path / "d")
+        assert self.listing(tmp_path) == ["d"]
+
+
+def test_only_io_opens_files_for_writing():
+    """``io.commit_outputs`` is the library's single output path."""
+    package = pathlib.Path(protocurate.__file__).parent
+    # open( with a write/append/create mode, one level of nested calls allowed
+    writer = re.compile(r"""\bopen\((?:[^()]|\([^()]*\))*?["'][wax]b?\+?["']|\bos\.open\(""")
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "io.py":
+            continue
+        text = path.read_text()
+        offenders += [f"{path.name}:{text.count(chr(10), 0, m.start()) + 1}"
+                      for m in writer.finditer(text)]
+    assert offenders == []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from protocurate.errors import UndefinedMetricError, UsageError
+from protocurate.io import commit_outputs
 from protocurate.metrics import (
     ClassMetrics,
     MetricReport,
@@ -375,6 +376,6 @@ class TestEvaluateZeroShot:
         report = evaluate_zero_shot(images, texts, labels, prompts, tau=0.1)
         jp = tmp_path / "m.json"
         cp = tmp_path / "m.csv"
-        report.write(jp, cp)
+        commit_outputs([(jp, report.to_json()), (cp, report.to_csv())])
         assert json.loads(jp.read_text())["n_samples"] == 40
         assert cp.read_text().startswith("class,auroc")

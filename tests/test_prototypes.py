@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from protocurate.errors import FormatError, InsufficientWarmupError, UsageError
+from protocurate.io import commit_outputs
 from protocurate.prototypes import (
     PrototypeBank,
     TransportPlan,
@@ -15,7 +16,6 @@ from protocurate.prototypes import (
     load_bank,
     nearest_prototype,
     nearest_prototype_batch,
-    save_bank,
     sinkhorn_from_cost,
     sinkhorn_plan,
     update_prototypes,
@@ -264,7 +264,7 @@ class TestCheckpoint:
         assert back.update_count == 17
         assert encode_bank(back) == data
 
-        save_bank(tmp_path / "p.bin", bank)
+        commit_outputs([(tmp_path / "p.bin", data)])
         assert np.array_equal(load_bank(tmp_path / "p.bin").protos, bank.protos)
 
     def test_bad_magic(self):

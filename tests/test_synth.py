@@ -5,16 +5,17 @@ import json
 import numpy as np
 import pytest
 
+from protocurate.cli import main
 from protocurate.config import EngineConfig
 from protocurate.errors import FormatError, UsageError
+from protocurate.io import commit_outputs, encode_corpus, read_corpus
 from protocurate.metrics import PromptPair, evaluate_zero_shot
 from protocurate.synth import (
     MixtureSpec,
     generate_corpus,
     generate_prompts,
+    prompts_json,
     read_prompts,
-    write_prompts,
-    write_synthetic_corpus,
 )
 
 
@@ -44,10 +45,10 @@ class TestGeneration:
         assert np.array_equal(np.argmax(corpus.labels, axis=1), assign)
         assert np.all(corpus.labels.sum(axis=1) == 1)
 
-    def test_determinism_same_seed(self, tmp_path):
-        a = write_synthetic_corpus(tmp_path / "a.emb", small_spec())
-        b = write_synthetic_corpus(tmp_path / "b.emb", small_spec())
-        assert (tmp_path / "a.emb").read_bytes() == (tmp_path / "b.emb").read_bytes()
+    def test_determinism_same_seed(self):
+        a, _ = generate_corpus(small_spec())
+        b, _ = generate_corpus(small_spec())
+        assert encode_corpus(a) == encode_corpus(b)
         assert np.array_equal(a.img, b.img)
 
     def test_different_seed_differs(self):
@@ -56,18 +57,22 @@ class TestGeneration:
         assert not np.array_equal(a.img, b.img)
 
     def test_in_memory_matches_file_round_trip(self, tmp_path):
-        from protocurate.io import read_corpus
-
-        spec = small_spec()
-        corpus = write_synthetic_corpus(tmp_path / "c.emb", spec)
+        corpus, _ = generate_corpus(small_spec())
+        commit_outputs([(tmp_path / "c.emb", encode_corpus(corpus))])
         back = read_corpus(tmp_path / "c.emb")
         assert np.array_equal(back.img, corpus.img)
         assert np.array_equal(back.txt, corpus.txt)
 
     def test_manifest_sidecar(self, tmp_path):
-        spec = small_spec()
-        write_synthetic_corpus(tmp_path / "c.emb", spec)
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text(
+            "n_samples = 2000\nclusters = 6\n"
+            "cluster_weights = 0.70, 0.15, 0.07, 0.04, 0.025, 0.015\n"
+            "d_img = 8\nd_txt = 8\nrho = 0.9\nnoise_scale = 0.3\nmean_scale = 1.0\n"
+        )
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c.emb")]) == 0
         manifest = json.loads((tmp_path / "c.emb.manifest.json").read_text())
+        assert manifest == small_spec().to_manifest()
         assert manifest["n_samples"] == 2000
         assert manifest["rho"] == 0.9
         assert manifest["weights"][0] == 0.70
@@ -117,7 +122,7 @@ class TestPrompts:
 
     def test_json_round_trip(self, tmp_path):
         pos, neg = generate_prompts(small_spec())
-        write_prompts(tmp_path / "p.json", pos, neg)
+        commit_outputs([(tmp_path / "p.json", prompts_json(pos, neg))])
         names, rpos, rneg = read_prompts(tmp_path / "p.json")
         assert names == [f"class_{i}" for i in range(6)]
         np.testing.assert_allclose(rpos, pos, atol=1e-15)

@@ -9,7 +9,7 @@ import pytest
 from protocurate.config import EngineConfig
 from protocurate.curation import CuratedSelection, SelectionRow
 from protocurate.errors import FormatError, UsageError
-from protocurate.io import rows_for_ids
+from protocurate.io import commit_outputs, rows_for_ids
 from protocurate.synth import MixtureSpec, generate_corpus
 from protocurate.trainer import (
     LOG_TAU_MAX,
@@ -24,11 +24,10 @@ from protocurate.trainer import (
     info_nce_grad,
     init_head,
     load_head,
+    loss_csv,
     optimizer_step,
-    save_head,
     train_head,
     train_joint,
-    write_loss_csv,
 )
 
 
@@ -418,7 +417,7 @@ class TestHeadCheckpoint:
         assert back.log_tau == head.log_tau
         assert encode_head(back) == data
 
-        save_head(tmp_path / "h.bin", head)
+        commit_outputs([(tmp_path / "h.bin", data)])
         assert encode_head(load_head(tmp_path / "h.bin")) == data
 
     def test_bad_magic(self):
@@ -453,16 +452,14 @@ class TestIdentityHead:
 
 
 class TestLossCsv:
-    def test_format(self, tmp_path):
+    def test_format(self):
         from protocurate.trainer import LossRow
 
         rows = [
             LossRow(step=1, epoch=1, lr=0.01, loss=2.5),
             LossRow(step=2, epoch=1, lr=0.01, loss=1.25),
         ]
-        p = tmp_path / "loss.csv"
-        write_loss_csv(p, rows)
-        text = p.read_text()
+        text = loss_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == "step,epoch,lr,loss"
         assert lines[1] == "1,1,0.01,2.5"
