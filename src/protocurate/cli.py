@@ -23,7 +23,8 @@ from .errors import (
     ProtocurateError,
     UsageError,
 )
-from .io import commit_outputs, encode_corpus, read_corpus, rows_for_ids, validate_corpus
+from .io import check_outputs, commit_outputs, encode_corpus, read_corpus
+from .io import rows_for_ids, validate_corpus
 from .metrics import PromptPair, evaluate_zero_shot
 from .prototypes import encode_bank
 from .synth import MixtureSpec, generate_corpus, generate_prompts, prompts_json, read_prompts
@@ -99,22 +100,16 @@ def _read_corpus_checked(path):
     return corpus
 
 
-def _commit(*pairs) -> None:
-    """Commit the (path, data) outputs whose path was given, all or nothing."""
-    commit_outputs([(path, data) for path, data in pairs if path is not None])
-
-
 def _cmd_generate(args) -> int:
     cfg = _load_cfg(args)
     spec = MixtureSpec.from_config(cfg)
     corpus, _ = generate_corpus(spec)
-    outputs = [
+    prompts = None if args.prompts_out is None else prompts_json(*generate_prompts(spec))
+    commit_outputs([
         (args.out, encode_corpus(corpus)),
         (f"{args.out}.manifest.json", json.dumps(spec.to_manifest(), indent=2) + "\n"),
-    ]
-    if args.prompts_out is not None:
-        outputs.append((args.prompts_out, prompts_json(*generate_prompts(spec))))
-    commit_outputs(outputs)
+        (args.prompts_out, prompts),
+    ])
     print(f"generated {corpus.n} samples ({spec.clusters} classes) -> {args.out}")
     return 0
 
@@ -123,11 +118,11 @@ def _cmd_curate(args) -> int:
     cfg = _load_cfg(args)
     corpus = _read_corpus_checked(args.corpus)
     selection, bank = run_curation(corpus, cfg)
-    _commit(
+    commit_outputs([
         (args.out, selection.to_csv()),
         (args.proto_out, encode_bank(bank)),
         (args.stats_out, selection.stats_json()),
-    )
+    ])
     print(f"curated {len(selection)} of {corpus.n} samples -> {args.out}")
     return 0
 
@@ -154,9 +149,9 @@ def _cmd_train(args) -> int:
             (args.proto_out, encode_bank(bank)),
             (args.stats_out, selection.stats_json()),
         ]
-    _commit(
+    commit_outputs([
         (args.head_out, encode_head(head)), (args.loss_out, loss_csv(loss_rows)), *joint_outputs
-    )
+    ])
     final = loss_rows[-1].loss if loss_rows else float("nan")
     print(f"trained {len(loss_rows)} steps, final loss {final:.6g} -> {args.head_out}")
     return 0
@@ -211,7 +206,7 @@ def _cmd_eval(args) -> int:
         prompts,
         tau=tau,
     )
-    _commit((args.out, report.to_json()), (args.csv_out, report.to_csv()))
+    commit_outputs([(args.out, report.to_json()), (args.csv_out, report.to_csv())])
     macro = "n/a" if report.macro_auroc is None else f"{report.macro_auroc:.4f}"
     print(
         f"evaluated {report.n_samples} samples: macro AUROC {macro}, "
@@ -256,6 +251,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
 
     try:
+        # Every --out and --*-out option is an output file: check before any input is read.
+        check_outputs(v for k, v in vars(args).items() if k == "out" or k.endswith("_out"))
         return _COMMANDS[args.command](args)
     except NumericalFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)

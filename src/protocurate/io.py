@@ -206,44 +206,75 @@ def rows_for_ids(haystack_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return order[pos]
 
 
-def commit_outputs(pairs: list[tuple[str, bytes | str]]) -> None:
-    """Write each (path, bytes or text) pair: all of them or none.
-
-    Each output is written in full to ``<target>.<pid>.tmp`` beside its
-    target, the file the path names after symlinks are resolved, and the
-    temps replace their targets only once every one is written.  On any
-    failure the temps are removed and the targets stay as they were.  A new
-    file gets the umask-derived mode ``open(path, "w")`` would give it, a
-    replaced one keeps its mode.  Text is written as UTF-8 without newline
-    translation.  Two paths naming the same file are a UsageError, and a
-    target that is a directory an IsADirectoryError, both raised before any
-    file is opened.
-    """
-    targets: dict[str, str] = {}  # resolved target -> the path as given
-    for path, _ in pairs:
-        real = os.path.realpath(path)
-        if real in targets:
-            raise UsageError(f"outputs {targets[real]} and {path} name the same file")
-        if os.path.isdir(real):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        targets[real] = str(path)
-    temps: list[str] = []
+def _is_stream(path) -> bool:
+    """True for an existing device, FIFO or socket, such as ``/dev/null``."""
     try:
-        for (real, path), (_, data) in zip(targets.items(), pairs):
-            temp = f"{real}.{os.getpid()}.tmp"
-            try:
-                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, path) from None
-            temps.append(temp)
-            with open(fd, "wb") as fh:
+        mode = os.stat(path).st_mode
+    except OSError:
+        return False
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    return not stat.S_ISREG(mode)
+
+
+def check_outputs(paths) -> None:
+    """Raise before any file is opened: a UsageError if two of ``paths`` name
+    one file (a stream may repeat), an IsADirectoryError for a directory."""
+    files: dict[str, str] = {}  # resolved target -> the path as given
+    for path in paths:
+        if path is None or _is_stream(path):
+            continue
+        real = os.path.realpath(path)
+        if real in files:
+            raise UsageError(f"outputs {files[real]} and {path} name the same file")
+        files[real] = str(path)
+
+
+def _open_output(path, flags: int, shown):
+    try:
+        return open(os.open(path, flags, 0o666), "wb")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(shown)) from None
+
+
+def commit_outputs(pairs: list[tuple[str | None, bytes | str | None]]) -> None:
+    """Write each (path, bytes or text) pair whose path is not None: all or none.
+
+    After ``check_outputs``, each file is written to a temp file beside its
+    target (the file the path names after symlinks), and the temps replace
+    their targets only once every one is written; on any failure the temps
+    are removed.  A new file gets the mode ``open(path, "w")`` would give it;
+    a replaced one keeps its mode but loses its hard links and owner.  A
+    stream cannot be replaced: it is opened with the files and written after
+    them, and cannot take them back if that write fails.  Text is UTF-8.
+    """
+    pairs = [(path, data) for path, data in pairs if path is not None]
+    check_outputs(path for path, _ in pairs)
+    temps: list[tuple[str, str]] = []  # (temp, target)
+    streams = []  # (open stream, data)
+    try:
+        for path, data in pairs:
+            data = data.encode("utf-8") if isinstance(data, str) else data
+            if _is_stream(path):
+                streams.append((_open_output(path, os.O_WRONLY, path), data))
+                continue
+            real = os.path.realpath(path)
+            temp = f"{real}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+            with _open_output(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, path) as fh:
+                temps.append((temp, real))
                 with contextlib.suppress(FileNotFoundError):
-                    os.fchmod(fd, stat.S_IMODE(os.stat(real).st_mode))
-                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
-        for temp, real in zip(temps, targets):
+                    os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(real).st_mode))
+                fh.write(data)
+        for temp, real in temps:
             os.replace(temp, real)
+        for fh, data in streams:
+            with fh:
+                fh.write(data)
     except BaseException:
-        for temp in temps:
-            if os.path.exists(temp):
+        for temp, _ in temps:
+            with contextlib.suppress(FileNotFoundError):
                 os.unlink(temp)
         raise
+    finally:
+        for fh, _ in streams:
+            fh.close()

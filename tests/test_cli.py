@@ -2,8 +2,11 @@
 
 import json
 import os
+import pathlib
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -545,3 +548,34 @@ class TestOutputCommit:
         assert_one_line_error(err)
         assert "name the same file" in err and str(out) in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["curate", "train"])
+    def test_two_outputs_one_file_rejected_before_inputs_are_read(self, tmp_path, command):
+        missing = tmp_path / "missing.bin"
+        argv = {
+            "curate": ["curate", "--corpus", missing, "--out", tmp_path / "x",
+                       "--proto-out", tmp_path / "p.bin", "--stats-out", tmp_path / "x"],
+            "train": ["train", "--corpus", missing, "--head-out", tmp_path / "x",
+                      "--loss-out", tmp_path / "x"],
+        }[command]
+        code, err = run_cli(*argv)
+        assert code == 1
+        assert_one_line_error(err)
+        assert "name the same file" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fifo_output_written_in_place(self, workspace, tmp_path):
+        fifo = tmp_path / "csv.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, err = run_cli(
+            "eval", "--config", workspace["cfg"], "--corpus", workspace["corpus"],
+            "--prompts", workspace["prompts"], "--out", tmp_path / "m.json", "--csv-out", fifo,
+        )
+        reader.join(timeout=60)
+        assert code == 0, err
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert received == [pathlib.Path(workspace["report_csv"]).read_bytes()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["csv.fifo", "m.json"]

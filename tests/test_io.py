@@ -5,6 +5,7 @@ import pathlib
 import re
 import stat
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -325,6 +326,47 @@ class TestCommitOutputs:
             commit_outputs([(tmp_path / "a", "one"), (tmp_path / "d", "two")])
         assert info.value.filename == str(tmp_path / "d")
         assert self.listing(tmp_path) == ["d"]
+
+    def test_none_paths_skipped(self, tmp_path):
+        commit_outputs([(tmp_path / "a", "one"), (None, None)])
+        assert self.listing(tmp_path) == ["a"]
+
+    def test_stale_temp_of_same_pid_does_not_block(self, tmp_path):
+        stale = tmp_path / f"a.{os.getpid()}.tmp"
+        stale.write_bytes(b"left by a killed run")
+        commit_outputs([(tmp_path / "a", b"new a")])
+        assert (tmp_path / "a").read_bytes() == b"new a"
+        assert stale.read_bytes() == b"left by a killed run"
+        assert self.listing(tmp_path) == ["a", stale.name]
+
+    @staticmethod
+    def read_fifo(path):
+        received = []
+        reader = threading.Thread(target=lambda: received.append(path.read_bytes()), daemon=True)
+        reader.start()
+        return reader, received
+
+    def test_fifo_target_written_in_place(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader, received = self.read_fifo(fifo)
+        commit_outputs([(fifo, "one "), (tmp_path / "a", b"new a"), (fifo, b"two")])
+        reader.join(timeout=10)
+        assert received == [b"one two"]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert (tmp_path / "a").read_bytes() == b"new a"
+        assert self.listing(tmp_path) == ["a", "fifo"]
+
+    def test_fifo_gets_nothing_when_a_file_fails(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader, received = self.read_fifo(fifo)
+        with pytest.raises(FileNotFoundError):
+            commit_outputs([(fifo, "one"), (tmp_path / "nodir" / "x", "x")])
+        reader.join(timeout=10)
+        assert received == [b""]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert self.listing(tmp_path) == ["fifo"]
 
 
 def test_only_io_opens_files_for_writing():
