@@ -9,7 +9,6 @@ command writes all of its outputs or none of them.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
@@ -27,7 +26,7 @@ from .io import check_outputs, commit_outputs, encode_corpus, read_corpus
 from .io import rows_for_ids, validate_corpus
 from .metrics import PromptPair, evaluate_zero_shot
 from .prototypes import encode_bank
-from .synth import MixtureSpec, generate_corpus, generate_prompts, prompts_json, read_prompts
+from .synth import generate_corpus, generate_prompts, manifest_json, prompts_json, read_prompts
 from .trainer import encode_head, identity_head, load_head, loss_csv, train_head, train_joint
 
 
@@ -86,12 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_cfg(args) -> EngineConfig:
+    """The config file with `--seed` and `--target-size` applied; the result is checked whole."""
     cfg = load_config(args.config) if args.config else EngineConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "target_size", None) is not None:
-        cfg = replace(cfg, target_subset_size=args.target_size)
-    return cfg
+    overrides = {"seed": args.seed, "target_subset_size": getattr(args, "target_size", None)}
+    return replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
 
 
 def _read_corpus_checked(path):
@@ -102,15 +99,14 @@ def _read_corpus_checked(path):
 
 def _cmd_generate(args) -> int:
     cfg = _load_cfg(args)
-    spec = MixtureSpec.from_config(cfg)
-    corpus, _ = generate_corpus(spec)
-    prompts = None if args.prompts_out is None else prompts_json(*generate_prompts(spec))
+    corpus, _ = generate_corpus(cfg)
+    prompts = None if args.prompts_out is None else prompts_json(*generate_prompts(cfg))
     commit_outputs([
         (args.out, encode_corpus(corpus)),
-        (f"{args.out}.manifest.json", json.dumps(spec.to_manifest(), indent=2) + "\n"),
+        (f"{args.out}.manifest.json", manifest_json(cfg)),
         (args.prompts_out, prompts),
     ])
-    print(f"generated {corpus.n} samples ({spec.clusters} classes) -> {args.out}")
+    print(f"generated {corpus.n} samples ({cfg.clusters} classes) -> {args.out}")
     return 0
 
 

@@ -2,12 +2,17 @@
 
 One format feeds every subcommand; each stage reads the keys it needs.
 Unknown keys are rejected so typos fail loudly instead of silently running
-with a default.  All validation errors name the offending key.
+with a default.  An `EngineConfig` validates itself when it is built, from a
+file, by `dataclasses.replace` or in code.  All validation errors name the
+offending key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import types
+import typing
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .embedding import CURATION_SPACES
@@ -68,73 +73,45 @@ class EngineConfig:
     noise_scale: float = 0.3
     mean_scale: float = 1.0
 
+    def __post_init__(self) -> None:
+        validate_config(self)
+
     def resolved_weights(self) -> tuple[float, ...]:
         if self.cluster_weights is not None:
             return self.cluster_weights
         return default_cluster_weights(self.clusters)
 
 
-_INT_KEYS = {
-    "superbatch_size",
-    "per_cluster_budget",
-    "K",
-    "seed",
-    "max_iters",
-    "warmup_samples",
-    "target_subset_size",
-    "kmeans_max_iters",
-    "proj_dim",
-    "epochs",
-    "batch_size",
-    "knn_k",
-    "n_samples",
-    "clusters",
-    "d_img",
-    "d_txt",
+def _key_type(hint) -> type:
+    """int, float, str or tuple: a field's annotation without its `| None`."""
+    if isinstance(hint, types.UnionType):
+        hint = typing.get_args(hint)[0]
+    return typing.get_origin(hint) or hint
+
+
+# The type of every config key, read from the field annotations above.
+_KEY_TYPES = {key: _key_type(hint) for key, hint in typing.get_type_hints(EngineConfig).items()}
+
+
+# How a value of each key type is read, and what a value that fails to read was expected to be.
+_READERS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    tuple: (lambda raw: tuple(float(part) for part in raw.split(",")), "comma-separated numbers"),
+    str: (str, "text"),
 }
-_FLOAT_KEYS = {
-    "outlier_frac",
-    "keep_frac",
-    "ema_alpha",
-    "epsilon",
-    "tol",
-    "learning_rate",
-    "weight_decay",
-    "tau_init",
-    "zero_shot_tau",
-    "density_quantile",
-    "rho",
-    "noise_scale",
-    "mean_scale",
-}
-_STR_KEYS = {"curation_space"}
-_LIST_KEYS = {"cluster_weights"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS
 
 
 def _parse_value(key: str, raw: str):
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from None
-    if key in _LIST_KEYS:
-        try:
-            return tuple(float(part) for part in raw.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"key {key!r}: expected comma-separated numbers, got {raw!r}"
-            ) from None
-    return raw
+    read, expected = _READERS[_KEY_TYPES[key]]
+    try:
+        return read(raw)
+    except ValueError:
+        raise ConfigError(f"key {key!r}: expected {expected}, got {raw!r}") from None
 
 
 def parse_config(text: str) -> EngineConfig:
-    """Parse `key = value` lines (# comments, blank lines allowed) and validate."""
+    """Parse `key = value` lines (# comments, blank lines allowed) into a checked config."""
     overrides = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -143,19 +120,21 @@ def parse_config(text: str) -> EngineConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected `key = value`, got {line.strip()!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in overrides:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         overrides[key] = _parse_value(key, raw)
-    cfg = replace(EngineConfig(), **overrides)
-    validate_config(cfg)
-    return cfg
+    return EngineConfig(**overrides)
 
 
 def load_config(path) -> EngineConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file {path}: not UTF-8 text") from None
+    return parse_config(text)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -179,6 +158,7 @@ def validate_config(cfg: EngineConfig) -> None:
         cfg.curation_space in CURATION_SPACES,
         f"key 'curation_space': must be one of {CURATION_SPACES}",
     )
+    _require(cfg.seed >= 0, "key 'seed': must be >= 0")
     _require(cfg.epsilon > 0.0, "key 'epsilon': must be > 0")
     _require(cfg.max_iters >= 1, "key 'max_iters': must be >= 1")
     _require(cfg.tol > 0.0, "key 'tol': must be > 0")
@@ -221,3 +201,7 @@ def validate_config(cfg: EngineConfig) -> None:
             abs(total - 1.0) <= 1e-6,
             f"key 'cluster_weights': weights must sum to 1 (got {total:g})",
         )
+    for key, kind in _KEY_TYPES.items():
+        value = getattr(cfg, key)
+        if kind is float and value is not None:
+            _require(math.isfinite(value), f"key {key!r}: must be finite")

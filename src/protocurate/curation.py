@@ -108,7 +108,11 @@ class CuratedSelection:
     @classmethod
     def read_csv(cls, path) -> "CuratedSelection":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_csv(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError:
+                raise FormatError(f"selection file {path}: not UTF-8 text") from None
+        return cls.from_csv(text)
 
     def stats_json(self) -> str:
         return json.dumps(self.stats, indent=2) + "\n"

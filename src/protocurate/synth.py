@@ -11,7 +11,6 @@ long-tailed clinical corpus.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,74 +19,28 @@ from .errors import FormatError, UsageError
 from .io import Corpus
 
 
-@dataclass(frozen=True)
-class MixtureSpec:
-    n_samples: int
-    clusters: int
-    weights: tuple[float, ...]
-    d_img: int
-    d_txt: int
-    rho: float
-    noise_scale: float
-    mean_scale: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise UsageError("n_samples must be >= 1")
-        if self.clusters < 1:
-            raise UsageError("clusters must be >= 1")
-        if len(self.weights) != self.clusters:
-            raise UsageError(
-                f"expected {self.clusters} weights, got {len(self.weights)}"
-            )
-        if any(w <= 0.0 for w in self.weights):
-            raise UsageError("cluster weights must be positive")
-        if abs(sum(self.weights) - 1.0) > 1e-6:
-            raise UsageError(f"cluster weights must sum to 1 (got {sum(self.weights):g})")
-        if not (0.0 <= self.rho <= 1.0):
-            raise UsageError("rho must be in [0, 1]")
-        if self.d_img < 2 or self.d_txt < 2:
-            raise UsageError("dimensions must be >= 2")
-        if self.noise_scale < 0.0:
-            raise UsageError("noise_scale must be >= 0")
-        if self.mean_scale <= 0.0:
-            raise UsageError("mean_scale must be > 0")
-
-    @classmethod
-    def from_config(cls, cfg: EngineConfig) -> "MixtureSpec":
-        return cls(
-            n_samples=cfg.n_samples,
-            clusters=cfg.clusters,
-            weights=cfg.resolved_weights(),
-            d_img=cfg.d_img,
-            d_txt=cfg.d_txt,
-            rho=cfg.rho,
-            noise_scale=cfg.noise_scale,
-            mean_scale=cfg.mean_scale,
-            seed=cfg.seed,
-        )
-
-    def to_manifest(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "clusters": self.clusters,
-            "weights": list(self.weights),
-            "d_img": self.d_img,
-            "d_txt": self.d_txt,
-            "rho": self.rho,
-            "noise_scale": self.noise_scale,
-            "mean_scale": self.mean_scale,
-            "seed": self.seed,
-        }
+def manifest_json(cfg: EngineConfig) -> str:
+    """The corpus sidecar: every config value `generate_corpus` reads, as JSON text."""
+    manifest = {
+        "n_samples": cfg.n_samples,
+        "clusters": cfg.clusters,
+        "weights": list(cfg.resolved_weights()),
+        "d_img": cfg.d_img,
+        "d_txt": cfg.d_txt,
+        "rho": cfg.rho,
+        "noise_scale": cfg.noise_scale,
+        "mean_scale": cfg.mean_scale,
+        "seed": cfg.seed,
+    }
+    return json.dumps(manifest, indent=2) + "\n"
 
 
-def _cluster_means(spec: MixtureSpec, rng: np.random.Generator) -> np.ndarray:
-    means = rng.standard_normal((spec.clusters, spec.d_img))
-    return means * spec.mean_scale
+def _cluster_means(cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
+    means = rng.standard_normal((cfg.clusters, cfg.d_img))
+    return means * cfg.mean_scale
 
 
-def _alignment_map(spec: MixtureSpec, rng: np.random.Generator) -> np.ndarray:
+def _alignment_map(cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
     """Text-side linear map A (d_txt x d_img).
 
     Identity when the dimensions match, so an untrained identity head sees
@@ -95,37 +48,38 @@ def _alignment_map(spec: MixtureSpec, rng: np.random.Generator) -> np.ndarray:
     orthonormal-row map (partial isometry), preserving distances as far as
     the smaller dimension allows.
     """
-    if spec.d_img == spec.d_txt:
-        return np.eye(spec.d_img)
-    gauss = rng.standard_normal((max(spec.d_img, spec.d_txt), max(spec.d_img, spec.d_txt)))
+    if cfg.d_img == cfg.d_txt:
+        return np.eye(cfg.d_img)
+    gauss = rng.standard_normal((max(cfg.d_img, cfg.d_txt), max(cfg.d_img, cfg.d_txt)))
     q, r = np.linalg.qr(gauss)
     q = q * np.sign(np.diag(r))[None, :]
-    return q[: spec.d_txt, : spec.d_img]
+    return q[: cfg.d_txt, : cfg.d_img]
 
 
-def generate_corpus(spec: MixtureSpec) -> tuple[Corpus, np.ndarray]:
+def generate_corpus(cfg: EngineConfig) -> tuple[Corpus, np.ndarray]:
     """Draw the corpus; returns (corpus, assignment vector of cluster indices).
 
     The returned arrays are bit-identical to a round trip through the binary
     format (vectors pass through float32), so in-memory use and file use
     agree exactly.
     """
-    rng = np.random.default_rng(spec.seed)
-    means = _cluster_means(spec, rng)
-    amap = _alignment_map(spec, rng)
+    rng = np.random.default_rng(cfg.seed)
+    means = _cluster_means(cfg, rng)
+    amap = _alignment_map(cfg, rng)
 
-    assign = rng.choice(spec.clusters, size=spec.n_samples, p=np.asarray(spec.weights))
-    img = means[assign] + spec.noise_scale * rng.standard_normal(
-        (spec.n_samples, spec.d_img)
+    weights = np.asarray(cfg.resolved_weights())
+    assign = rng.choice(cfg.clusters, size=cfg.n_samples, p=weights)
+    img = means[assign] + cfg.noise_scale * rng.standard_normal(
+        (cfg.n_samples, cfg.d_img)
     )
-    txt_noise = rng.standard_normal((spec.n_samples, spec.d_txt))
-    txt = spec.rho * (img @ amap.T) + (1.0 - spec.rho) * txt_noise
+    txt_noise = rng.standard_normal((cfg.n_samples, cfg.d_txt))
+    txt = cfg.rho * (img @ amap.T) + (1.0 - cfg.rho) * txt_noise
 
-    labels = np.zeros((spec.n_samples, spec.clusters), dtype=bool)
-    labels[np.arange(spec.n_samples), assign] = True
+    labels = np.zeros((cfg.n_samples, cfg.clusters), dtype=bool)
+    labels[np.arange(cfg.n_samples), assign] = True
 
     corpus = Corpus(
-        ids=np.arange(spec.n_samples, dtype=np.uint64),
+        ids=np.arange(cfg.n_samples, dtype=np.uint64),
         img=img.astype(np.float32).astype(np.float64),
         txt=txt.astype(np.float32).astype(np.float64),
         labels=labels,
@@ -133,7 +87,7 @@ def generate_corpus(spec: MixtureSpec) -> tuple[Corpus, np.ndarray]:
     return corpus, assign
 
 
-def generate_prompts(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray]:
+def generate_prompts(cfg: EngineConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-class prompt embeddings on the text side.
 
     positive[c] = normalized text image of cluster c's mean; negative[c] =
@@ -141,9 +95,9 @@ def generate_prompts(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray]:
     rows.  Uses the same seed stream as generate_corpus so prompts match the
     corpus geometry.
     """
-    rng = np.random.default_rng(spec.seed)
-    means = _cluster_means(spec, rng)
-    amap = _alignment_map(spec, rng)
+    rng = np.random.default_rng(cfg.seed)
+    means = _cluster_means(cfg, rng)
+    amap = _alignment_map(cfg, rng)
 
     mapped = means @ amap.T
     norms = np.linalg.norm(mapped, axis=1)
@@ -151,11 +105,11 @@ def generate_prompts(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray]:
         raise UsageError("degenerate cluster mean: zero vector under alignment map")
     positive = mapped / norms[:, None]
 
-    if spec.clusters == 1:
+    if cfg.clusters == 1:
         negative = -positive
     else:
         total = positive.sum(axis=0)
-        others = (total[None, :] - positive) / (spec.clusters - 1)
+        others = (total[None, :] - positive) / (cfg.clusters - 1)
         other_norms = np.linalg.norm(others, axis=1)
         if np.any(other_norms == 0.0):
             raise UsageError("degenerate negative prompt: other-class mean is zero")

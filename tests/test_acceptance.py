@@ -30,7 +30,7 @@ from protocurate.embedding import l2_normalize
 from protocurate.io import Corpus, rows_for_ids
 from protocurate.metrics import PromptPair, auprc, auroc, evaluate_zero_shot
 from protocurate.prototypes import PrototypeBank, nearest_prototype, sinkhorn_from_cost
-from protocurate.synth import MixtureSpec, generate_corpus, generate_prompts
+from protocurate.synth import generate_corpus, generate_prompts
 from protocurate.trainer import (
     info_nce,
     info_nce_grad,
@@ -50,14 +50,12 @@ def default_runs():
     runs = []
     for seed in range(5):
         cfg = EngineConfig(seed=seed)
-        spec = MixtureSpec.from_config(cfg)
-        corpus, _ = generate_corpus(spec)
+        corpus, _ = generate_corpus(cfg)
         selection, _ = run_curation(corpus, cfg)
         bundle = run_analysis(corpus, cfg, selection_ids=selection.ids())
         runs.append(
             {
                 "cfg": cfg,
-                "spec": spec,
                 "corpus": corpus,
                 "selection": selection,
                 "bundle": bundle,
@@ -519,7 +517,7 @@ def test_07_curated_beats_random(default_runs):
         head_cur, _ = train_head(pool, tcfg, rows=rows_cur)
         head_rnd, _ = train_head(pool, tcfg, rows=rows_rnd)
 
-        pos, neg = generate_prompts(run["spec"])
+        pos, neg = generate_prompts(run["cfg"])
         raw = ([f"class_{i}" for i in range(len(pos))], pos, neg)
         a_c, r_c = zero_shot_numbers(head_cur, held, raw)
         a_r, r_r = zero_shot_numbers(head_rnd, held, raw)
@@ -549,7 +547,7 @@ def test_07_curated_beats_random(default_runs):
 def test_08_iteration_emission_arithmetic():
     # Warm-up plus exactly three full super-batches.
     cfg = EngineConfig(n_samples=6400 + 3 * 640, seed=0)
-    corpus, _ = generate_corpus(MixtureSpec.from_config(cfg))
+    corpus, _ = generate_corpus(cfg)
     selection, _ = run_curation(corpus, cfg)
     stats = selection.stats
     assert len(stats) == 3, f"expected 3 iterations, got {len(stats)}"

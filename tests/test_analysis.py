@@ -28,7 +28,7 @@ from protocurate.analysis import (
 )
 from protocurate.config import EngineConfig
 from protocurate.errors import DegenerateVectorError, UsageError
-from protocurate.synth import MixtureSpec, generate_corpus
+from protocurate.synth import generate_corpus
 
 
 def naive_knn_mean(points, k):
@@ -390,10 +390,10 @@ class TestLabels:
 
 
 def analysis_corpus(n=400, seed=16):
-    spec = MixtureSpec(
+    cfg = EngineConfig(
         n_samples=n,
         clusters=3,
-        weights=(0.6, 0.3, 0.1),
+        cluster_weights=(0.6, 0.3, 0.1),
         d_img=6,
         d_txt=6,
         rho=0.9,
@@ -401,7 +401,7 @@ def analysis_corpus(n=400, seed=16):
         mean_scale=2.0,
         seed=seed,
     )
-    corpus, _ = generate_corpus(spec)
+    corpus, _ = generate_corpus(cfg)
     return corpus
 
 

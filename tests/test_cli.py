@@ -472,6 +472,65 @@ class TestMalformedInputs:
         assert "5+8" in err and "8+8" in err
         assert not (tmp_path / "m.json").exists()
 
+    def test_non_utf8_config(self, tmp_path):
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_bytes(b"\xff\xfe\x00")
+        code, err = run_cli("generate", "--config", cfg, "--out", tmp_path / "c.bin")
+        assert code == 1
+        assert_one_line_error(err)
+        assert f"config file {cfg}" in err
+        assert not (tmp_path / "c.bin").exists()
+
+    def test_non_utf8_selection(self, workspace, tmp_path):
+        sel = tmp_path / "sel.csv"
+        sel.write_bytes(b"\xff\xfe\x00")
+        code, err = run_cli(
+            "train", "--config", workspace["cfg"], "--corpus", workspace["corpus"],
+            "--selection", sel, "--head-out", tmp_path / "h.bin",
+            "--loss-out", tmp_path / "l.csv",
+        )
+        assert code == 2
+        assert_one_line_error(err)
+        assert f"selection file {sel}" in err
+        assert not (tmp_path / "h.bin").exists()
+
+
+# Each case: (argv, the config key the error names).  Command-line overrides
+# are checked like the config keys they set.
+BAD_OVERRIDE_CASES = {
+    "curate-target-0": (["curate", "--corpus", "{corpus}", "--out", "{t}/sel.csv",
+                         "--proto-out", "{t}/p.bin", "--target-size", "0"], "target_subset_size"),
+    "curate-target-neg": (["curate", "--corpus", "{corpus}", "--out", "{t}/sel.csv",
+                           "--proto-out", "{t}/p.bin", "--target-size", "-5"],
+                          "target_subset_size"),
+    "train-target-neg": (["train", "--corpus", "{corpus}", "--head-out", "{t}/h.bin",
+                          "--loss-out", "{t}/l.csv", "--target-size", "-5"],
+                         "target_subset_size"),
+    "generate-seed-neg": (["generate", "--out", "{t}/c.bin", "--prompts-out", "{t}/p.json",
+                           "--seed", "-1"], "seed"),
+}
+
+
+class TestConfigOverrides:
+    @pytest.mark.parametrize("case", sorted(BAD_OVERRIDE_CASES))
+    def test_bad_override_is_usage_error(self, workspace, tmp_path, case):
+        argv, key = BAD_OVERRIDE_CASES[case]
+        argv = [arg.format(corpus=workspace["corpus"], t=tmp_path) for arg in argv]
+        code, err = run_cli(*argv, "--config", workspace["cfg"])
+        assert code == 1
+        assert_one_line_error(err)
+        assert f"'{key}'" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_in_config_file(self, tmp_path):
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text("seed = -1\n")
+        code, err = run_cli("generate", "--config", cfg, "--out", tmp_path / "c.bin")
+        assert code == 1
+        assert_one_line_error(err)
+        assert "'seed'" in err
+        assert not (tmp_path / "c.bin").exists()
+
 
 # Each case: (argv after the subcommand's --config, the output made to exist
 # beforehand).  The last output written sits in a missing directory.

@@ -1,13 +1,28 @@
 """Config parsing: defaults, key validation, constraint messages."""
 
+import dataclasses
+import math
+import pathlib
+import re
+import typing
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from protocurate.config import (
     EngineConfig,
     default_cluster_weights,
+    load_config,
     parse_config,
 )
 from protocurate.errors import ConfigError
+
+FLOAT_KEYS = sorted(
+    key for key, hint in typing.get_type_hints(EngineConfig).items()
+    if hint in (float, float | None)
+)
 
 
 class TestDefaults:
@@ -116,8 +131,79 @@ class TestConstraints:
             parse_config("rho = 1.2")
 
     def test_validation_runs_on_programmatic_config(self):
-        from protocurate.config import validate_config
-        from dataclasses import replace
-
         with pytest.raises(ConfigError, match="epsilon"):
-            validate_config(replace(EngineConfig(), epsilon=0.0))
+            EngineConfig(epsilon=0.0)
+        with pytest.raises(ConfigError, match="epsilon"):
+            dataclasses.replace(EngineConfig(), epsilon=0.0)
+
+    def test_target_subset_size_checked_on_replace(self):
+        for size in (0, -5):
+            with pytest.raises(ConfigError, match="'target_subset_size': must be >= 1"):
+                dataclasses.replace(EngineConfig(), target_subset_size=size)
+
+    def test_negative_seed_rejected(self):
+        assert parse_config("seed = 0").seed == 0
+        with pytest.raises(ConfigError, match="'seed': must be >= 0"):
+            parse_config("seed = -1")
+        with pytest.raises(ConfigError, match="'seed'"):
+            EngineConfig(seed=-1)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_float_keys_must_be_finite(self, key, value):
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            parse_config(f"{key} = {value}")
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            EngineConfig(**{key: float(value)})
+
+
+class TestLoadConfig:
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "engine.cfg"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ConfigError, match=re.escape(f"config file {path}: not UTF-8")):
+            load_config(path)
+
+
+_VALUES = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e400", "0.5, 0.5", "", "six", "concat"]),
+    st.text(max_size=8),
+)
+_LINES = st.lists(
+    st.tuples(st.sampled_from([f.name for f in dataclasses.fields(EngineConfig)]), _VALUES),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(lines=_LINES)
+    @example(lines=[("seed", "-1")])
+    @example(lines=[("learning_rate", "inf")])
+    @example(lines=[("zero_shot_tau", "nan")])
+    def test_parse_returns_checked_config_or_config_error(self, lines):
+        text = "\n".join(f"{key} = {value}" for key, value in lines)
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        for key in FLOAT_KEYS:
+            value = getattr(cfg, key)
+            assert value is None or math.isfinite(value), (key, value)
+        np.random.default_rng(cfg.seed)
+
+
+class TestReadme:
+    def test_every_key_in_config_table(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        documented = set()
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                documented.update(re.findall(r"`([A-Za-z_]+)`", line.split("|")[1]))
+        missing = [f.name for f in dataclasses.fields(EngineConfig) if f.name not in documented]
+        assert not missing, f"README config table lacks {missing}"

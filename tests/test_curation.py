@@ -17,7 +17,7 @@ from protocurate.curation import (
 from protocurate.errors import FormatError, InsufficientWarmupError, UsageError
 from protocurate.io import commit_outputs
 from protocurate.prototypes import init_kmeans
-from protocurate.synth import MixtureSpec, generate_corpus
+from protocurate.synth import generate_corpus
 
 
 def small_cfg(**overrides):
@@ -35,10 +35,10 @@ def small_cfg(**overrides):
 
 
 def small_corpus(n, seed=0, d=8):
-    spec = MixtureSpec(
+    cfg = EngineConfig(
         n_samples=n,
         clusters=4,
-        weights=(0.55, 0.25, 0.12, 0.08),
+        cluster_weights=(0.55, 0.25, 0.12, 0.08),
         d_img=d,
         d_txt=d,
         rho=0.9,
@@ -46,7 +46,7 @@ def small_corpus(n, seed=0, d=8):
         mean_scale=2.0,
         seed=seed,
     )
-    corpus, _ = generate_corpus(spec)
+    corpus, _ = generate_corpus(cfg)
     return corpus
 
 

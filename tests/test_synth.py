@@ -7,23 +7,23 @@ import pytest
 
 from protocurate.cli import main
 from protocurate.config import EngineConfig
-from protocurate.errors import FormatError, UsageError
+from protocurate.errors import ConfigError, FormatError
 from protocurate.io import commit_outputs, encode_corpus, read_corpus
 from protocurate.metrics import PromptPair, evaluate_zero_shot
 from protocurate.synth import (
-    MixtureSpec,
     generate_corpus,
     generate_prompts,
+    manifest_json,
     prompts_json,
     read_prompts,
 )
 
 
-def small_spec(**kw):
+def small_cfg(**kw):
     base = dict(
         n_samples=2000,
         clusters=6,
-        weights=(0.70, 0.15, 0.07, 0.04, 0.025, 0.015),
+        cluster_weights=(0.70, 0.15, 0.07, 0.04, 0.025, 0.015),
         d_img=8,
         d_txt=8,
         rho=0.9,
@@ -32,12 +32,12 @@ def small_spec(**kw):
         seed=0,
     )
     base.update(kw)
-    return MixtureSpec(**base)
+    return EngineConfig(**base)
 
 
 class TestGeneration:
     def test_shapes_and_labels(self):
-        corpus, assign = generate_corpus(small_spec())
+        corpus, assign = generate_corpus(small_cfg())
         assert corpus.n == 2000
         assert corpus.d_img == 8 and corpus.d_txt == 8
         assert corpus.n_labels == 6
@@ -46,18 +46,18 @@ class TestGeneration:
         assert np.all(corpus.labels.sum(axis=1) == 1)
 
     def test_determinism_same_seed(self):
-        a, _ = generate_corpus(small_spec())
-        b, _ = generate_corpus(small_spec())
+        a, _ = generate_corpus(small_cfg())
+        b, _ = generate_corpus(small_cfg())
         assert encode_corpus(a) == encode_corpus(b)
         assert np.array_equal(a.img, b.img)
 
     def test_different_seed_differs(self):
-        a, _ = generate_corpus(small_spec(seed=0))
-        b, _ = generate_corpus(small_spec(seed=1))
+        a, _ = generate_corpus(small_cfg(seed=0))
+        b, _ = generate_corpus(small_cfg(seed=1))
         assert not np.array_equal(a.img, b.img)
 
     def test_in_memory_matches_file_round_trip(self, tmp_path):
-        corpus, _ = generate_corpus(small_spec())
+        corpus, _ = generate_corpus(small_cfg())
         commit_outputs([(tmp_path / "c.emb", encode_corpus(corpus))])
         back = read_corpus(tmp_path / "c.emb")
         assert np.array_equal(back.img, corpus.img)
@@ -72,56 +72,56 @@ class TestGeneration:
         )
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c.emb")]) == 0
         manifest = json.loads((tmp_path / "c.emb.manifest.json").read_text())
-        assert manifest == small_spec().to_manifest()
+        assert manifest == json.loads(manifest_json(small_cfg()))
         assert manifest["n_samples"] == 2000
         assert manifest["rho"] == 0.9
         assert manifest["weights"][0] == 0.70
 
     def test_uniform_weights_multinomial_bounds(self):
         n = 6000
-        spec = small_spec(n_samples=n, weights=(1 / 6,) * 6)
-        _, assign = generate_corpus(spec)
+        cfg = small_cfg(n_samples=n, cluster_weights=(1 / 6,) * 6)
+        _, assign = generate_corpus(cfg)
         fracs = np.bincount(assign, minlength=6) / n
         w = 1 / 6
         bound = 3 * np.sqrt(w * (1 - w) / n)
         assert np.all(np.abs(fracs - w) < bound)
 
     def test_long_tail_frequencies_track_weights(self):
-        spec = small_spec(n_samples=20000)
-        _, assign = generate_corpus(spec)
+        cfg = small_cfg(n_samples=20000)
+        _, assign = generate_corpus(cfg)
         fracs = np.bincount(assign, minlength=6) / 20000
-        for frac, w in zip(fracs, spec.weights):
+        for frac, w in zip(fracs, cfg.cluster_weights):
             assert abs(frac - w) < 3 * np.sqrt(w * (1 - w) / 20000)
 
     def test_rho_one_no_noise_pairs_deterministic(self):
-        spec = small_spec(rho=1.0, noise_scale=0.0, d_img=6, d_txt=6)
-        corpus, assign = generate_corpus(spec)
+        cfg = small_cfg(rho=1.0, noise_scale=0.0, d_img=6, d_txt=6)
+        corpus, assign = generate_corpus(cfg)
         # with the identity alignment map, txt equals img exactly (f32 grid)
         assert np.array_equal(corpus.txt, corpus.img)
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(UsageError):
-            small_spec(weights=(0.5, 0.5, 0.1, 0.1, 0.1, 0.1))
-        with pytest.raises(UsageError):
-            small_spec(rho=1.5)
-        with pytest.raises(UsageError):
-            small_spec(n_samples=0)
+        with pytest.raises(ConfigError, match="cluster_weights"):
+            small_cfg(cluster_weights=(0.5, 0.5, 0.1, 0.1, 0.1, 0.1))
+        with pytest.raises(ConfigError, match="rho"):
+            small_cfg(rho=1.5)
+        with pytest.raises(ConfigError, match="n_samples"):
+            small_cfg(n_samples=0)
 
 
 class TestPrompts:
     def test_unit_norm(self):
-        pos, neg = generate_prompts(small_spec())
+        pos, neg = generate_prompts(small_cfg())
         np.testing.assert_allclose(np.linalg.norm(pos, axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(neg, axis=1), 1.0, atol=1e-12)
 
     def test_two_class_complement(self):
-        spec = small_spec(clusters=2, weights=(0.8, 0.2))
-        pos, neg = generate_prompts(spec)
+        cfg = small_cfg(clusters=2, cluster_weights=(0.8, 0.2))
+        pos, neg = generate_prompts(cfg)
         np.testing.assert_allclose(neg[0], pos[1], atol=1e-12)
         np.testing.assert_allclose(neg[1], pos[0], atol=1e-12)
 
     def test_json_round_trip(self, tmp_path):
-        pos, neg = generate_prompts(small_spec())
+        pos, neg = generate_prompts(small_cfg())
         commit_outputs([(tmp_path / "p.json", prompts_json(pos, neg))])
         names, rpos, rneg = read_prompts(tmp_path / "p.json")
         assert names == [f"class_{i}" for i in range(6)]
@@ -145,11 +145,11 @@ class TestPrompts:
     def test_identity_head_perfect_separation_auroc(self):
         # well-separated clusters, fully aligned text: zero-shot with the raw
         # (identity-projected) embeddings must rank every class perfectly
-        spec = small_spec(
+        cfg = small_cfg(
             n_samples=600, rho=1.0, noise_scale=0.05, mean_scale=4.0, seed=3
         )
-        corpus, _ = generate_corpus(spec)
-        pos, neg = generate_prompts(spec)
+        corpus, _ = generate_corpus(cfg)
+        pos, neg = generate_prompts(cfg)
         prompts = [
             PromptPair(name=f"c{i}", positive=pos[i], negative=neg[i])
             for i in range(6)

@@ -10,7 +10,7 @@ from protocurate.config import EngineConfig
 from protocurate.curation import CuratedSelection, SelectionRow
 from protocurate.errors import FormatError, UsageError
 from protocurate.io import commit_outputs, rows_for_ids
-from protocurate.synth import MixtureSpec, generate_corpus
+from protocurate.synth import generate_corpus
 from protocurate.trainer import (
     LOG_TAU_MAX,
     LOG_TAU_MIN,
@@ -37,10 +37,10 @@ def unit_rows(rng, n, d):
 
 
 def paired_corpus(n, d=8, seed=0, rho=1.0, noise=0.1):
-    spec = MixtureSpec(
+    cfg = EngineConfig(
         n_samples=n,
         clusters=4,
-        weights=(0.4, 0.3, 0.2, 0.1),
+        cluster_weights=(0.4, 0.3, 0.2, 0.1),
         d_img=d,
         d_txt=d,
         rho=rho,
@@ -48,7 +48,7 @@ def paired_corpus(n, d=8, seed=0, rho=1.0, noise=0.1):
         mean_scale=3.0,
         seed=seed,
     )
-    corpus, _ = generate_corpus(spec)
+    corpus, _ = generate_corpus(cfg)
     return corpus
 
 
