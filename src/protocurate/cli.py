@@ -1,7 +1,8 @@
 """Command-line interface: generate | curate | train | eval | analyze.
 
-Exit codes: 0 success, 1 usage or validation error, 2 I/O or file-format
-error, 3 numerical failure (e.g. Sinkhorn non-convergence).  All file
+Exit codes: 0 success, 1 usage or validation error (or a config that asks
+for more memory than can be allocated), 2 I/O or file-format error, 3
+numerical failure (e.g. Sinkhorn non-convergence).  All file
 outputs are deterministic functions of (inputs, config, seed), and each
 command writes all of its outputs or none of them.
 """
@@ -264,6 +265,10 @@ def main(argv=None) -> int:
         return 2
     except ProtocurateError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # A size the config asked for that no allocation can meet.
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

@@ -243,8 +243,8 @@ def curate_superbatch(
         )
         if not pool_sink.converged:
             raise NumericalFailureError(
-                f"Sinkhorn did not converge on the pool: residual {pool_sink.residual:.3g} "
-                f"after {pool_sink.iterations} iterations"
+                f"Sinkhorn did not converge on the pool solve: residual "
+                f"{pool_sink.residual:.3g} after {pool_sink.iterations} iterations"
             )
         hard = pool_sink.hard_assignment()
         for k in range(bank.k):
@@ -271,7 +271,7 @@ def curate_superbatch(
         )
         if not update_sink.converged:
             raise NumericalFailureError(
-                f"Sinkhorn did not converge on the mini-batch: residual "
+                f"Sinkhorn did not converge on the mini-batch update solve: residual "
                 f"{update_sink.residual:.3g} after {update_sink.iterations} iterations"
             )
         skipped = update_prototypes(update_sink, z[mb], bank)
@@ -347,7 +347,10 @@ def run_curation(
     for start in range(0, len(stream), cfg.superbatch_size):
         rows = stream[start : start + cfg.superbatch_size]
         iteration += 1
-        records, stats = curate_superbatch(embed(rows), corpus.ids[rows], bank, cfg)
+        try:
+            records, stats = curate_superbatch(embed(rows), corpus.ids[rows], bank, cfg)
+        except NumericalFailureError as exc:
+            raise NumericalFailureError(f"curation iteration {iteration}: {exc}") from exc
 
         if target is not None and len(selection) + len(records) > target:
             records = records[: target - len(selection)]

@@ -126,18 +126,33 @@ def sinkhorn_plan(
     """Equipartition transport of n samples onto K prototypes.
 
     Cost is squared Euclidean distance; marginals are uniform (rows 1/n,
-    columns 1/K).  Runs log-domain scaling iterations, so tiny epsilon does
-    not underflow.  Never raises on non-convergence; the plan carries a
-    converged flag and the achieved residual.
+    columns 1/K).  Solved by ``sinkhorn_from_cost``, whose stabilised
+    scaling iterations do not underflow at tiny epsilon.  Never raises on
+    non-convergence; the plan carries a converged flag and the achieved
+    residual.
     """
     cost = pairwise_sq_distance(np.asarray(embeddings, dtype=np.float64), bank.protos)
     return sinkhorn_from_cost(cost, epsilon=epsilon, max_iters=max_iters, tol=tol)
 
 
+# Scalings outside [_SCALING_MIN, _SCALING_MAX] are absorbed into the potentials.
+_SCALING_MIN, _SCALING_MAX = 1e-100, 1e100
+
+
 def sinkhorn_from_cost(
     cost: np.ndarray, epsilon: float = 0.05, max_iters: int = 50000, tol: float = 1e-6
 ) -> TransportPlan:
-    """Sinkhorn on an explicit cost matrix (uniform marginals 1/n and 1/K)."""
+    """Sinkhorn on an explicit cost matrix (uniform marginals 1/n and 1/K).
+
+    Stabilised scaling iterations (Schmitzer 2019): the plan is
+    ``u_i K_ij v_j`` with ``K = exp(-(cost - f_i - g_j) / epsilon)``.  The
+    potentials start at the row minima ``f`` and their c-transform ``g``, so
+    every kernel entry is <= 1 and every row and column holds a 1: nothing
+    underflows to an all-zero row or column.  Each sweep is ``u = r / (K v)``,
+    ``v = c / (K^T u)``; whenever a scaling leaves [1e-100, 1e100] it is
+    absorbed into the potentials (``f += eps log u``, ``g += eps log v``) and
+    the kernel is rebuilt.
+    """
     if epsilon <= 0.0:
         raise UsageError("epsilon must be > 0")
     if max_iters < 1:
@@ -147,46 +162,50 @@ def sinkhorn_from_cost(
     if n < 1 or k < 1:
         raise UsageError("cost matrix must be nonempty")
 
-    log_r = -np.log(n)  # log target row sum
-    log_c = -np.log(k)  # log target column sum
-    log_kernel = -cost / epsilon
-    f = np.zeros(n)  # log row scalings
-    g = np.zeros(k)  # log column scalings
+    r = 1.0 / n  # target row sum
+    c = 1.0 / k  # target column sum
+    f = cost.min(axis=1)
+    g = (cost - f[:, None]).min(axis=0)
 
-    def residual_of(log_plan: np.ndarray) -> float:
-        plan = np.exp(log_plan)
-        row_err = np.max(np.abs(plan.sum(axis=1) - 1.0 / n))
-        col_err = np.max(np.abs(plan.sum(axis=0) - 1.0 / k))
-        return float(max(row_err, col_err))
+    # The kernel is held as (K, n): both matrix-vector products then run over
+    # K long contiguous rows, which is faster than n rows of length K.
+    def kernel() -> np.ndarray:
+        return np.exp((g[:, None] + f[None, :] - cost.T) / epsilon)
 
+    kern = kernel()
+    scalings = np.ones(n + k)  # u then v, so one min and one max check both
+    u, v = scalings[:n], scalings[n:]
+    kv = v @ kern
     converged = False
     iterations = 0
     for it in range(1, max_iters + 1):
         iterations = it
-        # Row scaling makes row sums exact; then column scaling makes column
-        # sums exact, perturbing rows, so the row residual after both is the
-        # convergence measure.
-        f = log_r - _logsumexp(log_kernel + g[None, :], axis=1)
-        g = log_c - _logsumexp(log_kernel + f[:, None], axis=0)
-        log_plan = log_kernel + f[:, None] + g[None, :]
-        res = residual_of(log_plan)
-        if res < tol:
+        np.divide(r, kv, out=u)
+        np.divide(c, kern @ u, out=v)
+        # Column sums are now exact, so the row error is the residual; the
+        # next sweep needs K v anyway.
+        kv = v @ kern
+        rows = u * kv
+        if rows.max() - r < tol and r - rows.min() < tol:
             converged = True
             break
+        if scalings.min() < _SCALING_MIN or scalings.max() > _SCALING_MAX:
+            f += epsilon * np.log(u)
+            g += epsilon * np.log(v)
+            kern = kernel()
+            scalings[:] = 1.0
+            kv = v @ kern
 
-    log_plan = log_kernel + f[:, None] + g[None, :]
+    plan = u[:, None] * kern.T * v[None, :]
+    row_err = np.max(np.abs(plan.sum(axis=1) - r))
+    col_err = np.max(np.abs(plan.sum(axis=0) - c))
+    residual = float(max(row_err, col_err))
     return TransportPlan(
-        plan=np.exp(log_plan),
-        residual=residual_of(log_plan),
-        converged=converged,
+        plan=plan,
+        residual=residual,
+        converged=converged and residual < tol,
         iterations=iterations,
     )
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    peak = np.max(a, axis=axis, keepdims=True)
-    out = peak + np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
 
 
 def update_prototypes(

@@ -23,12 +23,18 @@ from .curation import CuratedSelection, run_curation
 from .embedding import unify_batch
 from .errors import UsageError
 from .io import Corpus, decode_records, encode_records, rows_for_ids
-from .prototypes import PrototypeBank, _logsumexp
+from .prototypes import PrototypeBank
 
 HEAD_MAGIC = b"XFICHEAD"
 LOG_TAU_MIN = math.log(1e-3)
 LOG_TAU_MAX = math.log(0.5)
 PARAM_NAMES = ("W_img", "b_img", "W_txt", "b_txt", "log_tau")
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    peak = np.max(a, axis=axis, keepdims=True)
+    out = peak + np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis)
 
 
 @dataclass

@@ -349,7 +349,10 @@ class TestFailureModes:
             ]
         )
         assert code == 3
-        assert "converge" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "converge" in err
+        (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+        assert "pool solve" in line and "curation iteration 1" in line
 
     def test_bad_config_key_is_usage_error(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
@@ -493,6 +496,39 @@ class TestMalformedInputs:
         assert_one_line_error(err)
         assert f"selection file {sel}" in err
         assert not (tmp_path / "h.bin").exists()
+
+
+class TestUnfinishableConfigs:
+    """A config the validator accepts but no run can finish: one error line, no output."""
+
+    def test_small_epsilon_fails_in_pool_solve(self, tmp_path):
+        inputs, outputs = tmp_path / "in", tmp_path / "out"
+        inputs.mkdir()
+        outputs.mkdir()
+        cfg = inputs / "engine.cfg"
+        cfg.write_text("n_samples = 2000\nwarmup_samples = 640\nepsilon = 1e-3\n")
+        assert main(["generate", "--config", str(cfg), "--out", str(inputs / "c.bin")]) == 0
+        code, err = run_cli(
+            "curate", "--config", cfg, "--corpus", inputs / "c.bin",
+            "--out", outputs / "sel.csv", "--proto-out", outputs / "p.bin",
+            "--stats-out", outputs / "st.json",
+        )
+        assert code == 3
+        assert_one_line_error(err)
+        assert "pool solve" in err and "curation iteration" in err
+        assert list(outputs.iterdir()) == []
+
+    def test_out_of_memory_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "big.txt"
+        cfg.write_text("n_samples = 1000000000000000\n")
+        code, err = run_cli(
+            "generate", "--config", cfg, "--out", tmp_path / "c.bin",
+            "--prompts-out", tmp_path / "p.json",
+        )
+        assert code == 1
+        assert_one_line_error(err)
+        assert err.startswith("error: out of memory: ")
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 # Each case: (argv, the config key the error names).  Command-line overrides

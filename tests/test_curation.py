@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from protocurate import curation
 from protocurate.config import EngineConfig
 from protocurate.curation import (
     CuratedSelection,
@@ -14,7 +15,12 @@ from protocurate.curation import (
     select_distant,
     trim_outliers,
 )
-from protocurate.errors import FormatError, InsufficientWarmupError, UsageError
+from protocurate.errors import (
+    FormatError,
+    InsufficientWarmupError,
+    NumericalFailureError,
+    UsageError,
+)
 from protocurate.io import commit_outputs
 from protocurate.prototypes import init_kmeans
 from protocurate.synth import generate_corpus
@@ -329,6 +335,25 @@ class TestRunCuration:
         assert np.array_equal(
             corpus.ids[flat], selection.ids()
         )
+
+    def test_solver_failure_names_solve_and_iteration(self, monkeypatch):
+        # Each iteration solves the pool, then the mini-batch update: fail the
+        # fourth solve, the update of iteration 2.
+        corpus = small_corpus(128 + 3 * 64, seed=11)
+        solve = curation.sinkhorn_plan
+        calls = []
+
+        def fourth_fails(*args, **kwargs):
+            plan = solve(*args, **kwargs)
+            calls.append(plan)
+            return dataclasses.replace(plan, converged=len(calls) != 4)
+
+        monkeypatch.setattr(curation, "sinkhorn_plan", fourth_fails)
+        with pytest.raises(
+            NumericalFailureError, match="^curation iteration 2: .* mini-batch update solve"
+        ):
+            run_curation(corpus, small_cfg())
+        assert len(calls) == 4
 
 
 class TestSelectionCsv:

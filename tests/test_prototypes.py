@@ -36,6 +36,28 @@ def brute_force_best_2partition_sse(points):
     return best
 
 
+def _logsumexp(a, axis):
+    peak = np.max(a, axis=axis, keepdims=True)
+    out = peak + np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis)
+
+
+def _log_domain_sinkhorn(cost, epsilon, max_iters, tol):
+    """Log-domain Sinkhorn oracle: (plan, converged), residual checked every sweep."""
+    n, k = cost.shape
+    log_kernel = -cost / epsilon
+    g = np.zeros(k)
+    for _ in range(max_iters):
+        f = -np.log(n) - _logsumexp(log_kernel + g[None, :], axis=1)
+        g = -np.log(k) - _logsumexp(log_kernel + f[:, None], axis=0)
+        plan = np.exp(log_kernel + f[:, None] + g[None, :])
+        row_err = np.max(np.abs(plan.sum(axis=1) - 1.0 / n))
+        col_err = np.max(np.abs(plan.sum(axis=0) - 1.0 / k))
+        if max(row_err, col_err) < tol:
+            return plan, True
+    return plan, False
+
+
 def kmeans_sse(points, centers):
     d = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     return d.min(axis=1).sum()
@@ -129,6 +151,38 @@ class TestSinkhorn:
         assert not plan.converged
         assert plan.iterations == 2
         assert plan.residual > 0
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.05, 1.0, 1e3])
+    def test_matches_log_domain_oracle(self, epsilon):
+        # Wherever both solvers converge the plans agree.  At epsilon 1e-3
+        # the scalings leave [1e-100, 1e100] and are absorbed on the way.
+        rng = np.random.default_rng(13)
+        compared = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 65))
+            k = int(rng.integers(1, 9))
+            cost = rng.random((n, k)) * rng.choice([0.1, 1.0, 10.0])
+            plan = sinkhorn_from_cost(cost, epsilon=epsilon, max_iters=2000, tol=1e-6)
+            assert np.all(np.isfinite(plan.plan))
+            if not plan.converged:
+                continue
+            want, converged = _log_domain_sinkhorn(cost, epsilon, max_iters=2000, tol=1e-6)
+            if converged:
+                compared += 1
+                assert np.max(np.abs(plan.plan - want)) < 1e-6, (n, k)
+        assert compared >= 100
+
+    def test_absorbed_scalings_still_converge(self):
+        # Every row sits near column 0 and 5 away from the others; moving
+        # mass to those at epsilon 1e-3 drives the scalings past 1e100, so
+        # they must be absorbed into the potentials on the way.
+        rng = np.random.default_rng(17)
+        cost = rng.random((16, 3))
+        cost[:, 1:] += 5.0
+        plan = sinkhorn_from_cost(cost, epsilon=1e-3, max_iters=20000, tol=1e-8)
+        want, converged = _log_domain_sinkhorn(cost, 1e-3, max_iters=20000, tol=1e-8)
+        assert plan.converged and converged
+        assert np.max(np.abs(plan.plan - want)) < 1e-6
 
     def test_plan_from_bank_embeddings(self):
         rng = np.random.default_rng(6)
