@@ -3,9 +3,8 @@
 Implements the descriptive toolkit used to characterize what curation
 selects: exact kNN mean-distance density profiles, low-density-quartile
 membership, ECDFs, a 2-D PCA projection, long-tail label histograms, and
-the small statistical layer (Welch's t, paired t, 5-run summaries) used to
-report significance.  p-values come from a hand-rolled regularized
-incomplete beta so the runtime has no statistics dependency.
+Welch's t-test to report significance.  p-values come from a hand-rolled
+regularized incomplete beta so the runtime has no statistics dependency.
 """
 
 from __future__ import annotations
@@ -219,38 +218,6 @@ def welch_t(a: np.ndarray, b: np.ndarray) -> TestResult:
     stat = (m_a - m_b) / math.sqrt(sa + sb)
     df = (sa + sb) ** 2 / (sa**2 / (n_a - 1) + sb**2 / (n_b - 1))
     return TestResult(stat, df, t_sf_two_sided(stat, df), m_a, m_b, n_a, n_b)
-
-
-def paired_t(a: np.ndarray, b: np.ndarray) -> TestResult:
-    """Two-sided paired t-test: one-sample t on index-matched differences."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise UsageError("paired test needs matching 1-D arrays")
-    n = len(a)
-    if n < 2:
-        raise UsageError("paired t-test needs at least 2 pairs")
-    d = a - b
-    md = float(d.mean())
-    sd = float(d.std(ddof=1))
-    df = float(n - 1)
-    if sd == 0.0:
-        if md == 0.0:
-            return TestResult(0.0, df, 1.0, float(a.mean()), float(b.mean()), n, n)
-        stat = math.copysign(math.inf, md)
-        return TestResult(stat, df, 0.0, float(a.mean()), float(b.mean()), n, n)
-    stat = md / (sd / math.sqrt(n))
-    return TestResult(stat, df, t_sf_two_sided(stat, df), float(a.mean()), float(b.mean()), n, n)
-
-
-def run_summary(values: np.ndarray) -> tuple[float, float]:
-    """Mean and 95% CI halfwidth (1.96 * sd/sqrt(n)) over repeated runs."""
-    values = np.asarray(values, dtype=np.float64)
-    n = len(values)
-    if n < 2:
-        raise UsageError("run summary needs at least 2 runs")
-    se = math.sqrt(float(values.var(ddof=1)) / n)
-    return float(values.mean()), 1.96 * se
 
 
 def pca2(points: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:

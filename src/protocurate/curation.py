@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import EngineConfig
-from .embedding import unify_batch
+from .embedding import pairwise_sq_distance, unify_batch
 from .errors import (
     FormatError,
     InsufficientWarmupError,
@@ -31,7 +31,6 @@ from .io import Corpus, rows_for_ids
 from .prototypes import (
     PrototypeBank,
     init_kmeans,
-    nearest_prototype_batch,
     sinkhorn_plan,
     update_prototypes,
 )
@@ -92,6 +91,8 @@ class CuratedSelection:
                 )
             except ValueError:
                 raise FormatError(f"selection line {lineno}: malformed field") from None
+            if not 0 <= row.id < 2**64:
+                raise FormatError(f"selection line {lineno}: id {row.id} is not a uint64")
             if row.reason not in REASONS:
                 raise FormatError(
                     f"selection line {lineno}: unknown reason {row.reason!r}"
@@ -121,11 +122,10 @@ class CuratedSelection:
 def score_superbatch(
     z: np.ndarray, bank: PrototypeBank
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-prototype index and distance for each row of z."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-    return nearest_prototype_batch(z, bank)
+    """Nearest-prototype index and distance for each row of z (ties: smallest index)."""
+    sq = pairwise_sq_distance(z, bank.protos)
+    idx = np.argmin(sq, axis=1)
+    return idx, np.sqrt(sq[np.arange(sq.shape[0]), idx])
 
 
 def trim_outliers(

@@ -10,8 +10,6 @@ ranking and the metric choice is behaviorally neutral for selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateVectorError, UsageError
@@ -21,20 +19,6 @@ CURATION_SPACES = ("concat", "image_only", "text_only")
 # Rows of a pairwise-distance computation are chunked to bound peak memory;
 # results are independent per row so chunking never changes the output.
 _CHUNK_ROWS = 1024
-
-
-@dataclass(frozen=True)
-class EmbeddingPair:
-    """One sample: stable id, image-side vector, text-side vector, optional labels.
-
-    ``labels`` is a boolean vector over the corpus label classes (one-hot or
-    multi-hot), or None for label-free corpora.
-    """
-
-    id: int
-    img: np.ndarray
-    txt: np.ndarray
-    labels: np.ndarray | None = None
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -65,22 +49,9 @@ def normalize_rows(mat: np.ndarray) -> np.ndarray:
     return mat / norms[:, None]
 
 
-def unify(pair: EmbeddingPair, mode: str = "concat") -> np.ndarray:
-    """Build the curation-space vector for one sample.
-
-    ``concat`` concatenates the two normalized halves (total norm sqrt(2));
-    ``image_only`` / ``text_only`` are the ablation modes returning a single
-    normalized half (total norm 1).
-    """
-    return unify_batch(
-        np.asarray(pair.img, dtype=np.float64)[None, :],
-        np.asarray(pair.txt, dtype=np.float64)[None, :],
-        mode,
-    )[0]
-
-
 def unify_batch(img: np.ndarray, txt: np.ndarray, mode: str = "concat") -> np.ndarray:
-    """Vectorized `unify` over matching (n, d_img) and (n, d_txt) batches."""
+    """Curation-space rows of (n, d_img) and (n, d_txt) batches: ``concat`` joins the
+    normalized halves (norm sqrt(2)), ``image_only`` / ``text_only`` keep one (norm 1)."""
     if mode not in CURATION_SPACES:
         raise UsageError(f"unknown curation space {mode!r}; expected one of {CURATION_SPACES}")
     if mode == "image_only":
@@ -90,43 +61,13 @@ def unify_batch(img: np.ndarray, txt: np.ndarray, mode: str = "concat") -> np.nd
     return np.hstack([normalize_rows(img), normalize_rows(txt)])
 
 
-def pairwise_distance(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean distance matrix between the rows of ``a`` and ``b``.
-
-    Pass ``b=None`` for the self-distance case, which guarantees an exactly
-    symmetric result with an exactly zero diagonal.  Computed blockwise via
-    the Gram expansion ||x-y||^2 = ||x||^2 + ||y||^2 - 2<x,y>, clamped at
-    zero before the square root.
-    """
+def pairwise_sq_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` and ``b``: the Gram
+    expansion ||x||^2 + ||y||^2 - 2<x,y>, in row chunks, clamped at zero."""
     a = np.asarray(a, dtype=np.float64)
-    self_mode = b is None
-    b = a if self_mode else np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise UsageError("pairwise_distance expects 2-D arrays of row vectors")
+    b = np.asarray(b, dtype=np.float64)
     if a.shape[1] != b.shape[1]:
         raise UsageError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-
-    sq = pairwise_sq_distance(a, None if self_mode else b)
-    return np.sqrt(sq)
-
-
-def pairwise_sq_distance(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Squared-distance variant of `pairwise_distance` (same conventions)."""
-    a = np.asarray(a, dtype=np.float64)
-    self_mode = b is None
-    b = a if self_mode else np.asarray(b, dtype=np.float64)
-    if a.shape[1] != b.shape[1]:
-        raise UsageError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-
-    if self_mode:
-        # One Gram product, symmetrized, with norms read off its own diagonal
-        # so that (i,j) and (j,i) share bits and the diagonal cancels to
-        # exactly zero.
-        gram = a @ a.T
-        gram = 0.5 * (gram + gram.T)
-        d_sq = np.diagonal(gram)
-        sq = d_sq[:, None] + d_sq[None, :] - 2.0 * gram
-        return np.maximum(sq, 0.0)
 
     b_sq = np.einsum("ij,ij->i", b, b)
     a_sq = np.einsum("ij,ij->i", a, a)

@@ -33,7 +33,6 @@ from .errors import DegenerateVectorError, FormatError, UsageError
 MAGIC = b"XFICEMB1"
 VERSION = 1
 HEADER_FIELDS = ("version", "count", "d_img", "d_txt", "n_labels")
-HEADER_SIZE = len(MAGIC) + 4 * len(HEADER_FIELDS)
 # numpy keeps a structured dtype's itemsize and subarray dims in a C int.
 _MAX_DTYPE_SIZE = 2**31 - 1
 
@@ -140,10 +139,6 @@ def decode_records(
 def _corpus_layout(version: int, n: int, d_img: int, d_txt: int, n_labels: int):
     labels = ("labels", "u1", ((n_labels + 7) // 8,))
     return n, [("id", "<u8", ()), ("img", "<f4", (d_img,)), ("txt", "<f4", (d_txt,)), labels]
-
-
-def record_size(d_img: int, d_txt: int, n_labels: int) -> int:
-    return _layout_size(_corpus_layout(VERSION, 1, d_img, d_txt, n_labels)[1])
 
 
 def encode_corpus(corpus: Corpus) -> bytes:

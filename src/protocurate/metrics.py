@@ -79,23 +79,8 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
-def zero_shot_prob(
-    image_emb: np.ndarray, prompt: PromptPair, tau: float = 1.0, head=None
-) -> float:
-    """Positive-class probability from the prompt-pair softmax.
-
-    With ``head`` given (anything with a project_img method), the embedding
-    is projected and re-normalized first; otherwise it is used as-is and
-    should already be unit-norm.
-    """
-    img = np.asarray(image_emb, dtype=np.float64)[None, :]
-    if head is not None:
-        img = normalize_rows(head.project_img(img))
-    return float(zero_shot_scores(img, prompt, tau)[0])
-
-
 def zero_shot_scores(images: np.ndarray, prompt: PromptPair, tau: float = 1.0) -> np.ndarray:
-    """Vectorized zero_shot_prob over unit image rows."""
+    """Positive-class probability of each unit image row from the prompt-pair softmax."""
     if tau <= 0.0:
         raise UsageError("temperature must be > 0")
     images = np.asarray(images, dtype=np.float64)
@@ -120,15 +105,12 @@ def zero_shot_scores(images: np.ndarray, prompt: PromptPair, tau: float = 1.0) -
 def _midranks(x: np.ndarray) -> np.ndarray:
     """Average ranks (1-based) with ties sharing their midrank."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=np.float64)
     sorted_x = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Each run of equal sorted values spans positions [start, end].
+    start = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+    end = np.r_[start[1:], len(x)] - 1
+    ranks = np.empty(len(x), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, end - start + 1)
     return ranks
 
 
@@ -183,18 +165,6 @@ def macro_average(values: list[float | None]) -> tuple[float, int]:
     return float(np.mean(defined)), excluded
 
 
-def recall_at_1(sim: np.ndarray, direction: str = "image_to_text") -> float:
-    """Fraction of queries whose argmax (ties to smallest index) is the true pair."""
-    sim = np.asarray(sim, dtype=np.float64)
-    if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
-        raise UsageError(f"similarity matrix must be square, got {sim.shape}")
-    if direction not in ("image_to_text", "text_to_image"):
-        raise UsageError(f"unknown direction {direction!r}")
-    mat = sim if direction == "image_to_text" else sim.T
-    hits = np.argmax(mat, axis=1) == np.arange(mat.shape[0])
-    return float(hits.mean())
-
-
 _RECALL_BLOCK = 1024
 
 
@@ -203,7 +173,7 @@ def recall_both_blocked(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
 
     Streams row blocks of U V^T; the column direction keeps a running
     maximum, with strict improvement so exact ties resolve to the smallest
-    row index, matching recall_at_1 on the full matrix bit for bit.
+    row index, as argmax over the full matrix does.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)

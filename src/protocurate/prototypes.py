@@ -238,28 +238,6 @@ def update_prototypes(
     return skipped
 
 
-def nearest_prototype(z: np.ndarray, bank: PrototypeBank) -> tuple[int, float]:
-    """Index and Euclidean distance of the closest prototype (ties: smallest index)."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (bank.dim,):
-        raise UsageError(f"expected a vector of dimension {bank.dim}, got {z.shape}")
-    d = np.linalg.norm(bank.protos - z[None, :], axis=1)
-    idx = int(np.argmin(d))
-    return idx, float(d[idx])
-
-
-def nearest_prototype_batch(z: np.ndarray, bank: PrototypeBank) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized nearest_prototype over rows; same tie rule (argmin is first min)."""
-    sq = pairwise_sq_distance(np.asarray(z, dtype=np.float64), bank.protos)
-    idx = np.argmin(sq, axis=1)
-    return idx, np.sqrt(sq[np.arange(sq.shape[0]), idx])
-
-
-def load_bank(path) -> PrototypeBank:
-    with open(path, "rb") as fh:
-        return decode_bank(fh.read())
-
-
 def _bank_layout(k: int, dim: int) -> tuple[int, list]:
     return 1, [("protos", "<f8", (k, dim)), ("ema_alpha", "<f8", ()), ("update_count", "<u8", ())]
 

@@ -140,6 +140,12 @@ def read_prompts(path) -> tuple[list[str], np.ndarray, np.ndarray]:
             raise FormatError(f"prompts file {path}: missing field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise FormatError(f"prompts file {path}: {exc}") from None
+    for index, name in enumerate(names):
+        if not isinstance(name, str) or any(ch in name for ch in ",\r\n"):
+            raise FormatError(
+                f"prompts file {path}: class {index} name {name!r} is not a string "
+                "free of commas and line breaks"
+            )
     if positive.ndim != 2 or positive.shape != negative.shape:
         raise FormatError(
             f"prompts file {path}: needs equal-length positive and negative vectors "

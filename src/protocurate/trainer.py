@@ -119,28 +119,6 @@ def identity_head(dim: int, tau: float = 1.0) -> ProjectionHead:
     )
 
 
-def info_nce(u: np.ndarray, v: np.ndarray, tau: float) -> float:
-    """Symmetric InfoNCE over matched unit-row batches.
-
-    loss = 1/2 [ mean_i CE(row i of S, i) + mean_j CE(column j of S, j) ]
-    with S = U V^T / tau.  Nonnegative; ln B when all similarities equal.
-    """
-    if tau <= 0.0:
-        raise UsageError("temperature must be > 0")
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise UsageError(f"batch shapes differ: {u.shape} vs {v.shape}")
-    b = u.shape[0]
-    if b < 1:
-        raise UsageError("batch must be nonempty")
-    s = (u @ v.T) / tau
-    diag = np.diag(s)
-    row_ce = _logsumexp(s, axis=1) - diag
-    col_ce = _logsumexp(s, axis=0) - diag
-    return float(0.5 * (row_ce.mean() + col_ce.mean()))
-
-
 def info_nce_grad(
     raw_img: np.ndarray, raw_txt: np.ndarray, head: ProjectionHead
 ) -> tuple[float, dict[str, np.ndarray]]:

@@ -1,0 +1,200 @@
+"""Reference implementations the library is tested against.
+
+Per-sample and loop forms of the vectorised library routines, plus the
+statistics and file helpers only the tests need.  None of them is part of
+the pipeline; each test module imports what it checks against from here.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from protocurate.analysis import TestResult, t_sf_two_sided
+from protocurate.embedding import normalize_rows, pairwise_sq_distance, unify_batch
+from protocurate.errors import UsageError
+from protocurate.io import VERSION, _corpus_layout, _layout_size
+from protocurate.metrics import PromptPair, zero_shot_scores
+from protocurate.prototypes import PrototypeBank, decode_bank
+from protocurate.trainer import _logsumexp
+
+
+# --- embedding ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EmbeddingPair:
+    """One sample: stable id, image-side vector, text-side vector, optional labels.
+
+    ``labels`` is a boolean vector over the corpus label classes (one-hot or
+    multi-hot), or None for label-free corpora.
+    """
+
+    id: int
+    img: np.ndarray
+    txt: np.ndarray
+    labels: np.ndarray | None = None
+
+
+def unify(pair: EmbeddingPair, mode: str = "concat") -> np.ndarray:
+    """Build the curation-space vector for one sample.
+
+    ``concat`` concatenates the two normalized halves (total norm sqrt(2));
+    ``image_only`` / ``text_only`` are the ablation modes returning a single
+    normalized half (total norm 1).
+    """
+    return unify_batch(
+        np.asarray(pair.img, dtype=np.float64)[None, :],
+        np.asarray(pair.txt, dtype=np.float64)[None, :],
+        mode,
+    )[0]
+
+
+def pairwise_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix between the rows of ``a`` and ``b``.
+
+    Computed blockwise via the Gram expansion
+    ||x-y||^2 = ||x||^2 + ||y||^2 - 2<x,y>, clamped at zero before the
+    square root.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2:
+        raise UsageError("pairwise_distance expects 2-D arrays of row vectors")
+    if a.shape[1] != b.shape[1]:
+        raise UsageError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+
+    sq = pairwise_sq_distance(a, b)
+    return np.sqrt(sq)
+
+
+# --- prototypes --------------------------------------------------------------
+
+
+def nearest_prototype(z: np.ndarray, bank: PrototypeBank) -> tuple[int, float]:
+    """Index and Euclidean distance of the closest prototype (ties: smallest index)."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (bank.dim,):
+        raise UsageError(f"expected a vector of dimension {bank.dim}, got {z.shape}")
+    d = np.linalg.norm(bank.protos - z[None, :], axis=1)
+    idx = int(np.argmin(d))
+    return idx, float(d[idx])
+
+
+def load_bank(path) -> PrototypeBank:
+    with open(path, "rb") as fh:
+        return decode_bank(fh.read())
+
+
+# --- metrics -----------------------------------------------------------------
+
+
+def zero_shot_prob(
+    image_emb: np.ndarray, prompt: PromptPair, tau: float = 1.0, head=None
+) -> float:
+    """Positive-class probability from the prompt-pair softmax.
+
+    With ``head`` given (anything with a project_img method), the embedding
+    is projected and re-normalized first; otherwise it is used as-is and
+    should already be unit-norm.
+    """
+    img = np.asarray(image_emb, dtype=np.float64)[None, :]
+    if head is not None:
+        img = normalize_rows(head.project_img(img))
+    return float(zero_shot_scores(img, prompt, tau)[0])
+
+
+def midranks(x: np.ndarray) -> np.ndarray:
+    """Average ranks (1-based) with ties sharing their midrank."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x), dtype=np.float64)
+    sorted_x = x[order]
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def recall_at_1(sim: np.ndarray, direction: str = "image_to_text") -> float:
+    """Fraction of queries whose argmax (ties to smallest index) is the true pair."""
+    sim = np.asarray(sim, dtype=np.float64)
+    if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
+        raise UsageError(f"similarity matrix must be square, got {sim.shape}")
+    if direction not in ("image_to_text", "text_to_image"):
+        raise UsageError(f"unknown direction {direction!r}")
+    mat = sim if direction == "image_to_text" else sim.T
+    hits = np.argmax(mat, axis=1) == np.arange(mat.shape[0])
+    return float(hits.mean())
+
+
+# --- trainer -----------------------------------------------------------------
+
+
+def info_nce(u: np.ndarray, v: np.ndarray, tau: float) -> float:
+    """Symmetric InfoNCE over matched unit-row batches.
+
+    loss = 1/2 [ mean_i CE(row i of S, i) + mean_j CE(column j of S, j) ]
+    with S = U V^T / tau.  Nonnegative; ln B when all similarities equal.
+    """
+    if tau <= 0.0:
+        raise UsageError("temperature must be > 0")
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise UsageError(f"batch shapes differ: {u.shape} vs {v.shape}")
+    b = u.shape[0]
+    if b < 1:
+        raise UsageError("batch must be nonempty")
+    s = (u @ v.T) / tau
+    diag = np.diag(s)
+    row_ce = _logsumexp(s, axis=1) - diag
+    col_ce = _logsumexp(s, axis=0) - diag
+    return float(0.5 * (row_ce.mean() + col_ce.mean()))
+
+
+# --- analysis ----------------------------------------------------------------
+
+
+def paired_t(a: np.ndarray, b: np.ndarray) -> TestResult:
+    """Two-sided paired t-test: one-sample t on index-matched differences."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise UsageError("paired test needs matching 1-D arrays")
+    n = len(a)
+    if n < 2:
+        raise UsageError("paired t-test needs at least 2 pairs")
+    d = a - b
+    md = float(d.mean())
+    sd = float(d.std(ddof=1))
+    df = float(n - 1)
+    if sd == 0.0:
+        if md == 0.0:
+            return TestResult(0.0, df, 1.0, float(a.mean()), float(b.mean()), n, n)
+        stat = math.copysign(math.inf, md)
+        return TestResult(stat, df, 0.0, float(a.mean()), float(b.mean()), n, n)
+    stat = md / (sd / math.sqrt(n))
+    return TestResult(stat, df, t_sf_two_sided(stat, df), float(a.mean()), float(b.mean()), n, n)
+
+
+def run_summary(values: np.ndarray) -> tuple[float, float]:
+    """Mean and 95% CI halfwidth (1.96 * sd/sqrt(n)) over repeated runs."""
+    values = np.asarray(values, dtype=np.float64)
+    n = len(values)
+    if n < 2:
+        raise UsageError("run summary needs at least 2 runs")
+    se = math.sqrt(float(values.var(ddof=1)) / n)
+    return float(values.mean()), 1.96 * se
+
+
+# --- io ----------------------------------------------------------------------
+
+
+def record_size(d_img: int, d_txt: int, n_labels: int) -> int:
+    return _layout_size(_corpus_layout(VERSION, 1, d_img, d_txt, n_labels)[1])

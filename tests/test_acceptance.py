@@ -16,11 +16,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import linprog
 
+from oracles import info_nce, nearest_prototype, paired_t, run_summary
 from protocurate.analysis import (
     knn_mean_distance,
-    paired_t,
     run_analysis,
-    run_summary,
     welch_t,
 )
 from protocurate.cli import main
@@ -29,10 +28,9 @@ from protocurate.curation import fps_select, run_curation
 from protocurate.embedding import l2_normalize
 from protocurate.io import Corpus, rows_for_ids
 from protocurate.metrics import PromptPair, auprc, auroc, evaluate_zero_shot
-from protocurate.prototypes import PrototypeBank, nearest_prototype, sinkhorn_from_cost
+from protocurate.prototypes import PrototypeBank, sinkhorn_from_cost
 from protocurate.synth import generate_corpus, generate_prompts
 from protocurate.trainer import (
-    info_nce,
     info_nce_grad,
     init_head,
     train_head,

@@ -9,6 +9,7 @@ import scipy.integrate
 import scipy.special
 import scipy.stats
 
+from oracles import paired_t, run_summary
 from protocurate.analysis import (
     DensityProfile,
     betainc_regularized,
@@ -18,10 +19,8 @@ from protocurate.analysis import (
     label_histogram,
     low_density_proportion,
     nearest_rank_quantile,
-    paired_t,
     pca2,
     run_analysis,
-    run_summary,
     t_sf_two_sided,
     welch_t,
     write_analysis_bundle,

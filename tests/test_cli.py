@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import protocurate
+from oracles import load_bank
 from protocurate.cli import main
 from protocurate.curation import CuratedSelection
 from protocurate.io import Corpus, commit_outputs, encode_corpus
-from protocurate.prototypes import load_bank
 from protocurate.trainer import encode_head, init_head, load_head
 
 SMALL_CONFIG = """\
@@ -462,6 +462,39 @@ class TestMalformedInputs:
         assert code == 2
         assert_one_line_error(err)
         assert "prompts file" in err
+
+    @pytest.mark.parametrize("bad_id", ["-1", "18446744073709551616"], ids=["negative", "2**64"])
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    def test_selection_id_outside_uint64(self, workspace, tmp_path, command, bad_id):
+        rows = open(workspace["selection"]).read().splitlines()
+        sel = tmp_path / "sel.csv"
+        sel.write_text("\n".join(rows + [f"{bad_id},1,fps,0,0.5"]) + "\n")
+        outputs = {
+            "train": ["--head-out", tmp_path / "h.bin", "--loss-out", tmp_path / "l.csv"],
+            "analyze": ["--out-dir", tmp_path / "analysis"],
+        }[command]
+        code, err = run_cli(
+            command, "--config", workspace["cfg"], "--corpus", workspace["corpus"],
+            "--selection", sel, *outputs,
+        )
+        assert code == 2
+        assert_one_line_error(err)
+        assert f"line {len(rows) + 1}: id {bad_id}" in err
+        assert [path.name for path in tmp_path.iterdir()] == ["sel.csv"]
+
+    def test_prompt_class_name_with_comma(self, workspace, tmp_path):
+        doc = json.loads(open(workspace["prompts"]).read())
+        doc["classes"][2]["name"] = "a,b"
+        prompts = tmp_path / "p.json"
+        prompts.write_text(json.dumps(doc))
+        code, err = run_cli(
+            "eval", "--config", workspace["cfg"], "--corpus", workspace["corpus"],
+            "--prompts", prompts, "--out", tmp_path / "m.json", "--csv-out", tmp_path / "m.csv",
+        )
+        assert code == 2
+        assert_one_line_error(err)
+        assert "class 2 name 'a,b'" in err
+        assert [path.name for path in tmp_path.iterdir()] == ["p.json"]
 
     def test_head_dims_mismatch_corpus(self, workspace, tmp_path):
         head = tmp_path / "h.bin"

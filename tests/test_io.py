@@ -12,17 +12,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import record_size
 from protocurate.errors import DegenerateVectorError, FormatError, UsageError
 import protocurate
 from protocurate.io import (
-    HEADER_SIZE,
     MAGIC,
     Corpus,
     commit_outputs,
     decode_corpus,
     encode_corpus,
     read_corpus,
-    record_size,
     validate_corpus,
 )
 from protocurate.prototypes import PROTO_MAGIC, PrototypeBank, decode_bank, encode_bank
@@ -50,7 +49,7 @@ class TestRoundTrip:
             txt=np.zeros((0, 4)),
         )
         data = encode_corpus(corpus)
-        assert len(data) == HEADER_SIZE == 28
+        assert len(data) == 28
         back = decode_corpus(data)
         assert back.n == 0
         assert back.d_img == 4 and back.d_txt == 4

@@ -6,19 +6,19 @@ import math
 import numpy as np
 import pytest
 
+from oracles import midranks, recall_at_1, zero_shot_prob
 from protocurate.errors import UndefinedMetricError, UsageError
 from protocurate.io import commit_outputs
 from protocurate.metrics import (
     ClassMetrics,
     MetricReport,
     PromptPair,
+    _midranks,
     auprc,
     auroc,
     evaluate_zero_shot,
     macro_average,
-    recall_at_1,
     recall_both_blocked,
-    zero_shot_prob,
     zero_shot_scores,
 )
 from protocurate.trainer import identity_head
@@ -100,6 +100,16 @@ def auroc_pair_oracle(scores, labels):
             elif sp == sn:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+class TestMidranks:
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 17, 500):
+            tie_heavy = np.round(rng.random(n), 1)
+            tie_free = rng.random(n)
+            for scores in (tie_heavy, tie_free, np.full(n, 0.25), np.sort(tie_heavy)[::-1]):
+                assert np.array_equal(_midranks(scores), midranks(scores))
 
 
 class TestAuroc:

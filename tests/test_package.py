@@ -1,0 +1,106 @@
+"""The library holds only what the pipeline runs; test-only code lives in the tests."""
+
+import ast
+import pathlib
+import re
+
+import protocurate
+
+PACKAGE = pathlib.Path(protocurate.__file__).parent
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_use_names() -> set[str]:
+    """Identifiers in the code spans and blocks of README's "Library use" section."""
+    section = README.read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    code = re.findall(r"```.*?```|`[^`\n]+`", section, flags=re.S)
+    return {name for span in code for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def scan_package(package: pathlib.Path):
+    """Top-level functions and classes of each module, and where each is used.
+
+    Returns ``(defs, refs)``: ``defs`` is the set of ``(module, name)``
+    pairs, and ``refs[d]`` the set of places that use ``d``: the top-level
+    definition whose body holds the use, or ``(module, None)`` for module
+    level code.  A name counts wherever it resolves to ``d``, through
+    ``from .module import name`` or ``module.name``; the import alone does not.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    defs = {
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    refs: dict[tuple, set] = {d: set() for d in defs}
+    for module, tree in trees.items():
+        names = {name: (module, name) for mod, name in defs if mod == module}
+        modules = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = node.module or ""
+            if node.level == 0 and source.startswith(f"{package.name}."):
+                source = source[len(package.name) + 1 :]
+            elif node.level == 0 or node.level > 1:
+                continue
+            for alias in node.names:
+                if source == "" and alias.name in trees:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    names[alias.asname or alias.name] = (source, alias.name)
+        for top in tree.body:
+            place = (module, getattr(top, "name", None))
+            place = place if place in defs else (module, None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    target = names.get(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    target = (modules.get(node.value.id), node.attr)
+                else:
+                    continue
+                if target in refs and target != place:
+                    refs[target].add(place)
+    return defs, refs
+
+
+def unused_definitions(package: pathlib.Path, entry_points: set[str]) -> list[str]:
+    """Definitions no live library code uses, iterated to a fixed point, so a
+    name used only by unused definitions is unused too."""
+    defs, refs = scan_package(package)
+    dead: set = set()
+    while True:
+        newly = {
+            d
+            for d in defs - dead
+            if d[1] not in entry_points and d != ("cli", "main") and not refs[d] - dead
+        }
+        if not newly:
+            return sorted(f"{module}.{name}" for module, name in dead)
+        dead |= newly
+
+
+def test_every_definition_has_a_library_caller():
+    """Each top-level function or class is used by live library code, or is an
+    entry point: ``cli.main`` or a name README's "Library use" section documents.
+    Oracles and helpers that only the tests call belong in ``tests/oracles.py``."""
+    assert unused_definitions(PACKAGE, library_use_names()) == []
+
+
+def test_scan_follows_imports_and_dead_callers(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def only_dead():\n    return 2\n\n\n"
+        "def dead():\n    return only_dead()\n\n\n"
+        "def recursive():\n    return recursive()\n"
+    )
+    (package / "b.py").write_text(
+        "from . import a\nfrom .a import used as alias, recursive\n\n\n"
+        "def main():\n    return alias() + a.used()\n\n\n"
+        "VALUE = main()\n"
+    )
+    assert unused_definitions(package, set()) == ["a.dead", "a.only_dead", "a.recursive"]
+    assert unused_definitions(package, {"dead"}) == ["a.recursive"]

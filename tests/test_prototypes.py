@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import load_bank, nearest_prototype
+from protocurate.curation import score_superbatch
 from protocurate.errors import FormatError, InsufficientWarmupError, UsageError
 from protocurate.io import commit_outputs
 from protocurate.prototypes import (
@@ -13,9 +15,6 @@ from protocurate.prototypes import (
     decode_bank,
     encode_bank,
     init_kmeans,
-    load_bank,
-    nearest_prototype,
-    nearest_prototype_batch,
     sinkhorn_from_cost,
     sinkhorn_plan,
     update_prototypes,
@@ -296,7 +295,7 @@ class TestNearestPrototype:
         rng = np.random.default_rng(11)
         bank = PrototypeBank(protos=rng.standard_normal((4, 3)))
         z = rng.standard_normal((25, 3))
-        idx, d = nearest_prototype_batch(z, bank)
+        idx, d = score_superbatch(z, bank)
         for i in range(len(z)):
             si, sd = nearest_prototype(z[i], bank)
             assert idx[i] == si

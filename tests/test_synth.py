@@ -142,6 +142,17 @@ class TestPrompts:
         with pytest.raises(FormatError, match="prompts file"):
             read_prompts(path)
 
+    @pytest.mark.parametrize(
+        "name", ["a,b", "a\nb", "a\rb", 7, None, ["a"]],
+        ids=["comma", "newline", "return", "number", "null", "list"],
+    )
+    def test_unsafe_class_name_is_format_error(self, tmp_path, name):
+        entry = {"name": "ok", "positive": [1.0, 0.0], "negative": [0.0, 1.0]}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"classes": [entry, dict(entry, name=name)]}))
+        with pytest.raises(FormatError, match="class 1 name"):
+            read_prompts(path)
+
     def test_identity_head_perfect_separation_auroc(self):
         # well-separated clusters, fully aligned text: zero-shot with the raw
         # (identity-projected) embeddings must rank every class perfectly

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import info_nce
 from protocurate.config import EngineConfig
 from protocurate.curation import CuratedSelection, SelectionRow
 from protocurate.errors import FormatError, UsageError
@@ -20,7 +21,6 @@ from protocurate.trainer import (
     decode_head,
     encode_head,
     identity_head,
-    info_nce,
     info_nce_grad,
     init_head,
     load_head,
