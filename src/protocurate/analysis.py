@@ -21,7 +21,7 @@ from .embedding import unify_batch
 from .errors import DegenerateVectorError, UsageError
 from .io import Corpus, commit_outputs, rows_for_ids
 
-_KNN_CHUNK = 1024
+_KNN_CHUNK = 128
 
 
 @dataclass
@@ -70,8 +70,8 @@ class TestResult:
 def knn_mean_distance(points: np.ndarray, k: int, ids: np.ndarray | None = None) -> DensityProfile:
     """Mean Euclidean distance of each point to its k nearest other points.
 
-    Exact chunked scan; k is clamped to n-1.  Large values mark low-density
-    (long-tail) regions.
+    Exact scan in row chunks, so working memory grows as chunk x n; k is
+    clamped to n-1.  Large values mark low-density (long-tail) regions.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
@@ -84,19 +84,22 @@ def knn_mean_distance(points: np.ndarray, k: int, ids: np.ndarray | None = None)
         ids = np.arange(n, dtype=np.uint64)
 
     sq_norms = np.einsum("ij,ij->i", points, points)
+    # 2·(P_i P^T) == P_i (2P)^T bit for bit: doubling is exact unless a
+    # product is subnormal.
+    twice = 2.0 * points
     values = np.empty(n, dtype=np.float64)
+    gram_buf = np.empty((min(_KNN_CHUNK, n), n))
+    dist_buf = np.empty_like(gram_buf)
     for start in range(0, n, _KNN_CHUNK):
         stop = min(start + _KNN_CHUNK, n)
-        block = (
-            sq_norms[start:stop, None]
-            + sq_norms[None, :]
-            - 2.0 * (points[start:stop] @ points.T)
-        )
+        gram = np.matmul(points[start:stop], twice.T, out=gram_buf[: stop - start])
+        block = np.add(sq_norms[start:stop, None], sq_norms[None, :], out=dist_buf[: stop - start])
+        np.subtract(block, gram, out=block)
         np.maximum(block, 0.0, out=block)
         rows = np.arange(start, stop)
         block[rows - start, rows] = np.inf  # exclude self
-        nearest = np.partition(block, k_eff - 1, axis=1)[:, :k_eff]
-        values[start:stop] = np.sqrt(nearest).mean(axis=1)
+        block.partition(k_eff - 1, axis=1)
+        values[start:stop] = np.sqrt(block[:, :k_eff]).mean(axis=1)
     return DensityProfile(ids=np.asarray(ids, dtype=np.uint64), values=values, k=k_eff)
 
 

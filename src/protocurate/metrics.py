@@ -165,15 +165,18 @@ def macro_average(values: list[float | None]) -> tuple[float, int]:
     return float(np.mean(defined)), excluded
 
 
-_RECALL_BLOCK = 1024
+_RECALL_BLOCK = 256
 
 
 def recall_both_blocked(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     """Both retrieval directions without materializing the full n x n matrix.
 
-    Streams row blocks of U V^T; the column direction keeps a running
-    maximum, with strict improvement so exact ties resolve to the smallest
-    row index, as argmax over the full matrix does.
+    Streams row blocks of U V^T through one preallocated buffer.  Rows are
+    scored per block.  For columns, each block keeps only its column maxima
+    and, on its own diagonal sub-block, the in-block argmax.  Column j is a
+    hit iff the first block that reaches j's global maximum is j's own block
+    and that block's first maximal row is j: the smallest-index tie rule of
+    argmax over the full matrix.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -183,19 +186,20 @@ def recall_both_blocked(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     if n == 0:
         raise UsageError("retrieval needs a nonempty batch")
 
+    starts = range(0, n, _RECALL_BLOCK)
+    buf = np.empty((min(_RECALL_BLOCK, n), n))
+    col_max = np.empty((len(starts), n))
+    own_arg = np.empty(n, dtype=np.intp)
     row_hits = 0
-    col_best = np.full(n, -np.inf)
-    col_arg = np.zeros(n, dtype=np.int64)
-    for start in range(0, n, _RECALL_BLOCK):
+    for b, start in enumerate(starts):
         stop = min(start + _RECALL_BLOCK, n)
-        block = u[start:stop] @ v.T
+        block = np.matmul(u[start:stop], v.T, out=buf[: stop - start])
         row_hits += int(np.sum(np.argmax(block, axis=1) == np.arange(start, stop)))
-        blk_max = block.max(axis=0)
-        blk_arg = np.argmax(block, axis=0) + start
-        better = blk_max > col_best
-        col_best[better] = blk_max[better]
-        col_arg[better] = blk_arg[better]
-    col_hits = int(np.sum(col_arg == np.arange(n)))
+        block.max(axis=0, out=col_max[b])
+        own_arg[start:stop] = start + np.argmax(block[:, start:stop], axis=0)
+    cols = np.arange(n)
+    first_block = np.argmax(col_max == col_max.max(axis=0), axis=0)
+    col_hits = int(np.sum((first_block == cols // _RECALL_BLOCK) & (own_arg == cols)))
     return row_hits / n, col_hits / n
 
 

@@ -151,4 +151,12 @@ def read_prompts(path) -> tuple[list[str], np.ndarray, np.ndarray]:
             f"prompts file {path}: needs equal-length positive and negative vectors "
             "for one or more classes"
         )
+    for index in range(len(names)):
+        for key, vector in (("positive", positive[index]), ("negative", negative[index])):
+            if not np.all(np.isfinite(vector)):
+                raise FormatError(
+                    f"prompts file {path}: class {index} {key} vector has non-finite entries"
+                )
+            if not np.any(vector):
+                raise FormatError(f"prompts file {path}: class {index} {key} vector is all-zero")
     return names, positive, negative

@@ -183,6 +183,23 @@ def paired_t(a: np.ndarray, b: np.ndarray) -> TestResult:
     return TestResult(stat, df, t_sf_two_sided(stat, df), float(a.mean()), float(b.mean()), n, n)
 
 
+def knn_mean_distance(points: np.ndarray, k: int) -> np.ndarray:
+    """kNN mean distances from one n x n Gram expansion: the chunked scan's reference.
+
+    Same operations in the same order as the library scan, on the whole
+    matrix at once: (|x_i|^2 + |x_j|^2) - 2 <x_i, x_j>, clipped at zero, self
+    set to infinity, then the k smallest of each row by np.partition.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    k_eff = min(k, len(points) - 1)
+    sq_norms = np.einsum("ij,ij->i", points, points)
+    block = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (points @ points.T)
+    np.maximum(block, 0.0, out=block)
+    np.fill_diagonal(block, np.inf)
+    nearest = np.partition(block, k_eff - 1, axis=1)[:, :k_eff]
+    return np.sqrt(nearest).mean(axis=1)
+
+
 def run_summary(values: np.ndarray) -> tuple[float, float]:
     """Mean and 95% CI halfwidth (1.96 * sd/sqrt(n)) over repeated runs."""
     values = np.asarray(values, dtype=np.float64)

@@ -9,8 +9,10 @@ import scipy.integrate
 import scipy.special
 import scipy.stats
 
+import oracles
 from oracles import paired_t, run_summary
 from protocurate.analysis import (
+    _KNN_CHUNK,
     DensityProfile,
     betainc_regularized,
     ecdf,
@@ -35,11 +37,28 @@ def naive_knn_mean(points, k):
     k_eff = min(k, n - 1)
     out = []
     for i in range(n):
-        d = sorted(
-            np.linalg.norm(points[i] - points[j]) for j in range(n) if j != i
-        )
+        d = np.sort(np.linalg.norm(np.delete(points, i, axis=0) - points[i], axis=1))
         out.append(float(np.mean(d[:k_eff])))
     return np.array(out)
+
+
+def lattice_points(seed, n, copies=0):
+    """Points whose Gram matrix has the same bits under any BLAS summation order.
+
+    Two coordinates of at most 26 significant bits each, so every product is
+    exact and each entry of P P^T is the correctly rounded sum of two exact
+    products, whatever kernel, blocking or order computes it.  The first
+    coordinate is of order 1 and the second of order 2^-26, so the norms and
+    dot products do round.  The last ``copies`` rows repeat earlier ones:
+    half exactly, half with the small coordinate moved by less than 2^-27,
+    where rounding drives the expanded squared distance below zero.
+    """
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-(2**25), 2**25, size=(n, 2)) // np.array([1, 2])
+    source = rng.integers(0, n - copies, size=copies)
+    m[n - copies :] = m[source]
+    m[n - copies + copies // 2 :, 1] += rng.integers(-(2**22), 2**22, size=copies - copies // 2)
+    return rng.permutation(m * np.array([2.0**-25, 2.0**-49]))
 
 
 class TestKnnMeanDistance:
@@ -111,6 +130,32 @@ class TestKnnMeanDistance:
     def test_too_few_points(self):
         with pytest.raises(UsageError):
             knn_mean_distance(np.zeros((1, 2)), 1)
+
+
+class TestKnnBitIdentity:
+    """The chunked scan returns the one-shot Gram expansion's values bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n", [37, _KNN_CHUNK, 2 * _KNN_CHUNK + 45], ids=["below-chunk", "one-chunk", "not-a-multiple"]
+    )
+    def test_matches_one_shot_oracle(self, n):
+        points = lattice_points(n, n)
+        for k in (1, 5):
+            assert np.array_equal(knn_mean_distance(points, k).values, oracles.knn_mean_distance(points, k))
+
+    def test_duplicated_points_clip_at_zero(self):
+        points = lattice_points(11, 2 * _KNN_CHUNK + 45, copies=120)
+        sq = np.einsum("ij,ij->i", points, points)
+        expanded = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+        np.fill_diagonal(expanded, 0.0)
+        assert (expanded < 0).any() and (expanded == 0).any()
+        for k in (1, 3):
+            assert np.array_equal(knn_mean_distance(points, k).values, oracles.knn_mean_distance(points, k))
+        assert (knn_mean_distance(points, 1).values == 0).any()
+
+    def test_k_above_n_minus_1_is_clamped(self):
+        points = lattice_points(12, 6, copies=2)
+        assert np.array_equal(knn_mean_distance(points, 50).values, oracles.knn_mean_distance(points, 5))
 
 
 class TestQuantileAndBand:

@@ -57,6 +57,14 @@ def assert_one_line_error(stderr):
     assert len(lines) == 1 and lines[0].startswith("error: "), stderr
 
 
+def set_prompt_vector(doc, index, field, position, value):
+    """JSON text of a prompts document with one entry (or, position None, all) of a vector set."""
+    vector = doc["classes"][index][field]
+    for i in range(len(vector)) if position is None else [position]:
+        vector[i] = value
+    return json.dumps(doc)
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One happy-path pipeline run shared by the artifact tests."""
@@ -448,13 +456,18 @@ class TestMalformedInputs:
         assert not (tmp_path / "h.bin").exists()
 
     @pytest.mark.parametrize(
-        "text",
-        ['{"classes": [', '{"classes": [{"name": "a", "negative": [0.0]}]}'],
-        ids=["bad-syntax", "no-positive"],
+        "edit, detail",
+        [
+            (lambda doc: '{"classes": [', "prompts file"),
+            (lambda doc: '{"classes": [{"name": "a", "negative": [0.0]}]}', "missing field"),
+            (lambda doc: set_prompt_vector(doc, 1, "positive", 0, float("nan")), "class 1 positive"),
+            (lambda doc: set_prompt_vector(doc, 0, "negative", None, 0.0), "class 0 negative"),
+        ],
+        ids=["bad-syntax", "no-positive", "nan-positive", "zero-negative"],
     )
-    def test_malformed_prompts(self, workspace, tmp_path, text):
+    def test_malformed_prompts(self, workspace, tmp_path, edit, detail):
         prompts = tmp_path / "p.json"
-        prompts.write_text(text)
+        prompts.write_text(edit(json.loads(open(workspace["prompts"]).read())))
         code, err = run_cli(
             "eval", "--config", workspace["cfg"], "--corpus", workspace["corpus"],
             "--prompts", prompts, "--out", tmp_path / "m.json",
@@ -462,6 +475,8 @@ class TestMalformedInputs:
         assert code == 2
         assert_one_line_error(err)
         assert "prompts file" in err
+        assert detail in err
+        assert [path.name for path in tmp_path.iterdir()] == ["p.json"]
 
     @pytest.mark.parametrize("bad_id", ["-1", "18446744073709551616"], ids=["negative", "2**64"])
     @pytest.mark.parametrize("command", ["train", "analyze"])

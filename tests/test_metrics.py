@@ -10,6 +10,7 @@ from oracles import midranks, recall_at_1, zero_shot_prob
 from protocurate.errors import UndefinedMetricError, UsageError
 from protocurate.io import commit_outputs
 from protocurate.metrics import (
+    _RECALL_BLOCK,
     ClassMetrics,
     MetricReport,
     PromptPair,
@@ -280,7 +281,7 @@ class TestRecallBothBlocked:
 
     def test_crosses_block_boundary(self):
         rng = np.random.default_rng(41)
-        n = 1024 + 300  # forces two blocks
+        n = 2 * _RECALL_BLOCK + 100  # two full blocks and a partial one
         u = rng.standard_normal((n, 4))
         v = u + 0.5 * rng.standard_normal((n, 4))
         sim = u @ v.T
@@ -289,18 +290,59 @@ class TestRecallBothBlocked:
         assert r_txt == recall_at_1(sim, "text_to_image")
 
     def test_tie_resolution_matches_argmax(self):
-        # duplicated rows create exact cross-block ties; the streaming
-        # column pass must keep the earliest row like argmax does
-        u = np.tile(np.eye(3), (2, 1))
-        v = np.tile(np.eye(3), (2, 1))
+        # Image rows are random +-1 patterns of length 8, so the 256 patterns
+        # repeat across all four blocks and every similarity is an exact
+        # integer.  Text row j equals image row j where j is the first copy of
+        # its pattern and is its negation elsewhere.  So a first copy's column
+        # peaks at 8 on every copy of its pattern, and argmax over the full
+        # matrix must pick the earliest one, even when later blocks tie it.
+        rng = np.random.default_rng(42)
+        n = 3 * _RECALL_BLOCK + 37
+        u = rng.choice([-1.0, 1.0], size=(n, 8))
+        _, first_copy = np.unique(u, axis=0, return_index=True)
+        v = -u
+        v[first_copy] = u[first_copy]
         sim = u @ v.T
+        first, tied_later = tie_structure(sim)
+        block = np.arange(n) // _RECALL_BLOCK
+        # a miss: the maximum is first reached in an earlier block
+        assert np.any(block[first] < block)
+        # a hit whose own block ties a later block
+        assert np.any((first == np.arange(n)) & tied_later)
+        # a pattern repeated in at least three blocks
+        assert max(len(set(block[np.all(u == row, axis=1)])) for row in u) >= 3
         r_img, r_txt = recall_both_blocked(u, v)
         assert r_img == recall_at_1(sim, "image_to_text")
         assert r_txt == recall_at_1(sim, "text_to_image")
 
+    def test_rounded_ties_match_argmax(self):
+        # Gaussian rows rounded to one decimal, in tenths: every similarity is
+        # an exact integer, so the ties are exact whatever order the BLAS sums in.
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2 * _RECALL_BLOCK + 1, 4 * _RECALL_BLOCK))
+            x = rng.standard_normal((n, 2))
+            u = np.rint(10 * x)
+            v = np.rint(10 * (x + 0.3 * rng.standard_normal((n, 2))))
+            sim = u @ v.T
+            assert np.any(np.sum(sim == sim.max(axis=0), axis=0) > 1)
+            assert np.any(np.sum(sim == sim.max(axis=1)[:, None], axis=1) > 1)
+            r_img, r_txt = recall_both_blocked(u, v)
+            assert r_img == recall_at_1(sim, "image_to_text")
+            assert r_txt == recall_at_1(sim, "text_to_image")
+
     def test_shape_mismatch(self):
         with pytest.raises(UsageError):
             recall_both_blocked(np.ones((2, 3)), np.ones((3, 3)))
+
+
+def tie_structure(sim):
+    """First maximal row of each column, and whether a later block reaches that maximum."""
+    first = np.argmax(sim, axis=0)
+    block = np.arange(len(sim)) // _RECALL_BLOCK
+    ties = sim == sim.max(axis=0)
+    tied_later = np.any(ties & (block[:, None] > block[first][None, :]), axis=0)
+    return first, tied_later
 
 
 def separated_batch(n_per_class=20, seed=7):

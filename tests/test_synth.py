@@ -153,6 +153,23 @@ class TestPrompts:
         with pytest.raises(FormatError, match="class 1 name"):
             read_prompts(path)
 
+    @pytest.mark.parametrize(
+        "field, vector, detail",
+        [
+            ("positive", [float("nan"), 0.0], "class 1 positive vector has non-finite entries"),
+            ("negative", [0.0, float("inf")], "class 1 negative vector has non-finite entries"),
+            ("positive", [0.0, 0.0], "class 1 positive vector is all-zero"),
+            ("negative", [-0.0, 0.0], "class 1 negative vector is all-zero"),
+        ],
+        ids=["nan-positive", "inf-negative", "zero-positive", "negative-zero-negative"],
+    )
+    def test_degenerate_vector_is_format_error(self, tmp_path, field, vector, detail):
+        entry = {"name": "ok", "positive": [1.0, 0.0], "negative": [0.0, 1.0]}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"classes": [entry, dict(entry, **{field: vector})]}))
+        with pytest.raises(FormatError, match=f"prompts file .*p.json: {detail}"):
+            read_prompts(path)
+
     def test_identity_head_perfect_separation_auroc(self):
         # well-separated clusters, fully aligned text: zero-shot with the raw
         # (identity-projected) embeddings must rank every class perfectly
