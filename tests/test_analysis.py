@@ -48,10 +48,10 @@ def lattice_points(seed, n, copies=0):
     Two coordinates of at most 26 significant bits each, so every product is
     exact and each entry of P P^T is the correctly rounded sum of two exact
     products, whatever kernel, blocking or order computes it.  The first
-    coordinate is of order 1 and the second of order 2^-26, so the norms and
+    coordinate is of order 1 and the second at most 2^-25, so the norms and
     dot products do round.  The last ``copies`` rows repeat earlier ones:
-    half exactly, half with the small coordinate moved by less than 2^-27,
-    where rounding drives the expanded squared distance below zero.
+    half exactly, half with the small coordinate moved by at most 2^-27,
+    where rounding can drive the expanded squared distance below zero.
     """
     rng = np.random.default_rng(seed)
     m = rng.integers(-(2**25), 2**25, size=(n, 2)) // np.array([1, 2])

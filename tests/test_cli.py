@@ -57,11 +57,10 @@ def assert_one_line_error(stderr):
     assert len(lines) == 1 and lines[0].startswith("error: "), stderr
 
 
-def set_prompt_vector(doc, index, field, position, value):
-    """JSON text of a prompts document with one entry (or, position None, all) of a vector set."""
-    vector = doc["classes"][index][field]
-    for i in range(len(vector)) if position is None else [position]:
-        vector[i] = value
+def set_prompt_vector(doc, index, field, make):
+    """JSON text of a prompts document with one class's vector replaced by ``make(vector)``."""
+    entry = doc["classes"][index]
+    entry[field] = make(entry[field])
     return json.dumps(doc)
 
 
@@ -460,8 +459,14 @@ class TestMalformedInputs:
         [
             (lambda doc: '{"classes": [', "prompts file"),
             (lambda doc: '{"classes": [{"name": "a", "negative": [0.0]}]}', "missing field"),
-            (lambda doc: set_prompt_vector(doc, 1, "positive", 0, float("nan")), "class 1 positive"),
-            (lambda doc: set_prompt_vector(doc, 0, "negative", None, 0.0), "class 0 negative"),
+            (
+                lambda doc: set_prompt_vector(doc, 1, "positive", lambda v: [float("nan")] + v[1:]),
+                "class 1 positive",
+            ),
+            (
+                lambda doc: set_prompt_vector(doc, 0, "negative", lambda v: [0.0] * len(v)),
+                "class 0 negative",
+            ),
         ],
         ids=["bad-syntax", "no-positive", "nan-positive", "zero-negative"],
     )
