@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selection-out", help="joint mode: write the curated selection")
     p.add_argument("--proto-out", help="joint mode: write the prototype checkpoint")
     p.add_argument("--stats-out", help="joint mode: write the per-iteration stats JSON")
-    p.add_argument("--target-size", type=int, help="override target_subset_size")
+    p.add_argument("--target-size", type=int, help="joint mode: override target_subset_size")
 
     p = sub.add_parser("eval", help="zero-shot classification and retrieval metrics")
     common(p)
@@ -126,10 +126,10 @@ def _cmd_curate(args) -> int:
 
 def _cmd_train(args) -> int:
     joint_only = {"--selection-out": args.selection_out, "--proto-out": args.proto_out,
-                  "--stats-out": args.stats_out}
-    given = [flag for flag, path in joint_only.items() if path is not None]
+                  "--stats-out": args.stats_out, "--target-size": args.target_size}
+    given = [flag for flag, value in joint_only.items() if value is not None]
     if args.selection and given:
-        raise UsageError(f"joint-train outputs {', '.join(given)} cannot be used with --selection")
+        raise UsageError(f"joint-train options {', '.join(given)} cannot be used with --selection")
     cfg = _load_cfg(args)
     corpus = _read_corpus_checked(args.corpus)
     joint_outputs = []

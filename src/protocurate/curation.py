@@ -27,7 +27,7 @@ from .errors import (
     NumericalFailureError,
     UsageError,
 )
-from .io import Corpus, rows_for_ids
+from .io import Corpus
 from .prototypes import (
     PrototypeBank,
     init_kmeans,
@@ -207,15 +207,27 @@ def fps_select(
     return np.asarray(chosen, dtype=np.int64)
 
 
+def _solve(z: np.ndarray, bank: PrototypeBank, cfg: EngineConfig, what: str):
+    """Transport plan of z onto the bank; raises if it misses the tolerance."""
+    plan = sinkhorn_plan(z, bank, epsilon=cfg.epsilon, max_iters=cfg.max_iters, tol=cfg.tol)
+    if not plan.converged:
+        raise NumericalFailureError(
+            f"Sinkhorn did not converge on the {what} solve: residual "
+            f"{plan.residual:.3g} after {plan.iterations} iterations"
+        )
+    return plan
+
+
 def curate_superbatch(
     z: np.ndarray, ids: np.ndarray, bank: PrototypeBank, cfg: EngineConfig
 ) -> tuple[list[tuple[int, str, int, float]], dict]:
     """One iteration of the curation pipeline over a super-batch.
 
-    Returns (mini-batch records, stats).  Records are (id, reason, nearest
-    prototype index, distance) in emission order: retained distant samples
-    first (distance descending), then FPS picks grouped by cluster index in
-    pick order.  Mutates the bank via the EMA update.
+    Returns (mini-batch records, stats).  Records are (position in the
+    super-batch, reason, nearest prototype index, distance) in emission
+    order: retained distant samples first (distance descending), then FPS
+    picks grouped by cluster index in pick order.  Mutates the bank via the
+    EMA update.
     """
     z = np.asarray(z, dtype=np.float64)
     ids = np.asarray(ids, dtype=np.uint64)
@@ -238,14 +250,7 @@ def curate_superbatch(
     fps_count = 0
     pool_sink = None
     if len(pool):
-        pool_sink = sinkhorn_plan(
-            z[pool], bank, epsilon=cfg.epsilon, max_iters=cfg.max_iters, tol=cfg.tol
-        )
-        if not pool_sink.converged:
-            raise NumericalFailureError(
-                f"Sinkhorn did not converge on the pool solve: residual "
-                f"{pool_sink.residual:.3g} after {pool_sink.iterations} iterations"
-            )
+        pool_sink = _solve(z[pool], bank, cfg, "pool")
         hard = pool_sink.hard_assignment()
         for k in range(bank.k):
             members = pool[hard == k]
@@ -259,21 +264,14 @@ def curate_superbatch(
 
     mb = np.asarray(order, dtype=np.int64)
     records = [
-        (int(ids[pos]), "distant" if i < len(distant) else "fps", int(proto_idx[pos]), float(dist[pos]))
+        (int(pos), "distant" if i < len(distant) else "fps", int(proto_idx[pos]), float(dist[pos]))
         for i, pos in enumerate(mb)
     ]
 
     update_sink = None
     skipped: list[int] = []
     if len(mb):
-        update_sink = sinkhorn_plan(
-            z[mb], bank, epsilon=cfg.epsilon, max_iters=cfg.max_iters, tol=cfg.tol
-        )
-        if not update_sink.converged:
-            raise NumericalFailureError(
-                f"Sinkhorn did not converge on the mini-batch update solve: residual "
-                f"{update_sink.residual:.3g} after {update_sink.iterations} iterations"
-            )
+        update_sink = _solve(z[mb], bank, cfg, "mini-batch update")
         skipped = update_prototypes(update_sink, z[mb], bank)
 
     stats.update(
@@ -304,12 +302,12 @@ def run_curation(
     The rest is consumed in super-batch chunks, each contributing one
     curated mini-batch, until the stream or target_subset_size runs out.
 
-    Without ``head`` (frozen mode) the raw corpus is embedded once.  With
-    one (joint mode: any object with a ``unified(img, txt, space)`` method)
-    the embeddings are recomputed through it before every iteration, so
-    the space evolves with the head.  ``on_minibatch`` is invoked with the
-    selected corpus row indices after each iteration so a trainer can take
-    a step.
+    Both modes embed the warm-up rows, then each super-batch as it arrives,
+    so working memory grows with superbatch_size, not n.  Without ``head``
+    (frozen mode) the raw halves are normalised; with one (joint mode: any
+    object with a ``unified(img, txt, space)`` method) they go through it,
+    so the space evolves with the head.  ``on_minibatch`` gets the emitted
+    corpus rows after each iteration so a trainer can take a step.
     """
     if corpus.n < cfg.warmup_samples:
         raise InsufficientWarmupError(
@@ -322,16 +320,11 @@ def run_curation(
     warm = perm[: cfg.warmup_samples]
     stream = perm[cfg.warmup_samples :]
 
-    if head is None:
-        frozen = unify_batch(corpus.img, corpus.txt, cfg.curation_space)
-
-        def embed(rows: np.ndarray) -> np.ndarray:
-            return frozen[rows]
-
-    else:
-
-        def embed(rows: np.ndarray) -> np.ndarray:
-            return head.unified(corpus.img[rows], corpus.txt[rows], cfg.curation_space)
+    def embed(rows: np.ndarray) -> np.ndarray:
+        img, txt = corpus.img[rows], corpus.txt[rows]
+        if head is None:
+            return unify_batch(img, txt, cfg.curation_space)
+        return head.unified(img, txt, cfg.curation_space)
 
     bank = init_kmeans(
         embed(warm),
@@ -347,30 +340,24 @@ def run_curation(
     for start in range(0, len(stream), cfg.superbatch_size):
         rows = stream[start : start + cfg.superbatch_size]
         iteration += 1
+        ids = corpus.ids[rows]
         try:
-            records, stats = curate_superbatch(embed(rows), corpus.ids[rows], bank, cfg)
+            records, stats = curate_superbatch(embed(rows), ids, bank, cfg)
         except NumericalFailureError as exc:
             raise NumericalFailureError(f"curation iteration {iteration}: {exc}") from exc
 
         if target is not None and len(selection) + len(records) > target:
             records = records[: target - len(selection)]
-        for rec in records:
+        for pos, reason, proto, distance in records:
             selection.rows.append(
-                SelectionRow(
-                    id=rec[0],
-                    iteration=iteration,
-                    reason=rec[1],
-                    proto=rec[2],
-                    distance=rec[3],
-                )
+                SelectionRow(int(ids[pos]), iteration, reason, proto, distance)
             )
         stats["iteration"] = iteration
         stats["emitted"] = len(records)
         selection.stats.append(stats)
 
         if on_minibatch is not None and records:
-            taken = rows_for_ids(corpus.ids[rows], [rec[0] for rec in records])
-            on_minibatch(rows[taken])
+            on_minibatch(rows[[rec[0] for rec in records]])
 
         if target is not None and len(selection) >= target:
             break

@@ -21,7 +21,7 @@ import numpy as np
 from .config import EngineConfig
 from .curation import CuratedSelection, run_curation
 from .embedding import unify_batch
-from .errors import UsageError
+from .errors import FormatError, UsageError
 from .io import Corpus, decode_records, encode_records, rows_for_ids
 from .prototypes import PrototypeBank
 
@@ -83,13 +83,6 @@ class ProjectionHead:
             "b_txt": self.b_txt,
             "log_tau": np.array([self.log_tau]),
         }
-
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        self.W_img = params["W_img"]
-        self.b_img = params["b_img"]
-        self.W_txt = params["W_txt"]
-        self.b_txt = params["b_txt"]
-        self.log_tau = float(params["log_tau"][0])
 
 
 def init_head(
@@ -244,6 +237,23 @@ def loss_csv(rows: list[LossRow]) -> str:
     )
 
 
+def _step(
+    corpus: Corpus,
+    rows: np.ndarray,
+    head: ProjectionHead,
+    state: OptimizerState,
+    cfg: EngineConfig,
+    epoch: int,
+    loss_rows: list[LossRow],
+) -> None:
+    """One optimizer step on ``rows``, scheduled at the start of ``epoch``."""
+    params = head.params()
+    loss, grads = info_nce_grad(corpus.img[rows], corpus.txt[rows], head)
+    lr = optimizer_step(state, params, grads, t=epoch - 1, horizon=cfg.epochs)
+    head.log_tau = float(params["log_tau"][0])  # W and b were stepped in place
+    loss_rows.append(LossRow(step=len(loss_rows) + 1, epoch=epoch, lr=lr, loss=loss))
+
+
 def _epoch_steps(
     corpus: Corpus,
     rows: np.ndarray,
@@ -255,13 +265,9 @@ def _epoch_steps(
     loss_rows: list[LossRow],
 ) -> None:
     perm = rng.permutation(len(rows))
-    params = head.params()
     for start in range(0, len(rows), cfg.batch_size):
         batch = rows[perm[start : start + cfg.batch_size]]
-        loss, grads = info_nce_grad(corpus.img[batch], corpus.txt[batch], head)
-        lr = optimizer_step(state, params, grads, t=epoch - 1, horizon=cfg.epochs)
-        head.set_params(params)
-        loss_rows.append(LossRow(step=len(loss_rows) + 1, epoch=epoch, lr=lr, loss=loss))
+        _step(corpus, batch, head, state, cfg, epoch, loss_rows)
 
 
 def train_head(
@@ -302,11 +308,7 @@ def train_joint(
     loss_rows: list[LossRow] = []
 
     def on_minibatch(rows: np.ndarray) -> None:
-        params = head.params()
-        loss, grads = info_nce_grad(corpus.img[rows], corpus.txt[rows], head)
-        lr = optimizer_step(state, params, grads, t=0, horizon=cfg.epochs)
-        head.set_params(params)
-        loss_rows.append(LossRow(step=len(loss_rows) + 1, epoch=1, lr=lr, loss=loss))
+        _step(corpus, rows, head, state, cfg, 1, loss_rows)
 
     selection, bank = run_curation(corpus, cfg, head=head, on_minibatch=on_minibatch)
     if len(selection) == 0:
@@ -331,7 +333,12 @@ def encode_head(head: ProjectionHead) -> bytes:
 def decode_head(data: bytes) -> ProjectionHead:
     _, (rec,) = decode_records(data, HEAD_MAGIC, ("d_img", "d_txt", "d_shared"), _head_layout)
     params = {name: rec[name].copy() for name in PARAM_NAMES}
-    params["log_tau"] = float(params["log_tau"])
+    for name in PARAM_NAMES[:-1]:
+        if not np.all(np.isfinite(params[name])):
+            raise FormatError(f"invalid head checkpoint: {name} has non-finite entries")
+    log_tau = params["log_tau"] = float(params["log_tau"])
+    if not LOG_TAU_MIN <= log_tau <= LOG_TAU_MAX:
+        raise FormatError(f"invalid head checkpoint: log_tau {log_tau!r} outside [ln 1e-3, ln 0.5]")
     return ProjectionHead(**params)
 
 

@@ -528,6 +528,30 @@ class TestMalformedInputs:
         assert "5+8" in err and "8+8" in err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            (lambda head: head.W_img.__setitem__((0, 0), np.nan), "W_img has non-finite"),
+            (lambda head: setattr(head, "log_tau", float("inf")), "log_tau inf outside"),
+            (lambda head: setattr(head, "log_tau", 1000.0), "log_tau 1000.0 outside"),
+        ],
+        ids=["nan-weight", "inf-log-tau", "huge-log-tau"],
+    )
+    def test_malformed_head(self, workspace, tmp_path, edit, detail):
+        head = load_head(workspace["head"])
+        edit(head)
+        path = tmp_path / "h.bin"
+        commit_outputs([(path, encode_head(head))])
+        code, err = run_cli(
+            "eval", "--config", workspace["cfg"], "--corpus", workspace["corpus"],
+            "--prompts", workspace["prompts"], "--head", path,
+            "--out", tmp_path / "m.json", "--csv-out", tmp_path / "m.csv",
+        )
+        assert code == 2
+        assert_one_line_error(err)
+        assert "invalid head checkpoint" in err and detail in err
+        assert [p.name for p in tmp_path.iterdir()] == ["h.bin"]
+
     def test_non_utf8_config(self, tmp_path):
         cfg = tmp_path / "engine.cfg"
         cfg.write_bytes(b"\xff\xfe\x00")
@@ -668,10 +692,17 @@ class TestOutputCommit:
         assert (tmp_path / existing).read_bytes() == b"known bytes"
 
     @pytest.mark.parametrize(
-        "flags", [("--selection-out",), ("--stats-out", "--proto-out")], ids=["one", "two"]
+        "flags",
+        [("--selection-out",), ("--stats-out", "--proto-out"), ("--target-size",)],
+        ids=["one", "two", "target-size"],
     )
     def test_joint_only_outputs_rejected_with_selection(self, workspace, tmp_path, flags):
-        extra = [arg for i, flag in enumerate(flags) for arg in (flag, tmp_path / f"out{i}")]
+        # --target-size takes a count; the other joint-only options take paths.
+        extra = [
+            arg
+            for i, flag in enumerate(flags)
+            for arg in (flag, 5 if flag == "--target-size" else tmp_path / f"out{i}")
+        ]
         code, err = run_cli(
             "train", "--config", workspace["cfg"], "--corpus", workspace["corpus"],
             "--selection", workspace["selection"], "--head-out", tmp_path / "h.bin",

@@ -209,7 +209,9 @@ class TestCurateSuperbatch:
     def test_record_structure(self):
         z, ids, bank = self._setup(seed=1)
         records, stats = curate_superbatch(z, ids, bank, EngineConfig())
-        got_ids = [r[0] for r in records]
+        # a record leads with the sample's position in the super-batch
+        assert all(0 <= r[0] < len(ids) for r in records)
+        got_ids = [int(ids[r[0]]) for r in records]
         assert len(set(got_ids)) == len(got_ids)
         assert set(got_ids) <= set(int(i) for i in ids)
         for _, reason, proto, d in records:
@@ -335,6 +337,31 @@ class TestRunCuration:
         assert np.array_equal(
             corpus.ids[flat], selection.ids()
         )
+
+        # a target that runs out three records into the second mini-batch
+        first = selection.stats[0]["emitted"]
+        seen = []
+        capped, _ = run_curation(
+            corpus, small_cfg(target_subset_size=first + 3), on_minibatch=seen.append
+        )
+        assert [len(rows) for rows in seen] == [first, 3]
+        assert np.array_equal(corpus.ids[np.concatenate(seen)], capped.ids())
+        assert np.array_equal(capped.ids(), selection.ids()[: first + 3])
+
+    def test_frozen_embeds_one_superbatch_at_a_time(self, monkeypatch):
+        corpus = small_corpus(128 + 3 * 64 + 20, seed=12)
+        cfg = small_cfg()
+        embed = curation.unify_batch
+        sizes = []
+
+        def recording(img, txt, mode="concat"):
+            sizes.append(len(img))
+            return embed(img, txt, mode)
+
+        monkeypatch.setattr(curation, "unify_batch", recording)
+        run_curation(corpus, cfg)
+        assert sizes == [128, 64, 64, 64, 20]  # warm-up rows, then each super-batch
+        assert max(sizes) <= max(cfg.warmup_samples, cfg.superbatch_size)
 
     def test_solver_failure_names_solve_and_iteration(self, monkeypatch):
         # Each iteration solves the pool, then the mini-batch update: fail the

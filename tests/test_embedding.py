@@ -5,6 +5,7 @@ import pytest
 
 from oracles import EmbeddingPair, pairwise_distance, unify
 from protocurate.embedding import (
+    CURATION_SPACES,
     l2_normalize,
     normalize_rows,
     pairwise_sq_distance,
@@ -57,6 +58,20 @@ class TestUnify:
     def test_unknown_mode(self):
         with pytest.raises(UsageError, match="curation space"):
             unify_batch(np.ones((1, 2)), np.ones((1, 2)), "both")
+
+    @pytest.mark.parametrize("space", CURATION_SPACES)
+    def test_row_subset_is_bit_identical(self, space):
+        # Rows are normalised one by one, so embedding a row subset gives the
+        # bits of the same rows of the embedded whole; curation embeds one
+        # super-batch at a time and relies on this.
+        rng = np.random.default_rng(1)
+        n = 1000
+        img = rng.standard_normal((n, 128)) * rng.uniform(0.01, 100.0, (n, 1))
+        txt = rng.standard_normal((n, 32))
+        whole = unify_batch(img, txt, space)
+        shuffled = rng.permutation(n)
+        for rows in (shuffled, shuffled[:640], shuffled[640:], shuffled[:1], shuffled[-37:]):
+            assert np.array_equal(unify_batch(img[rows], txt[rows], space), whole[rows])
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(0)

@@ -1,6 +1,8 @@
 """The library holds only what the pipeline runs; test-only code lives in the tests."""
 
 import ast
+import importlib
+import json
 import pathlib
 import re
 
@@ -8,6 +10,7 @@ import protocurate
 
 PACKAGE = pathlib.Path(protocurate.__file__).parent
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+BENCHMARK = README.with_name("BENCHMARK.json")
 
 
 def library_use_names() -> set[str]:
@@ -104,3 +107,26 @@ def test_scan_follows_imports_and_dead_callers(tmp_path):
     )
     assert unused_definitions(package, set()) == ["a.dead", "a.only_dead", "a.recursive"]
     assert unused_definitions(package, {"dead"}) == ["a.recursive"]
+
+
+def test_benchmark_span_names_resolve():
+    """Each per-layer time or call count the benchmark reports is read from a
+    span named after a library function or method; renaming or deleting one
+    would make the traced benchmark run fail, so it fails here first."""
+    names = [metric["name"] for metric in json.loads(BENCHMARK.read_text())["per_layer"]]
+    spans = [
+        match.group(1).split(".")
+        for name in names
+        if not name.startswith("cli.")
+        for match in [re.fullmatch(r"(\w+\.\w+(?:\.\w+)?)\.(?:s|self_s|calls)", name)]
+        if match
+    ]
+    assert spans, "no per-layer span name matched"
+    missing = []
+    for module, *path in spans:
+        obj = importlib.import_module(f"protocurate.{module}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(".".join([module, *path]))
+    assert missing == []

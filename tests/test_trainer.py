@@ -429,6 +429,32 @@ class TestHeadCheckpoint:
         with pytest.raises(FormatError, match="bytes"):
             decode_head(data[:-8])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["W_img", "b_img", "W_txt", "b_txt"])
+    def test_non_finite_parameter_rejected(self, name, bad):
+        head = init_head(3, 4, 2, seed=34)
+        getattr(head, name).flat[-1] = bad
+        with pytest.raises(FormatError, match=f"invalid head checkpoint: {name} has non-finite"):
+            decode_head(encode_head(head))
+
+    @pytest.mark.parametrize(
+        "log_tau",
+        [np.inf, -np.inf, np.nan, 1000.0, np.nextafter(LOG_TAU_MAX, 0.0),
+         np.nextafter(LOG_TAU_MIN, -np.inf)],
+        ids=["inf", "-inf", "nan", "1000", "above-max", "below-min"],
+    )
+    def test_log_tau_outside_clamp_rejected(self, log_tau):
+        head = init_head(3, 4, 2, seed=35)
+        head.log_tau = float(log_tau)
+        with pytest.raises(FormatError, match="invalid head checkpoint: log_tau .* outside"):
+            decode_head(encode_head(head))
+
+    @pytest.mark.parametrize("log_tau", [LOG_TAU_MIN, LOG_TAU_MAX], ids=["min", "max"])
+    def test_log_tau_at_clamp_accepted(self, log_tau):
+        head = init_head(3, 4, 2, seed=36)
+        head.log_tau = log_tau
+        assert decode_head(encode_head(head)).log_tau == log_tau
+
 
 class TestIdentityHead:
     def test_pass_through(self):
