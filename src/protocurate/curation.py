@@ -22,12 +22,13 @@ import numpy as np
 from .config import EngineConfig
 from .embedding import pairwise_sq_distance, unify_batch
 from .errors import (
+    DegenerateVectorError,
     FormatError,
     InsufficientWarmupError,
     NumericalFailureError,
     UsageError,
 )
-from .io import Corpus
+from .io import Corpus, validate_corpus
 from .prototypes import (
     PrototypeBank,
     init_kmeans,
@@ -307,7 +308,9 @@ def run_curation(
     (frozen mode) the raw halves are normalised; with one (joint mode: any
     object with a ``unified(img, txt, space)`` method) they go through it,
     so the space evolves with the head.  ``on_minibatch`` gets the emitted
-    corpus rows after each iteration so a trainer can take a step.
+    corpus rows after each iteration so a trainer can take a step.  A
+    degenerate input row is named by sample id, as ``validate_corpus``
+    names it, when the rows holding it are embedded.
     """
     if corpus.n < cfg.warmup_samples:
         raise InsufficientWarmupError(
@@ -322,9 +325,14 @@ def run_curation(
 
     def embed(rows: np.ndarray) -> np.ndarray:
         img, txt = corpus.img[rows], corpus.txt[rows]
-        if head is None:
-            return unify_batch(img, txt, cfg.curation_space)
-        return head.unified(img, txt, cfg.curation_space)
+        try:
+            if head is None:
+                return unify_batch(img, txt, cfg.curation_space)
+            return head.unified(img, txt, cfg.curation_space)
+        except DegenerateVectorError:
+            # The error names a position in ``rows``; name the sample instead.
+            validate_corpus(Corpus(ids=corpus.ids[rows], img=img, txt=txt))
+            raise
 
     bank = init_kmeans(
         embed(warm),

@@ -6,8 +6,10 @@ Layout (all little-endian):
     record  id u64 | d_img float32 | d_txt float32 | ceil(n_labels/8) label bytes
 
 Label bits are packed LSB-first within each byte.  Vectors are stored in
-32-bit precision and widened to float64 on decode; encode casts through
-float32, so decode(encode(x)) is bitwise-stable for any x.
+32-bit precision.  Decode keeps them as read-only float32 views of the
+file's records, one copy the size of the file, and each consumer widens the
+rows it uses to float64, which is exact; encode casts through float32, so
+decode(encode(x)) is bitwise-stable for any x.
 
 The prototype and head checkpoints use the same codec: a magic tag, u32
 header fields, then fixed records described by one numpy structured dtype.
@@ -35,14 +37,18 @@ VERSION = 1
 HEADER_FIELDS = ("version", "count", "d_img", "d_txt", "n_labels")
 # numpy keeps a structured dtype's itemsize and subarray dims in a C int.
 _MAX_DTYPE_SIZE = 2**31 - 1
+# validate_corpus widens this many rows at a time to float64.
+_VALIDATE_ROWS = 8192
 
 
 @dataclass
 class Corpus:
     """In-memory paired-embedding corpus.
 
-    ids are uint64 and unique; img/txt are float64 row matrices; labels is a
-    boolean (n, n_labels) matrix or None when the corpus carries no labels.
+    ids are uint64 and unique; img/txt are float32 or float64 row matrices
+    (a decoded corpus holds read-only float32 views of the file's records;
+    any other dtype is widened to float64); labels is a boolean
+    (n, n_labels) matrix or None when the corpus carries no labels.
     """
 
     ids: np.ndarray
@@ -52,8 +58,8 @@ class Corpus:
 
     def __post_init__(self) -> None:
         self.ids = np.asarray(self.ids, dtype=np.uint64)
-        self.img = np.ascontiguousarray(self.img, dtype=np.float64)
-        self.txt = np.ascontiguousarray(self.txt, dtype=np.float64)
+        self.img = _vectors(self.img)
+        self.txt = _vectors(self.txt)
         if self.img.ndim != 2 or self.txt.ndim != 2:
             raise UsageError("corpus vectors must be 2-D (n, d) arrays")
         if not (len(self.ids) == len(self.img) == len(self.txt)):
@@ -78,6 +84,12 @@ class Corpus:
     @property
     def n_labels(self) -> int:
         return 0 if self.labels is None else self.labels.shape[1]
+
+
+def _vectors(mat) -> np.ndarray:
+    """``mat`` as is when float32 or float64, else widened to float64."""
+    mat = np.asarray(mat)
+    return mat if mat.dtype in (np.float32, np.float64) else mat.astype(np.float64)
 
 
 def _layout_size(layout) -> int:
@@ -108,7 +120,8 @@ def decode_records(
     ``version`` is given the first of them must equal it.  ``layout_of``
     maps the header values to (record count, record layout).  Sizes are
     checked in Python ints before any dtype is built, so no header value
-    can overflow them.  The records are a read-only view of ``data``.
+    can overflow them.  The records are a read-only view of ``data``, so
+    they keep it alive.
     """
     header_size = len(magic) + 4 * len(fields)
     if len(data) < header_size:
@@ -133,7 +146,9 @@ def decode_records(
         )
     if max([record, *(dim for _, _, shape in layout for dim in shape)]) > _MAX_DTYPE_SIZE:
         raise FormatError(f"header ({described}) exceeds the {_MAX_DTYPE_SIZE}-byte record limit")
-    return header, np.frombuffer(data, dtype=np.dtype(layout), count=count, offset=header_size)
+    records = np.frombuffer(data, dtype=np.dtype(layout), count=count, offset=header_size)
+    records.flags.writeable = False
+    return header, records
 
 
 def _corpus_layout(version: int, n: int, d_img: int, d_txt: int, n_labels: int):
@@ -151,13 +166,13 @@ def encode_corpus(corpus: Corpus) -> bytes:
 
 
 def decode_corpus(data: bytes) -> Corpus:
-    """Parse the binary format back into a Corpus, widening vectors to float64."""
+    """Parse the binary format into a Corpus whose img/txt are read-only
+    float32 views of ``data``'s records; ids and labels are copied out."""
     header, rec = decode_records(data, MAGIC, HEADER_FIELDS, _corpus_layout, version=VERSION)
     n_labels = header[-1]
     labels = None
     if n_labels:
         labels = np.unpackbits(rec["labels"], axis=1, count=n_labels, bitorder="little")
-    # Every field is copied out, so the corpus does not keep ``data`` alive.
     return Corpus(ids=rec["id"].copy(), img=rec["img"], txt=rec["txt"], labels=labels)
 
 
@@ -171,21 +186,33 @@ def validate_corpus(corpus: Corpus) -> None:
 
     Rejects duplicate ids and degenerate (all-zero / non-finite) embedding
     halves; the codec itself round-trips such records faithfully, but no
-    pipeline stage accepts them.
+    pipeline stage accepts them.  Per half, the first non-finite row is
+    named, else the first all-zero one.  Rows are widened to float64 one
+    block at a time, so a float32 row of tiny entries, whose float32 norm
+    underflows, still counts as nonzero.
     """
     if len(np.unique(corpus.ids)) != corpus.n:
         ids, counts = np.unique(corpus.ids, return_counts=True)
         dup = int(ids[counts > 1][0])
         raise UsageError(f"duplicate sample id {dup} in corpus")
     for name, mat in (("img", corpus.img), ("txt", corpus.txt)):
-        finite = np.all(np.isfinite(mat), axis=1)
-        if not np.all(finite):
-            bad = int(corpus.ids[np.flatnonzero(~finite)[0]])
-            raise DegenerateVectorError(f"sample id {bad} has non-finite {name} vector")
-        norms = np.linalg.norm(mat, axis=1)
-        if np.any(norms == 0.0):
-            bad = int(corpus.ids[np.flatnonzero(norms == 0.0)[0]])
-            raise DegenerateVectorError(f"sample id {bad} has all-zero {name} vector")
+        zero = None  # first all-zero row of this half
+        for start in range(0, corpus.n, _VALIDATE_ROWS):
+            block = np.asarray(mat[start : start + _VALIDATE_ROWS], dtype=np.float64)
+            # A finite sum of squares proves a row finite; it is 0 only when
+            # every square is, which is the all-zero test norm == 0 makes.
+            sq = np.einsum("ij,ij->i", block, block)
+            suspect = np.flatnonzero(~np.isfinite(sq))
+            bad = suspect[~np.all(np.isfinite(block[suspect]), axis=1)]
+            if len(bad):
+                bad_id = int(corpus.ids[start + bad[0]])
+                raise DegenerateVectorError(f"sample id {bad_id} has non-finite {name} vector")
+            zeros = np.flatnonzero(sq == 0.0)
+            if zero is None and len(zeros):
+                zero = start + int(zeros[0])
+        if zero is not None:
+            bad_id = int(corpus.ids[zero])
+            raise DegenerateVectorError(f"sample id {bad_id} has all-zero {name} vector")
 
 
 def rows_for_ids(haystack_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from .config import EngineConfig
 from .curation import CuratedSelection, run_curation
 from .embedding import unify_batch
 from .errors import FormatError, UsageError
-from .io import Corpus, decode_records, encode_records, rows_for_ids
+from .io import Corpus, decode_records, encode_records
 from .prototypes import PrototypeBank
 
 HEAD_MAGIC = b"XFICHEAD"
@@ -306,15 +306,17 @@ def train_joint(
     state = OptimizerState(base_lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
     loss_rows: list[LossRow] = []
+    minibatches: list[np.ndarray] = []  # the selection's rows, in selection order
 
     def on_minibatch(rows: np.ndarray) -> None:
+        minibatches.append(rows)
         _step(corpus, rows, head, state, cfg, 1, loss_rows)
 
     selection, bank = run_curation(corpus, cfg, head=head, on_minibatch=on_minibatch)
     if len(selection) == 0:
         raise UsageError("joint training curated an empty selection; corpus too small")
 
-    rows = rows_for_ids(corpus.ids, selection.ids())
+    rows = np.concatenate(minibatches)
     for epoch in range(2, cfg.epochs + 1):
         _epoch_steps(corpus, rows, head, state, rng, cfg, epoch, loss_rows)
     return head, loss_rows, selection, bank

@@ -6,6 +6,7 @@ import re
 import stat
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import record_size
+from protocurate.config import EngineConfig
 from protocurate.errors import DegenerateVectorError, FormatError, UsageError
 import protocurate
+from protocurate import io
 from protocurate.io import (
     MAGIC,
     Corpus,
@@ -25,6 +28,7 @@ from protocurate.io import (
     validate_corpus,
 )
 from protocurate.prototypes import PROTO_MAGIC, PrototypeBank, decode_bank, encode_bank
+from protocurate.synth import generate_corpus
 from protocurate.trainer import HEAD_MAGIC, decode_head, encode_head, init_head
 
 
@@ -87,11 +91,19 @@ class TestRoundTrip:
         assert np.array_equal(back.img, corpus.img)
         assert np.array_equal(back.labels, corpus.labels)
 
-    def test_decoded_corpus_does_not_alias_input(self):
-        data = encode_corpus(make_corpus(3, 2, 2, n_labels=3))
+    @pytest.mark.parametrize("kind", [bytes, bytearray])
+    def test_decoded_vectors_are_read_only_float32_views(self, kind):
+        corpus = make_corpus(3, 2, 2, n_labels=3)
+        data = kind(encode_corpus(corpus))
         back = decode_corpus(data)
         buf = np.frombuffer(data, dtype=np.uint8)
-        for arr in (back.ids, back.img, back.txt, back.labels):
+        for arr, encoded in ((back.img, corpus.img), (back.txt, corpus.txt)):
+            assert arr.dtype == np.float32
+            assert np.shares_memory(arr, buf)
+            assert np.array_equal(arr, encoded)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+        for arr in (back.ids, back.labels):
             assert not np.shares_memory(arr, buf)
 
     @settings(max_examples=30, deadline=None)
@@ -168,6 +180,56 @@ class TestValidation:
         with pytest.raises(DegenerateVectorError, match="txt"):
             validate_corpus(corpus)
 
+    def test_float32_extremes_accepted(self):
+        # In float32 the first row's norm underflows to 0 and the second's
+        # overflows; widened to float64 both are finite and nonzero.
+        img = np.ones((3, 4), dtype=np.float32)
+        img[0] = 1e-30
+        img[1] = 3e38
+        corpus = Corpus(ids=np.arange(3, dtype=np.uint64), img=img, txt=img[::-1])
+        back = decode_corpus(encode_corpus(corpus))
+        assert back.img.dtype == np.float32
+        assert np.linalg.norm(back.img[0]) == 0.0
+        validate_corpus(back)
+
+    @pytest.mark.parametrize("half", ["img", "txt"])
+    @pytest.mark.parametrize(
+        "value, what", [(np.nan, "non-finite"), (np.inf, "non-finite"), (0.0, "all-zero")]
+    )
+    def test_defect_after_first_block_named_by_id(self, half, value, what):
+        block = io._VALIDATE_ROWS
+        corpus = make_corpus(2 * block + 7, 2, 2)
+        row = block + 5
+        getattr(corpus, half)[row] = value
+        back = decode_corpus(encode_corpus(corpus))
+        with pytest.raises(
+            DegenerateVectorError,
+            match=f"^sample id {int(corpus.ids[row])} has {what} {half} vector$",
+        ):
+            validate_corpus(back)
+
+    def test_non_finite_row_named_before_earlier_zero_row(self):
+        block = io._VALIDATE_ROWS
+        corpus = make_corpus(2 * block + 7, 2, 2)
+        corpus.img[3] = 0.0
+        corpus.img[2 * block + 1, 1] = -np.inf
+        with pytest.raises(
+            DegenerateVectorError,
+            match=f"sample id {int(corpus.ids[2 * block + 1])} has non-finite img",
+        ):
+            validate_corpus(decode_corpus(encode_corpus(corpus)))
+
+    def test_first_of_two_zero_rows_named(self):
+        block = io._VALIDATE_ROWS
+        corpus = make_corpus(2 * block + 7, 2, 2)
+        corpus.txt[block + 5] = 0.0
+        corpus.txt[2 * block + 1] = 0.0
+        with pytest.raises(
+            DegenerateVectorError,
+            match=f"sample id {int(corpus.ids[block + 5])} has all-zero txt",
+        ):
+            validate_corpus(decode_corpus(encode_corpus(corpus)))
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(UsageError):
             Corpus(
@@ -175,6 +237,25 @@ class TestValidation:
                 img=np.zeros((3, 2)),
                 txt=np.zeros((2, 2)),
             )
+
+
+def test_read_and_validate_hold_one_copy_of_the_file(tmp_path):
+    corpus, _ = generate_corpus(EngineConfig())  # 20k rows of 32+32 dims
+    path = tmp_path / "corpus.emb"
+    commit_outputs([(path, encode_corpus(corpus))])
+    size = path.stat().st_size
+    del corpus
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        back = read_corpus(path)
+        validate_corpus(back)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.n == 20_000
+    assert peak - base < 2.5 * size
+    assert held - base < 1.5 * size
 
 
 # decoder -> (magic, number of u32 header fields, a valid encoding)
