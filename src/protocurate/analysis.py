@@ -224,7 +224,7 @@ def welch_t(a: np.ndarray, b: np.ndarray) -> TestResult:
 
 
 def pca2(points: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
-    """Top-2 PCA projection by power iteration with deflation.
+    """Top-2 PCA projection from the exact eigendecomposition of the covariance.
 
     Returns (n x 2 projections, explained-variance fractions).  Sign
     convention: each component's largest-magnitude loading is positive.
@@ -241,37 +241,13 @@ def pca2(points: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
     if total == 0.0:
         raise DegenerateVectorError("PCA on zero-variance data")
 
-    def top_eig(mat: np.ndarray) -> tuple[np.ndarray, float]:
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        for _ in range(10000):
-            w = mat @ v
-            norm = np.linalg.norm(w)
-            if norm < 1e-30:
-                return v, 0.0  # operator annihilates the start vector
-            w /= norm
-            # Eigenvector up to sign: compare against both orientations.
-            if min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < 1e-8:
-                v = w
-                break
-            v = w
-        val = float(v @ mat @ v)
-        return v, val
-
-    v1, l1 = top_eig(cov)
-    v2, l2 = top_eig(cov - l1 * np.outer(v1, v1))
-    # Deflation residue can leave a small v1 component; project it out.
-    v2 = v2 - (v2 @ v1) * v1
-    nv2 = np.linalg.norm(v2)
-    if nv2 > 0:
-        v2 /= nv2
+    vals, vecs = np.linalg.eigh(cov)  # ascending
     comps = []
-    for v in (v1, v2):
+    for v in (vecs[:, -1], vecs[:, -2]):
         peak = int(np.argmax(np.abs(v)))
         comps.append(-v if v[peak] < 0 else v)
     proj = centered @ np.stack(comps, axis=1)
-    return proj, (l1 / total, max(l2, 0.0) / total)
+    return proj, (float(vals[-1]) / total, max(float(vals[-2]), 0.0) / total)
 
 
 def ecdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

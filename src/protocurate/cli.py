@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from .analysis import run_analysis, write_analysis_bundle
 from .config import EngineConfig, load_config
-from .embedding import l2_normalize
+from .embedding import normalize_rows
 from .curation import CuratedSelection, run_curation
 from .errors import (
     FormatError,
@@ -188,12 +188,10 @@ def _cmd_eval(args) -> int:
             f"{head.W_txt.shape[0]}"
         )
 
+    positive = normalize_rows(head.project_txt(positive))
+    negative = normalize_rows(head.project_txt(negative))
     prompts = [
-        PromptPair(
-            name=names[c],
-            positive=l2_normalize(head.project_txt(positive[c])),
-            negative=l2_normalize(head.project_txt(negative[c])),
-        )
+        PromptPair(name=names[c], positive=positive[c], negative=negative[c])
         for c in range(len(names))
     ]
     report = evaluate_zero_shot(

@@ -21,23 +21,13 @@ CURATION_SPACES = ("concat", "image_only", "text_only")
 _CHUNK_ROWS = 1024
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale ``v`` to unit Euclidean norm, preserving direction.
-
-    Raises DegenerateVectorError for all-zero or non-finite input: a vector
-    without a direction cannot participate in the curation geometry.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise DegenerateVectorError("vector has non-finite entries")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise DegenerateVectorError("cannot normalize an all-zero vector")
-    return v / norm
-
-
 def normalize_rows(mat: np.ndarray) -> np.ndarray:
-    """Row-wise l2_normalize for a 2-D batch, with the same degeneracy checks."""
+    """Scale each row of a 2-D batch to unit Euclidean norm, preserving direction.
+
+    Raises DegenerateVectorError naming the first all-zero or non-finite
+    row: a vector without a direction cannot participate in the curation
+    geometry.
+    """
     mat = np.asarray(mat, dtype=np.float64)
     if not np.all(np.isfinite(mat)):
         bad = int(np.flatnonzero(~np.all(np.isfinite(mat), axis=1))[0])

@@ -59,9 +59,9 @@ def _alignment_map(cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
 def generate_corpus(cfg: EngineConfig) -> tuple[Corpus, np.ndarray]:
     """Draw the corpus; returns (corpus, assignment vector of cluster indices).
 
-    The returned arrays are bit-identical to a round trip through the binary
-    format (vectors pass through float32), so in-memory use and file use
-    agree exactly.
+    The vectors are float32, as ``io.decode_corpus`` returns them, so the
+    returned corpus equals a round trip through the binary format in value
+    and dtype, and in-memory use and file use agree exactly.
     """
     rng = np.random.default_rng(cfg.seed)
     means = _cluster_means(cfg, rng)
@@ -80,8 +80,8 @@ def generate_corpus(cfg: EngineConfig) -> tuple[Corpus, np.ndarray]:
 
     corpus = Corpus(
         ids=np.arange(cfg.n_samples, dtype=np.uint64),
-        img=img.astype(np.float32).astype(np.float64),
-        txt=txt.astype(np.float32).astype(np.float64),
+        img=img.astype(np.float32),
+        txt=txt.astype(np.float32),
         labels=labels,
     )
     return corpus, assign

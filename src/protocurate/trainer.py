@@ -5,6 +5,10 @@ symmetric InfoNCE objective, hand-rolled AdamW, and epoch-granular cosine
 annealing.  Gradients are analytic, composed through projection and row
 normalization; a finite-difference oracle in the tests pins them down.
 
+The parameters and their gradient are records of the head checkpoint's
+dtype (``_head_layout``, the only statement of their order and shapes).
+AdamW updates every entry independently, so it steps one flat vector.
+
 The joint mode couples this trainer to the curation loop: curation epoch
 first (one optimizer step per curated mini-batch, embeddings recomputed
 through the evolving head), then the remaining epochs re-iterate the
@@ -14,7 +18,7 @@ curated selection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,31 +35,60 @@ LOG_TAU_MAX = math.log(0.5)
 PARAM_NAMES = ("W_img", "b_img", "W_txt", "b_txt", "log_tau")
 
 
+def _head_layout(d_img: int, d_txt: int, d_shared: int) -> tuple[int, list]:
+    """The head checkpoint's one record: every parameter, in PARAM_NAMES order."""
+    shapes = ((d_img, d_shared), (d_shared,), (d_txt, d_shared), (d_shared,), ())
+    return 1, [(name, "<f8", shape) for name, shape in zip(PARAM_NAMES, shapes)]
+
+
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     peak = np.max(a, axis=axis, keepdims=True)
     out = peak + np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True))
     return np.squeeze(out, axis=axis)
 
 
-@dataclass
-class ProjectionHead:
-    W_img: np.ndarray
-    b_img: np.ndarray
-    W_txt: np.ndarray
-    b_txt: np.ndarray
-    log_tau: float
+def _flat(record: np.ndarray) -> np.ndarray:
+    """A parameter record's memory as one float64 vector, in PARAM_NAMES order."""
+    return record.reshape(1).view(np.float64)
 
-    def __post_init__(self) -> None:
-        self.W_img = np.ascontiguousarray(self.W_img, dtype=np.float64)
-        self.b_img = np.ascontiguousarray(self.b_img, dtype=np.float64)
-        self.W_txt = np.ascontiguousarray(self.W_txt, dtype=np.float64)
-        self.b_txt = np.ascontiguousarray(self.b_txt, dtype=np.float64)
-        if self.W_img.shape[1] != self.W_txt.shape[1]:
-            raise UsageError("image and text projections must share the output dimension")
-        if self.b_img.shape != (self.W_img.shape[1],):
-            raise UsageError("b_img shape does not match W_img")
-        if self.b_txt.shape != (self.W_txt.shape[1],):
-            raise UsageError("b_txt shape does not match W_txt")
+
+def _param(name: str) -> property:
+    return property(lambda self: self.record[name], doc=f"{name}: a view of ``record``.")
+
+
+class ProjectionHead:
+    """Linear image and text projections plus a log temperature, held in one
+    ``record``: each parameter reads its field, ``theta`` its memory as one
+    float64 vector.  Nothing else is stored, so a ``copy.deepcopy`` stays whole.
+    """
+
+    W_img = _param("W_img")
+    b_img = _param("b_img")
+    W_txt = _param("W_txt")
+    b_txt = _param("b_txt")
+
+    def __init__(self, W_img, b_img, W_txt, b_txt, log_tau: float) -> None:
+        values = dict(zip(PARAM_NAMES, (W_img, b_img, W_txt, b_txt, log_tau)))
+        (d_img, d_shared), (d_txt, _) = np.shape(W_img), np.shape(W_txt)
+        _, layout = _head_layout(d_img, d_txt, d_shared)
+        self.record = np.zeros((), dtype=layout)
+        for name, _, shape in layout:
+            value = np.asarray(values[name], dtype=np.float64)
+            if value.shape != shape:
+                raise UsageError(f"{name} has shape {value.shape}, expected {shape}")
+            self.record[name] = value
+
+    @property
+    def log_tau(self) -> float:
+        return float(self.record["log_tau"])
+
+    @log_tau.setter
+    def log_tau(self, value: float) -> None:
+        self.record["log_tau"] = value
+
+    @property
+    def theta(self) -> np.ndarray:
+        return _flat(self.record)
 
     @property
     def tau(self) -> float:
@@ -74,15 +107,6 @@ class ProjectionHead:
     def unified(self, img: np.ndarray, txt: np.ndarray, space: str = "concat") -> np.ndarray:
         """Curation-space embedding through the head: normalized projected halves."""
         return unify_batch(self.project_img(img), self.project_txt(txt), space)
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {
-            "W_img": self.W_img,
-            "b_img": self.b_img,
-            "W_txt": self.W_txt,
-            "b_txt": self.b_txt,
-            "log_tau": np.array([self.log_tau]),
-        }
 
 
 def init_head(
@@ -114,10 +138,10 @@ def identity_head(dim: int, tau: float = 1.0) -> ProjectionHead:
 
 def info_nce_grad(
     raw_img: np.ndarray, raw_txt: np.ndarray, head: ProjectionHead
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and analytic gradients through projection + normalization.
+) -> tuple[float, np.ndarray]:
+    """Loss and analytic gradient through projection + normalization.
 
-    Returns (loss, grads) with grads keyed like head.params().
+    Returns (loss, grad) with grad a record of ``head.record``'s dtype.
     """
     x_img = np.asarray(raw_img, dtype=np.float64)
     x_txt = np.asarray(raw_txt, dtype=np.float64)
@@ -156,14 +180,13 @@ def info_nce_grad(
     dr_u = (du - (du * u).sum(axis=1, keepdims=True) * u) / nu[:, None]
     dr_v = (dv - (dv * v).sum(axis=1, keepdims=True) * v) / nv[:, None]
 
-    grads = {
-        "W_img": x_img.T @ dr_u,
-        "b_img": dr_u.sum(axis=0),
-        "W_txt": x_txt.T @ dr_v,
-        "b_txt": dr_v.sum(axis=0),
-        "log_tau": np.array([d_log_tau]),
-    }
-    return loss, grads
+    grad = np.zeros((), dtype=head.record.dtype)
+    grad["W_img"] = x_img.T @ dr_u
+    grad["b_img"] = dr_u.sum(axis=0)
+    grad["W_txt"] = x_txt.T @ dr_v
+    grad["b_txt"] = dr_v.sum(axis=0)
+    grad["log_tau"] = d_log_tau
+    return loss, grad
 
 
 def cosine_lr(base: float, t: float, horizon: float) -> float:
@@ -177,6 +200,8 @@ class OptimizerState:
 
     Weight decay applies to every parameter uniformly, scaled by the
     scheduled learning rate.  The temperature is clamped after each step.
+    The moments ``m`` and ``v`` are vectors like the stepped ``theta``, and
+    0.0 before the first step.
     """
 
     base_lr: float
@@ -185,41 +210,29 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-    def ensure(self, params: dict[str, np.ndarray]) -> None:
-        for name, p in params.items():
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p)
-                self.v[name] = np.zeros_like(p)
+    m: np.ndarray | float = 0.0
+    v: np.ndarray | float = 0.0
 
 
 def optimizer_step(
-    state: OptimizerState,
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    t: float,
-    horizon: float,
+    state: OptimizerState, theta: np.ndarray, grad: np.ndarray, t: float, horizon: float
 ) -> float:
     """One AdamW step at schedule position t of horizon; returns the lr used.
 
-    Mutates params in place.  log_tau is clamped to [ln 1e-3, ln 0.5]
+    Mutates the float64 vector ``theta`` in place; ``grad`` has its shape.
+    The last entry of ``theta`` is log_tau, clamped to [ln 1e-3, ln 0.5]
     afterward.
     """
-    state.ensure(params)
     state.step_count += 1
     lr = cosine_lr(state.base_lr, t, horizon)
     bc1 = 1.0 - state.beta1**state.step_count
     bc2 = 1.0 - state.beta2**state.step_count
-    for name, p in params.items():
-        g = grads[name]
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g**2
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        p -= lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * p)
-    params["log_tau"][0] = min(max(params["log_tau"][0], LOG_TAU_MIN), LOG_TAU_MAX)
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad**2
+    m_hat = state.m / bc1
+    v_hat = state.v / bc2
+    theta -= lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * theta)
+    theta[-1] = min(max(theta[-1], LOG_TAU_MIN), LOG_TAU_MAX)
     return lr
 
 
@@ -247,10 +260,8 @@ def _step(
     loss_rows: list[LossRow],
 ) -> None:
     """One optimizer step on ``rows``, scheduled at the start of ``epoch``."""
-    params = head.params()
-    loss, grads = info_nce_grad(corpus.img[rows], corpus.txt[rows], head)
-    lr = optimizer_step(state, params, grads, t=epoch - 1, horizon=cfg.epochs)
-    head.log_tau = float(params["log_tau"][0])  # W and b were stepped in place
+    loss, grad = info_nce_grad(corpus.img[rows], corpus.txt[rows], head)
+    lr = optimizer_step(state, head.theta, _flat(grad), t=epoch - 1, horizon=cfg.epochs)
     loss_rows.append(LossRow(step=len(loss_rows) + 1, epoch=epoch, lr=lr, loss=loss))
 
 
@@ -322,26 +333,22 @@ def train_joint(
     return head, loss_rows, selection, bank
 
 
-def _head_layout(d_img: int, d_txt: int, d_shared: int) -> tuple[int, list]:
-    shapes = ((d_img, d_shared), (d_shared,), (d_txt, d_shared), (d_shared,), ())
-    return 1, [(name, "<f8", shape) for name, shape in zip(PARAM_NAMES, shapes)]
-
-
 def encode_head(head: ProjectionHead) -> bytes:
     dims = (head.W_img.shape[0], head.W_txt.shape[0], head.d_shared)
-    return encode_records(HEAD_MAGIC, dims, _head_layout, head.params())
+    return encode_records(
+        HEAD_MAGIC, dims, _head_layout, {name: head.record[name] for name in PARAM_NAMES}
+    )
 
 
 def decode_head(data: bytes) -> ProjectionHead:
     _, (rec,) = decode_records(data, HEAD_MAGIC, ("d_img", "d_txt", "d_shared"), _head_layout)
-    params = {name: rec[name].copy() for name in PARAM_NAMES}
     for name in PARAM_NAMES[:-1]:
-        if not np.all(np.isfinite(params[name])):
+        if not np.all(np.isfinite(rec[name])):
             raise FormatError(f"invalid head checkpoint: {name} has non-finite entries")
-    log_tau = params["log_tau"] = float(params["log_tau"])
+    log_tau = float(rec["log_tau"])
     if not LOG_TAU_MIN <= log_tau <= LOG_TAU_MAX:
         raise FormatError(f"invalid head checkpoint: log_tau {log_tau!r} outside [ln 1e-3, ln 0.5]")
-    return ProjectionHead(**params)
+    return ProjectionHead(*(rec[name] for name in PARAM_NAMES))
 
 
 def load_head(path) -> ProjectionHead:

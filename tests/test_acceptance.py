@@ -25,7 +25,7 @@ from protocurate.analysis import (
 from protocurate.cli import main
 from protocurate.config import EngineConfig
 from protocurate.curation import fps_select, run_curation
-from protocurate.embedding import l2_normalize
+from protocurate.embedding import normalize_rows
 from protocurate.io import Corpus, rows_for_ids
 from protocurate.metrics import PromptPair, auprc, auroc, evaluate_zero_shot
 from protocurate.prototypes import PrototypeBank, sinkhorn_from_cost
@@ -320,9 +320,9 @@ def test_03_gradient_finite_difference():
         x_img = rng.normal(size=(b, d_img))
         x_txt = rng.normal(size=(b, d_txt))
         head = init_head(d_img, d_txt, d_shared, tau_init=0.07, seed=seed)
-        _, grads = info_nce_grad(x_img, x_txt, head)
-        for name, grad in grads.items():
-            flat = grad.ravel()
+        _, grad = info_nce_grad(x_img, x_txt, head)
+        for name in grad.dtype.names:
+            flat = grad[name].ravel()
             for idx in range(flat.size):
                 lp = head_loss(perturbed(head, name, idx, h), x_img, x_txt)
                 lm = head_loss(perturbed(head, name, idx, -h), x_img, x_txt)
@@ -473,12 +473,10 @@ TRAIN_EPOCHS = 8
 
 def zero_shot_numbers(head, held, prompt_raw):
     names, pos, neg = prompt_raw
+    positive = normalize_rows(head.project_txt(pos))
+    negative = normalize_rows(head.project_txt(neg))
     prompts = [
-        PromptPair(
-            name=names[c],
-            positive=l2_normalize(head.project_txt(pos[c])),
-            negative=l2_normalize(head.project_txt(neg[c])),
-        )
+        PromptPair(name=names[c], positive=positive[c], negative=negative[c])
         for c in range(len(names))
     ]
     rep = evaluate_zero_shot(

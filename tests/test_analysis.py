@@ -370,6 +370,22 @@ class TestPca2:
                     v = -v
                 np.testing.assert_allclose(proj[:, c], centered @ v, atol=1e-5)
 
+    def test_small_eigengap_resolved(self):
+        # Points +-s_k q_k on orthonormal q_k: covariance eigenvalues 1.0, 0.999
+        # and 0.5 with eigenvectors q_k.  A 0.1% gap stalls an iterative solver.
+        q, _ = np.linalg.qr(np.random.default_rng(15).standard_normal((4, 4)))
+        lams = np.array([1.0, 0.999, 0.5])
+        scale = np.sqrt(lams * 5.0 / 2.0)
+        points = np.vstack([s * q[:, k] * sign for k, s in enumerate(scale) for sign in (1, -1)])
+        proj, explained = pca2(points)
+        assert explained[0] == pytest.approx(1.0 / lams.sum(), rel=1e-12)
+        assert explained[1] == pytest.approx(0.999 / lams.sum(), rel=1e-12)
+        for c in range(2):
+            v = q[:, c]
+            if v[int(np.argmax(np.abs(v)))] < 0:
+                v = -v
+            np.testing.assert_allclose(proj[:, c], points @ v, atol=1e-12)
+
     def test_mean_shift_invariance(self):
         rng = np.random.default_rng(14)
         points = rng.standard_normal((20, 4))

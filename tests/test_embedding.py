@@ -6,7 +6,6 @@ import pytest
 from oracles import EmbeddingPair, pairwise_distance, unify
 from protocurate.embedding import (
     CURATION_SPACES,
-    l2_normalize,
     normalize_rows,
     pairwise_sq_distance,
     unify_batch,
@@ -24,16 +23,16 @@ def naive_distance_matrix(a, b):
 
 class TestNormalize:
     def test_unit_norm(self):
-        v = l2_normalize(np.array([3.0, 4.0]))
-        np.testing.assert_allclose(v, [0.6, 0.8])
+        v = normalize_rows(np.array([[3.0, 4.0], [0.0, -2.0]]))
+        np.testing.assert_allclose(v, [[0.6, 0.8], [0.0, -1.0]])
 
     def test_zero_vector_raises(self):
-        with pytest.raises(DegenerateVectorError):
-            l2_normalize(np.zeros(4))
+        with pytest.raises(DegenerateVectorError, match="row 0 is all-zero"):
+            normalize_rows(np.zeros((1, 4)))
 
     def test_nan_raises(self):
-        with pytest.raises(DegenerateVectorError):
-            l2_normalize(np.array([1.0, np.nan]))
+        with pytest.raises(DegenerateVectorError, match="row 0 has non-finite"):
+            normalize_rows(np.array([[1.0, np.nan]]))
 
     def test_rows_reports_offender(self):
         mat = np.ones((3, 2))

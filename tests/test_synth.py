@@ -60,8 +60,9 @@ class TestGeneration:
         corpus, _ = generate_corpus(small_cfg())
         commit_outputs([(tmp_path / "c.emb", encode_corpus(corpus))])
         back = read_corpus(tmp_path / "c.emb")
-        assert np.array_equal(back.img, corpus.img)
-        assert np.array_equal(back.txt, corpus.txt)
+        for side in ("img", "txt"):
+            assert getattr(corpus, side).dtype == getattr(back, side).dtype == np.float32
+            assert np.array_equal(getattr(back, side), getattr(corpus, side))
 
     def test_manifest_sidecar(self, tmp_path):
         cfg = tmp_path / "engine.cfg"

@@ -15,6 +15,7 @@ from protocurate.synth import generate_corpus
 from protocurate.trainer import (
     LOG_TAU_MAX,
     LOG_TAU_MIN,
+    PARAM_NAMES,
     OptimizerState,
     ProjectionHead,
     cosine_lr,
@@ -120,12 +121,12 @@ class TestInfoNceGrad:
     def test_single_pair_gradients_vanish(self):
         rng = np.random.default_rng(5)
         head = init_head(4, 4, 3, tau_init=0.1, seed=2)
-        loss, grads = info_nce_grad(
+        loss, grad = info_nce_grad(
             rng.standard_normal((1, 4)), rng.standard_normal((1, 4)), head
         )
         assert loss == 0.0
-        for g in grads.values():
-            np.testing.assert_allclose(g, 0.0, atol=1e-15)
+        for name in PARAM_NAMES:
+            np.testing.assert_allclose(grad[name], 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("b,d_img,d_txt,d_shared,seed", [
         (2, 4, 4, 3, 10),
@@ -137,7 +138,7 @@ class TestInfoNceGrad:
         head = init_head(d_img, d_txt, d_shared, tau_init=0.07, seed=seed)
         x_img = rng.standard_normal((b, d_img))
         x_txt = rng.standard_normal((b, d_txt))
-        _, grads = info_nce_grad(x_img, x_txt, head)
+        _, grad = info_nce_grad(x_img, x_txt, head)
 
         h = 1e-5
 
@@ -157,24 +158,24 @@ class TestInfoNceGrad:
             for j in range(d_shared):
                 def bump(hd, eps, i=i, j=j):
                     hd.W_img[i, j] += eps
-                check(grads["W_img"][i, j], fd(bump))
+                check(grad["W_img"][i, j], fd(bump))
         for i in range(d_txt):
             for j in range(d_shared):
                 def bump(hd, eps, i=i, j=j):
                     hd.W_txt[i, j] += eps
-                check(grads["W_txt"][i, j], fd(bump))
+                check(grad["W_txt"][i, j], fd(bump))
         for j in range(d_shared):
             def bump_bi(hd, eps, j=j):
                 hd.b_img[j] += eps
-            check(grads["b_img"][j], fd(bump_bi))
+            check(grad["b_img"][j], fd(bump_bi))
 
             def bump_bt(hd, eps, j=j):
                 hd.b_txt[j] += eps
-            check(grads["b_txt"][j], fd(bump_bt))
+            check(grad["b_txt"][j], fd(bump_bt))
 
         def bump_tau(hd, eps):
             hd.log_tau += eps
-        check(grads["log_tau"][0], fd(bump_tau))
+        check(grad["log_tau"], fd(bump_tau))
 
     def test_duplicated_pairs_stay_finite(self):
         rng = np.random.default_rng(13)
@@ -182,10 +183,10 @@ class TestInfoNceGrad:
         x = rng.standard_normal((2, 4))
         x_img = np.vstack([x, x])
         x_txt = np.vstack([x, x])
-        loss, grads = info_nce_grad(x_img, x_txt, head)
+        loss, grad = info_nce_grad(x_img, x_txt, head)
         assert math.isfinite(loss) and loss > 0.0  # duplicates cannot be told apart
-        for g in grads.values():
-            assert np.all(np.isfinite(g))
+        for name in PARAM_NAMES:
+            assert np.all(np.isfinite(grad[name]))
 
     def test_zero_projection_rejected(self):
         head = ProjectionHead(
@@ -225,64 +226,56 @@ def reference_adamw(p0, grads_seq, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 class TestOptimizer:
-    def _params(self, value):
-        return {"log_tau": np.array([math.log(0.1)]), "w": np.array([value])}
+    # theta is (w, log_tau): the stepped parameter, then the clamped temperature.
+    def _theta(self, value):
+        return np.array([value, math.log(0.1)])
 
     def test_zero_grad_zero_decay_is_identity(self):
         state = OptimizerState(base_lr=0.1, weight_decay=0.0)
-        params = self._params(2.5)
-        zero = {k: np.zeros_like(p) for k, p in params.items()}
-        optimizer_step(state, params, zero, t=0, horizon=10)
-        assert params["w"][0] == 2.5
-        assert params["log_tau"][0] == math.log(0.1)
+        theta = self._theta(2.5)
+        optimizer_step(state, theta, np.zeros(2), t=0, horizon=10)
+        assert theta[0] == 2.5
+        assert theta[1] == math.log(0.1)
 
     def test_decay_is_decoupled(self):
         state = OptimizerState(base_lr=0.1, weight_decay=0.01)
-        params = self._params(2.0)
-        zero = {k: np.zeros_like(p) for k, p in params.items()}
-        optimizer_step(state, params, zero, t=0, horizon=10)
-        assert params["w"][0] == pytest.approx(2.0 * (1 - 0.1 * 0.01), abs=1e-15)
+        theta = self._theta(2.0)
+        optimizer_step(state, theta, np.zeros(2), t=0, horizon=10)
+        assert theta[0] == pytest.approx(2.0 * (1 - 0.1 * 0.01), abs=1e-15)
 
     def test_first_step_magnitude(self):
         # fresh state: m_hat = g, v_hat = g^2, update = lr g/(|g|+eps)
         state = OptimizerState(base_lr=0.1, weight_decay=0.0)
-        params = self._params(1.0)
-        grads = {"w": np.array([0.5]), "log_tau": np.array([0.0])}
-        optimizer_step(state, params, grads, t=0, horizon=10)
+        theta = self._theta(1.0)
+        optimizer_step(state, theta, np.array([0.5, 0.0]), t=0, horizon=10)
         want = 1.0 - 0.1 * 0.5 / (0.5 + 1e-8)
-        assert params["w"][0] == pytest.approx(want, abs=1e-15)
+        assert theta[0] == pytest.approx(want, abs=1e-15)
 
     def test_matches_scalar_reference_trajectory(self):
         rng = np.random.default_rng(14)
         grads_seq = [float(g) for g in rng.standard_normal(6)]
         state = OptimizerState(base_lr=0.03, weight_decay=0.02)
-        params = self._params(1.7)
+        theta = self._theta(1.7)
         got = []
         for g in grads_seq:
-            optimizer_step(
-                state,
-                params,
-                {"w": np.array([g]), "log_tau": np.array([0.0])},
-                t=0,
-                horizon=10,
-            )
-            got.append(float(params["w"][0]))
+            optimizer_step(state, theta, np.array([g, 0.0]), t=0, horizon=10)
+            got.append(float(theta[0]))
         want = reference_adamw(1.7, grads_seq, lr=0.03, wd=0.02)
         np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_lr_follows_schedule(self):
         state = OptimizerState(base_lr=0.5, weight_decay=0.0)
-        params = self._params(0.0)
-        zero = {k: np.zeros_like(p) for k, p in params.items()}
-        assert optimizer_step(state, params, zero, t=0, horizon=4) == pytest.approx(0.5)
-        assert optimizer_step(state, params, zero, t=2, horizon=4) == pytest.approx(0.25)
+        theta = self._theta(0.0)
+        zero = np.zeros(2)
+        assert optimizer_step(state, theta, zero, t=0, horizon=4) == pytest.approx(0.5)
+        assert optimizer_step(state, theta, zero, t=2, horizon=4) == pytest.approx(0.25)
 
     def test_log_tau_clamped_both_sides(self):
         for start, expect in ((math.log(0.9), LOG_TAU_MAX), (math.log(1e-5), LOG_TAU_MIN)):
             state = OptimizerState(base_lr=0.0, weight_decay=0.0)
-            params = {"log_tau": np.array([start])}
-            optimizer_step(state, params, {"log_tau": np.array([0.0])}, t=0, horizon=1)
-            assert params["log_tau"][0] == expect
+            theta = np.array([start])
+            optimizer_step(state, theta, np.zeros(1), t=0, horizon=1)
+            assert theta[0] == expect
 
 
 class TestTrainHead:
@@ -403,6 +396,63 @@ class TestTrainJoint:
         head, _, _, _ = train_joint(corpus, cfg)
         init = init_head(corpus.d_img, corpus.d_txt, cfg.proj_dim, cfg.tau_init, seed=cfg.seed)
         assert not np.array_equal(head.W_img, init.W_img)
+
+
+class TestParameterRecord:
+    def test_theta_shares_memory_with_every_parameter(self):
+        head = init_head(3, 4, 2, tau_init=0.1, seed=37)
+        for name in PARAM_NAMES[:-1]:
+            assert np.shares_memory(getattr(head, name), head.theta)
+        np.testing.assert_array_equal(
+            head.theta, np.concatenate([np.ravel(head.record[n]) for n in PARAM_NAMES])
+        )
+        head.theta[-1] = math.log(0.2)
+        assert head.log_tau == math.log(0.2)
+        head.theta[0] = 7.0
+        assert head.W_img[0, 0] == 7.0
+
+    def test_checkpoint_payload_is_theta(self):
+        head = init_head(3, 4, 2, tau_init=0.1, seed=38)
+        data = encode_head(head)
+        assert data[-head.theta.nbytes :] == head.theta.tobytes()
+        assert len(data) == len(b"XFICHEAD") + 3 * 4 + head.theta.nbytes
+
+    def test_deepcopy_stays_consistent(self):
+        head = init_head(3, 4, 2, tau_init=0.1, seed=39)
+        before = head.W_img.copy()
+        clone = copy.deepcopy(head)
+        clone.theta[:] += 1.0
+        np.testing.assert_array_equal(clone.W_img, before + 1.0)
+        np.testing.assert_array_equal(head.W_img, before)
+
+    def test_step_moves_every_parameter_in_place(self):
+        corpus = paired_corpus(32, seed=40)
+        head = init_head(corpus.d_img, corpus.d_txt, 4, tau_init=0.1, seed=40)
+        views = {name: getattr(head, name) for name in PARAM_NAMES[:-1]}
+        before = head.theta.copy()
+        _, grad = info_nce_grad(corpus.img, corpus.txt, head)
+        flat = np.concatenate([np.ravel(grad[n]) for n in PARAM_NAMES])
+        optimizer_step(OptimizerState(base_lr=0.01, weight_decay=0.0), head.theta, flat, 0, 1)
+        for name, view in views.items():
+            np.testing.assert_array_equal(view, getattr(head, name))
+        assert not np.any(head.theta == before)
+
+    # W_img and W_txt's first dims set the layout; every other shape is checked.
+    @pytest.mark.parametrize("name,bad", [
+        ("b_img", np.zeros(3)),
+        ("W_txt", np.zeros((4, 3))),
+        ("b_txt", np.zeros(3)),
+        ("b_txt", np.zeros((2, 1))),
+        ("log_tau", np.zeros(1)),
+    ])
+    def test_wrong_shape_named(self, name, bad):
+        values = dict(
+            W_img=np.zeros((3, 2)), b_img=np.zeros(2), W_txt=np.zeros((4, 2)),
+            b_txt=np.zeros(2), log_tau=0.0,
+        )
+        values[name] = bad
+        with pytest.raises(UsageError, match=f"^{name} has shape"):
+            ProjectionHead(**values)
 
 
 class TestHeadCheckpoint:
