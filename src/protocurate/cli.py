@@ -15,7 +15,6 @@ from dataclasses import replace
 
 from .analysis import run_analysis, write_analysis_bundle
 from .config import EngineConfig, load_config
-from .embedding import normalize_rows
 from .curation import CuratedSelection, run_curation
 from .errors import (
     FormatError,
@@ -25,7 +24,7 @@ from .errors import (
 )
 from .io import check_outputs, commit_outputs, encode_corpus, read_corpus
 from .io import rows_for_ids, validate_corpus
-from .metrics import PromptPair, evaluate_zero_shot
+from .metrics import evaluate_zero_shot
 from .prototypes import encode_bank
 from .synth import generate_corpus, generate_prompts, manifest_json, prompts_json, read_prompts
 from .trainer import encode_head, identity_head, load_head, loss_csv, train_head, train_joint
@@ -166,40 +165,19 @@ def _cmd_eval(args) -> int:
         )
     if args.head:
         head = load_head(args.head)
-        tau = head.tau
         head_dims = (head.W_img.shape[0], head.W_txt.shape[0])
         if head_dims != (corpus.d_img, corpus.d_txt):
             raise UsageError(
                 f"head {args.head} takes {head_dims[0]}+{head_dims[1]} input dims, "
                 f"corpus has {corpus.d_img}+{corpus.d_txt}"
             )
+    elif corpus.d_img != corpus.d_txt:
+        raise UsageError("eval without --head needs d_img == d_txt for the identity head")
     else:
-        if corpus.d_img != corpus.d_txt:
-            raise UsageError(
-                "eval without --head needs d_img == d_txt for the identity head"
-            )
         head = identity_head(corpus.d_img)
-        tau = 1.0
-    if cfg.zero_shot_tau is not None:
-        tau = cfg.zero_shot_tau
-    if positive.shape[1] != head.W_txt.shape[0]:
-        raise UsageError(
-            f"prompt dimension {positive.shape[1]} does not match text side "
-            f"{head.W_txt.shape[0]}"
-        )
-
-    positive = normalize_rows(head.project_txt(positive))
-    negative = normalize_rows(head.project_txt(negative))
-    prompts = [
-        PromptPair(name=names[c], positive=positive[c], negative=negative[c])
-        for c in range(len(names))
-    ]
+    tau = head.tau if cfg.zero_shot_tau is None else cfg.zero_shot_tau
     report = evaluate_zero_shot(
-        head.project_img(corpus.img),
-        head.project_txt(corpus.txt),
-        corpus.labels,
-        prompts,
-        tau=tau,
+        head, corpus.img, corpus.txt, corpus.labels, names, positive, negative, tau
     )
     commit_outputs([(args.out, report.to_json()), (args.csv_out, report.to_csv())])
     macro = "n/a" if report.macro_auroc is None else f"{report.macro_auroc:.4f}"

@@ -15,6 +15,7 @@ pure function of (corpus bytes, config, seed).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +99,15 @@ class CuratedSelection:
                 raise FormatError(
                     f"selection line {lineno}: unknown reason {row.reason!r}"
                 )
+            for name, ok in (
+                ("iteration", row.iteration >= 1),
+                ("proto", row.proto >= 0),
+                ("distance", 0.0 <= row.distance < math.inf),
+            ):
+                if not ok:
+                    raise FormatError(
+                        f"selection line {lineno}: {name} {getattr(row, name)!r} out of range"
+                    )
             if row.id in line_of_id:
                 raise FormatError(
                     f"selection line {lineno}: duplicate id {row.id} "
@@ -247,44 +257,37 @@ def curate_superbatch(
     distant = kept[distant_local]
     pool = kept[pool_local]
 
-    order: list[int] = list(distant)
-    fps_count = 0
-    pool_sink = None
-    if len(pool):
-        pool_sink = _solve(z[pool], bank, cfg, "pool")
-        hard = pool_sink.hard_assignment()
-        for k in range(bank.k):
-            members = pool[hard == k]
-            if len(members) == 0:
-                continue
-            picks = fps_select(
-                z[members], ids[members], cfg.per_cluster_budget, bank.protos[k]
-            )
-            order.extend(members[picks])
-            fps_count += len(picks)
+    # EngineConfig keeps outlier_frac and keep_frac below 1 and per_cluster_budget
+    # at 1 or more, so for m >= 1 the pool and the mini-batch are never empty.
+    pool_sink = _solve(z[pool], bank, cfg, "pool")
+    hard = pool_sink.hard_assignment()
+    order = [distant]
+    for k in range(bank.k):
+        members = pool[hard == k]
+        if len(members):
+            picks = fps_select(z[members], ids[members], cfg.per_cluster_budget, bank.protos[k])
+            order.append(members[picks])
 
-    mb = np.asarray(order, dtype=np.int64)
+    mb = np.concatenate(order)
     records = [
         (int(pos), "distant" if i < len(distant) else "fps", int(proto_idx[pos]), float(dist[pos]))
         for i, pos in enumerate(mb)
     ]
 
-    update_sink = None
-    skipped: list[int] = []
-    if len(mb):
-        update_sink = _solve(z[mb], bank, cfg, "mini-batch update")
-        skipped = update_prototypes(update_sink, z[mb], bank)
+    z_mb = z[mb]
+    update_sink = _solve(z_mb, bank, cfg, "mini-batch update")
+    skipped = update_prototypes(update_sink, z_mb, bank)
 
     stats.update(
         trimmed=int(len(trimmed)),
         distant=int(len(distant)),
         pool=int(len(pool)),
-        fps=int(fps_count),
+        fps=int(len(mb) - len(distant)),
         minibatch=int(len(mb)),
-        pool_sinkhorn_iterations=None if pool_sink is None else pool_sink.iterations,
-        pool_sinkhorn_residual=None if pool_sink is None else float(pool_sink.residual),
-        update_sinkhorn_iterations=None if update_sink is None else update_sink.iterations,
-        update_sinkhorn_residual=None if update_sink is None else float(update_sink.residual),
+        pool_sinkhorn_iterations=pool_sink.iterations,
+        pool_sinkhorn_residual=float(pool_sink.residual),
+        update_sinkhorn_iterations=update_sink.iterations,
+        update_sinkhorn_residual=float(update_sink.residual),
         ema_skipped=skipped,
     )
     return records, stats

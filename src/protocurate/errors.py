@@ -22,7 +22,12 @@ class InsufficientWarmupError(UsageError):
 
 
 class DegenerateVectorError(UsageError):
-    """All-zero or non-finite embedding vector where a direction is required."""
+    """All-zero or non-finite embedding vector where a direction is required.
+    ``row`` is its position in the batch, when known."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class FormatError(ProtocurateError):
@@ -36,8 +41,4 @@ class FormatError(ProtocurateError):
 
 
 class NumericalFailureError(ProtocurateError):
-    """A numerical routine failed to converge within its iteration budget."""
-
-
-class UndefinedMetricError(ProtocurateError):
-    """Metric has no defined value for the given inputs (e.g. single-class AUROC)."""
+    """A numerical routine failed: no convergence within its budget, or training diverged."""

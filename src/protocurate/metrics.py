@@ -3,9 +3,9 @@
 AUROC uses pair-count semantics (concordant plus half the ties over P*N),
 computed via midranks so it stays O(n log n) while matching the counting
 definition exactly.  AUPRC is average precision with equal scores swept as
-one group.  Classes whose metric is undefined on a given split are
-excluded from the macro average and reported as absent rather than scored
-zero.
+one group.  A metric that is undefined on a given split is None: the class
+is excluded from the macro average and reported as absent rather than
+scored zero.
 """
 
 from __future__ import annotations
@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import normalize_rows
-from .errors import UndefinedMetricError, UsageError
-
-
-@dataclass(frozen=True)
-class PromptPair:
-    name: str
-    positive: np.ndarray
-    negative: np.ndarray
+from .errors import DegenerateVectorError, UsageError
 
 
 @dataclass
@@ -39,8 +32,8 @@ class ClassMetrics:
 class MetricReport:
     per_class: list[ClassMetrics]
     macro_auroc: float | None
-    macro_auprc: float | None
     auroc_excluded: int
+    macro_auprc: float | None
     auprc_excluded: int
     recall_img_to_txt: float
     recall_txt_to_img: float
@@ -79,20 +72,11 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
-def zero_shot_scores(images: np.ndarray, prompt: PromptPair, tau: float = 1.0) -> np.ndarray:
-    """Positive-class probability of each unit image row from the prompt-pair softmax."""
-    if tau <= 0.0:
-        raise UsageError("temperature must be > 0")
-    images = np.asarray(images, dtype=np.float64)
-    pos = np.asarray(prompt.positive, dtype=np.float64)
-    neg = np.asarray(prompt.negative, dtype=np.float64)
-    if images.shape[1] != pos.shape[0] or pos.shape != neg.shape:
-        raise UsageError(
-            f"prompt dimension mismatch: images {images.shape[1]}, "
-            f"pos {pos.shape[0]}, neg {neg.shape[0]}"
-        )
-    s_pos = images @ pos / tau
-    s_neg = images @ neg / tau
+def zero_shot_scores(u: np.ndarray, pos: np.ndarray, neg: np.ndarray, tau: float) -> np.ndarray:
+    """Positive-class probability of each unit row of ``u`` from the softmax over
+    the unit prompt vectors ``pos`` and ``neg`` at temperature ``tau``."""
+    s_pos = u @ pos / tau
+    s_neg = u @ neg / tau
     # Two-way softmax, stable form: sigmoid of the score difference.
     delta = s_pos - s_neg
     out = np.empty_like(delta)
@@ -114,8 +98,9 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Pair-count AUROC: (concordant + 0.5 ties) / (P*N), via midranks."""
+def auroc(scores: np.ndarray, labels: np.ndarray) -> float | None:
+    """Pair-count AUROC: (concordant + 0.5 ties) / (P*N), via midranks; None
+    when there are no positives or no negatives."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(bool)
     if scores.shape != labels.shape or scores.ndim != 1:
@@ -123,24 +108,22 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     p = int(labels.sum())
     n = len(labels) - p
     if p == 0 or n == 0:
-        raise UndefinedMetricError(
-            f"AUROC undefined: {p} positives, {n} negatives"
-        )
+        return None
     ranks = _midranks(scores)
     # Sum of positive ranks minus the minimum possible gives concordant+ties/2.
     return float((ranks[labels].sum() - p * (p + 1) / 2.0) / (p * n))
 
 
-def auprc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Average precision with descending sweep; equal scores form one group."""
+def auprc(scores: np.ndarray, labels: np.ndarray) -> float | None:
+    """Average precision with descending sweep; equal scores form one group.
+    None when there are no positives."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(bool)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise UsageError("scores and labels must be matching 1-D arrays")
     p = int(labels.sum())
     if p == 0:
-        raise UndefinedMetricError("AUPRC undefined: no positive samples")
-
+        return None
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
     y = labels[order].astype(np.float64)
@@ -156,13 +139,11 @@ def auprc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(np.sum((recall - prev_recall) * precision))
 
 
-def macro_average(values: list[float | None]) -> tuple[float, int]:
-    """Unweighted mean over defined entries; returns (mean, excluded count)."""
+def _macro(values: list[float | None]) -> tuple[float | None, int]:
+    """Unweighted mean over the defined values (None if there are none), and
+    the number excluded."""
     defined = [v for v in values if v is not None]
-    excluded = len(values) - len(defined)
-    if not defined:
-        raise UndefinedMetricError("macro average undefined: no class has a defined metric")
-    return float(np.mean(defined)), excluded
+    return (float(np.mean(defined)) if defined else None), len(values) - len(defined)
 
 
 _RECALL_BLOCK = 256
@@ -203,63 +184,55 @@ def recall_both_blocked(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     return row_hits / n, col_hits / n
 
 
-def evaluate_zero_shot(
-    images: np.ndarray,
-    texts: np.ndarray,
-    labels: np.ndarray,
-    prompts: list[PromptPair],
-    tau: float = 1.0,
-) -> MetricReport:
-    """Full protocol: per-class prompt-pair scores, macro metrics, retrieval.
+def _unit(mat: np.ndarray, what: str, names: list[str] | None = None) -> np.ndarray:
+    """``normalize_rows`` whose error names the projected matrix, and a prompt's class."""
+    try:
+        return normalize_rows(mat)
+    except DegenerateVectorError as exc:
+        where = what if names is None else f"{what} of class {names[exc.row]!r}"
+        raise DegenerateVectorError(f"projected {where}: {exc}", exc.row) from None
 
-    ``images``/``texts`` are projected embeddings (not yet normalized);
-    ``labels`` is the (n, C) boolean matrix aligned with ``prompts``.
+
+def evaluate_zero_shot(
+    head, img: np.ndarray, txt: np.ndarray, labels: np.ndarray, names: list[str],
+    positive: np.ndarray, negative: np.ndarray, tau: float,
+) -> MetricReport:
+    """The zero-shot protocol: per-class prompt-pair scores, macro metrics, Recall@1.
+
+    ``img``/``txt`` are the raw corpus halves, ``labels`` their (n, C)
+    boolean matrix and ``positive``/``negative`` the (C, d_txt) prompt
+    matrices, row c for class ``names[c]``.  ``head`` is anything with
+    ``project_img``/``project_txt``; all four matrices go through it and are
+    normalised once before scoring at temperature ``tau``.
     """
+    if not tau > 0.0:
+        raise UsageError("temperature must be > 0")
     labels = np.asarray(labels).astype(bool)
-    if labels.ndim != 2 or labels.shape[1] != len(prompts):
+    if labels.ndim != 2 or {labels.shape[1], len(positive), len(negative)} != {len(names)}:
         raise UsageError(
-            f"labels shape {labels.shape} does not match {len(prompts)} prompt classes"
+            f"labels shape {labels.shape} and prompt rows {len(positive)}/{len(negative)} "
+            f"do not match {len(names)} prompt classes"
         )
-    u = normalize_rows(images)
-    v = normalize_rows(texts)
+    for d in (positive.shape[1], negative.shape[1]):
+        if d != txt.shape[1]:
+            raise UsageError(f"prompt dimension {d} does not match text side {txt.shape[1]}")
+    u = _unit(head.project_img(img), "images")
+    v = _unit(head.project_txt(txt), "texts")
+    pos = _unit(head.project_txt(positive), "positive prompt", names)
+    neg = _unit(head.project_txt(negative), "negative prompt", names)
 
     per_class: list[ClassMetrics] = []
-    aurocs: list[float | None] = []
-    auprcs: list[float | None] = []
-    for c, prompt in enumerate(prompts):
-        scores = zero_shot_scores(u, prompt, tau)
+    for c, name in enumerate(names):
+        scores = zero_shot_scores(u, pos[c], neg[c], tau)
         y = labels[:, c]
         n_pos = int(y.sum())
-        n_neg = int(len(y) - n_pos)
-        try:
-            a = auroc(scores, y)
-        except UndefinedMetricError:
-            a = None
-        try:
-            ap = auprc(scores, y)
-        except UndefinedMetricError:
-            ap = None
-        per_class.append(ClassMetrics(prompt.name, a, ap, n_pos, n_neg))
-        aurocs.append(a)
-        auprcs.append(ap)
-
-    try:
-        macro_roc, roc_excluded = macro_average(aurocs)
-    except UndefinedMetricError:
-        macro_roc, roc_excluded = None, len(aurocs)
-    try:
-        macro_pr, pr_excluded = macro_average(auprcs)
-    except UndefinedMetricError:
-        macro_pr, pr_excluded = None, len(auprcs)
-
-    r_img, r_txt = recall_both_blocked(u, v)
+        per_class.append(
+            ClassMetrics(name, auroc(scores, y), auprc(scores, y), n_pos, len(y) - n_pos)
+        )
     return MetricReport(
-        per_class=per_class,
-        macro_auroc=macro_roc,
-        macro_auprc=macro_pr,
-        auroc_excluded=roc_excluded,
-        auprc_excluded=pr_excluded,
-        recall_img_to_txt=r_img,
-        recall_txt_to_img=r_txt,
+        per_class,
+        *_macro([c.auroc for c in per_class]),
+        *_macro([c.auprc for c in per_class]),
+        *recall_both_blocked(u, v),
         n_samples=len(u),
     )

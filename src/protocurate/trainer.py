@@ -25,7 +25,7 @@ import numpy as np
 from .config import EngineConfig
 from .curation import CuratedSelection, run_curation
 from .embedding import unify_batch
-from .errors import FormatError, UsageError
+from .errors import FormatError, NumericalFailureError, UsageError
 from .io import Corpus, decode_records, encode_records
 from .prototypes import PrototypeBank
 
@@ -69,6 +69,9 @@ class ProjectionHead:
 
     def __init__(self, W_img, b_img, W_txt, b_txt, log_tau: float) -> None:
         values = dict(zip(PARAM_NAMES, (W_img, b_img, W_txt, b_txt, log_tau)))
+        for name in ("W_img", "W_txt"):
+            if np.ndim(values[name]) != 2:
+                raise UsageError(f"{name} has shape {np.shape(values[name])}, expected 2-D")
         (d_img, d_shared), (d_txt, _) = np.shape(W_img), np.shape(W_txt)
         _, layout = _head_layout(d_img, d_txt, d_shared)
         self.record = np.zeros((), dtype=layout)
@@ -259,9 +262,15 @@ def _step(
     epoch: int,
     loss_rows: list[LossRow],
 ) -> None:
-    """One optimizer step on ``rows``, scheduled at the start of ``epoch``."""
+    """One optimizer step on ``rows``, scheduled at the start of ``epoch``; a
+    non-finite loss or parameter after it raises NumericalFailureError."""
     loss, grad = info_nce_grad(corpus.img[rows], corpus.txt[rows], head)
     lr = optimizer_step(state, head.theta, _flat(grad), t=epoch - 1, horizon=cfg.epochs)
+    if not (math.isfinite(loss) and np.all(np.isfinite(head.theta))):
+        raise NumericalFailureError(
+            f"training diverged at step {len(loss_rows) + 1} (epoch {epoch}): "
+            "non-finite loss or parameters"
+        )
     loss_rows.append(LossRow(step=len(loss_rows) + 1, epoch=epoch, lr=lr, loss=loss))
 
 

@@ -16,7 +16,7 @@ from protocurate.analysis import TestResult, t_sf_two_sided
 from protocurate.embedding import normalize_rows, pairwise_sq_distance, unify_batch
 from protocurate.errors import UsageError
 from protocurate.io import VERSION, _corpus_layout, _layout_size
-from protocurate.metrics import PromptPair, zero_shot_scores
+from protocurate.metrics import zero_shot_scores
 from protocurate.prototypes import PrototypeBank, decode_bank
 from protocurate.trainer import _logsumexp
 
@@ -92,18 +92,19 @@ def load_bank(path) -> PrototypeBank:
 
 
 def zero_shot_prob(
-    image_emb: np.ndarray, prompt: PromptPair, tau: float = 1.0, head=None
+    image_emb: np.ndarray, positive, negative, tau: float = 1.0, head=None
 ) -> float:
-    """Positive-class probability from the prompt-pair softmax.
+    """Positive-class probability of one image from the prompt-pair softmax.
 
     With ``head`` given (anything with a project_img method), the embedding
     is projected and re-normalized first; otherwise it is used as-is and
-    should already be unit-norm.
+    should already be unit-norm.  The prompt vectors are used as given.
     """
     img = np.asarray(image_emb, dtype=np.float64)[None, :]
     if head is not None:
         img = normalize_rows(head.project_img(img))
-    return float(zero_shot_scores(img, prompt, tau)[0])
+    pos, neg = (np.asarray(p, dtype=np.float64) for p in (positive, negative))
+    return float(zero_shot_scores(img, pos, neg, tau)[0])
 
 
 def midranks(x: np.ndarray) -> np.ndarray:

@@ -25,9 +25,8 @@ from protocurate.analysis import (
 from protocurate.cli import main
 from protocurate.config import EngineConfig
 from protocurate.curation import fps_select, run_curation
-from protocurate.embedding import normalize_rows
 from protocurate.io import Corpus, rows_for_ids
-from protocurate.metrics import PromptPair, auprc, auroc, evaluate_zero_shot
+from protocurate.metrics import auprc, auroc, evaluate_zero_shot
 from protocurate.prototypes import PrototypeBank, sinkhorn_from_cost
 from protocurate.synth import generate_corpus, generate_prompts
 from protocurate.trainer import (
@@ -472,20 +471,7 @@ TRAIN_EPOCHS = 8
 
 
 def zero_shot_numbers(head, held, prompt_raw):
-    names, pos, neg = prompt_raw
-    positive = normalize_rows(head.project_txt(pos))
-    negative = normalize_rows(head.project_txt(neg))
-    prompts = [
-        PromptPair(name=names[c], positive=positive[c], negative=negative[c])
-        for c in range(len(names))
-    ]
-    rep = evaluate_zero_shot(
-        head.project_img(held.img),
-        head.project_txt(held.txt),
-        held.labels,
-        prompts,
-        tau=head.tau,
-    )
+    rep = evaluate_zero_shot(head, held.img, held.txt, held.labels, *prompt_raw, head.tau)
     return rep.macro_auroc, rep.recall_img_to_txt
 
 

@@ -552,6 +552,21 @@ class TestMalformedInputs:
         assert "invalid head checkpoint" in err and detail in err
         assert [p.name for p in tmp_path.iterdir()] == ["h.bin"]
 
+    def test_collapsed_projection_named(self, workspace, tmp_path):
+        head = load_head(workspace["head"])
+        head.W_txt[:] = 0.0
+        head.b_txt[:] = 0.0
+        path = tmp_path / "h.bin"
+        commit_outputs([(path, encode_head(head))])
+        code, err = run_cli(
+            "eval", "--config", workspace["cfg"], "--corpus", workspace["corpus"],
+            "--prompts", workspace["prompts"], "--head", path, "--out", tmp_path / "m.json",
+        )
+        assert code == 1
+        assert_one_line_error(err)
+        assert "error: projected texts: row 0 is all-zero" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["h.bin"]
+
     def test_non_utf8_config(self, tmp_path):
         cfg = tmp_path / "engine.cfg"
         cfg.write_bytes(b"\xff\xfe\x00")
@@ -593,6 +608,23 @@ class TestUnfinishableConfigs:
         assert code == 3
         assert_one_line_error(err)
         assert "pool solve" in err and "curation iteration" in err
+        assert list(outputs.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["selection", "joint"])
+    def test_diverged_training_is_numerical_failure(self, workspace, tmp_path, mode):
+        cfg = tmp_path / "lr.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("learning_rate = 0.001", "learning_rate = 1e300"))
+        outputs = tmp_path / "out"
+        outputs.mkdir()
+        selection = ["--selection", workspace["selection"]] if mode == "selection" else []
+        code, err = run_cli(
+            "train", "--config", cfg, "--corpus", workspace["corpus"], *selection,
+            "--head-out", outputs / "h.bin", "--loss-out", outputs / "l.csv",
+        )
+        assert code == 3
+        # numpy's overflow warnings may come first; the error is the last line
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith("error: training diverged at step ")
         assert list(outputs.iterdir()) == []
 
     def test_out_of_memory_is_usage_error(self, tmp_path):

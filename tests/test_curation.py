@@ -427,6 +427,20 @@ class TestSelectionCsv:
         with pytest.raises(FormatError, match="line 2"):
             CuratedSelection.from_csv(good + "x,1,fps,0,0.5\n")
 
+    @pytest.mark.parametrize("line, detail", [
+        ("5,0,fps,0,0.5", "iteration 0 out of range"),
+        ("5,-1,fps,0,0.5", "iteration -1 out of range"),
+        ("5,1,fps,-7,0.5", "proto -7 out of range"),
+        ("5,1,fps,0,-0.5", "distance -0.5 out of range"),
+        ("5,1,fps,0,nan", "distance nan out of range"),
+        ("5,1,distant,0,inf", "distance inf out of range"),
+        ("5,-1,fps,-7,nan", "iteration -1 out of range"),
+    ])
+    def test_field_out_of_range(self, line, detail):
+        good = "id,iteration,reason,proto,distance\n1,1,fps,0,0.5\n"
+        with pytest.raises(FormatError, match=f"^selection line 3: {detail}$"):
+            CuratedSelection.from_csv(good + line + "\n")
+
     def test_stats_json(self):
         corpus = small_corpus(128 + 64, seed=13)
         selection, _ = run_curation(corpus, small_cfg())

@@ -91,9 +91,9 @@ class TestPairwiseDistance:
             pairwise_distance(a, b), naive_distance_matrix(a, b), atol=1e-12
         )
 
-    def test_chunked_path_matches_oracle(self):
+    def test_tall_batch_matches_oracle(self):
         rng = np.random.default_rng(3)
-        a = rng.standard_normal((1500, 3))  # spans two chunks
+        a = rng.standard_normal((1500, 3))
         b = rng.standard_normal((5, 3))
         np.testing.assert_allclose(
             pairwise_distance(a, b), naive_distance_matrix(a, b), atol=1e-10

@@ -7,36 +7,30 @@ import numpy as np
 import pytest
 
 from oracles import midranks, recall_at_1, zero_shot_prob
-from protocurate.errors import UndefinedMetricError, UsageError
+from protocurate.embedding import normalize_rows
+from protocurate.errors import DegenerateVectorError, UsageError
 from protocurate.io import commit_outputs
 from protocurate.metrics import (
     _RECALL_BLOCK,
     ClassMetrics,
     MetricReport,
-    PromptPair,
     _midranks,
     auprc,
     auroc,
     evaluate_zero_shot,
-    macro_average,
     recall_both_blocked,
-    zero_shot_scores,
 )
 from protocurate.trainer import identity_head
-
-
-def prompt(pos, neg, name="c"):
-    return PromptPair(name=name, positive=np.asarray(pos, float), negative=np.asarray(neg, float))
 
 
 class TestZeroShotProb:
     def test_unit_margin_value(self):
         # s_pos = 1, s_neg = 0, tau = 1: p = e/(1+e)
-        p = zero_shot_prob(np.array([1.0, 0.0]), prompt([1.0, 0.0], [0.0, 1.0]), tau=1.0)
+        p = zero_shot_prob(np.array([1.0, 0.0]), [1.0, 0.0], [0.0, 1.0], tau=1.0)
         assert p == pytest.approx(0.7310585786300049, abs=1e-15)
 
     def test_identical_prompts_give_half(self):
-        p = zero_shot_prob(np.array([1.0, 0.0]), prompt([0.6, 0.8], [0.6, 0.8]), tau=0.1)
+        p = zero_shot_prob(np.array([1.0, 0.0]), [0.6, 0.8], [0.6, 0.8], tau=0.1)
         assert p == 0.5
 
     def test_swapping_prompts_complements(self):
@@ -45,49 +39,55 @@ class TestZeroShotProb:
         img /= np.linalg.norm(img)
         a = rng.standard_normal(5)
         b = rng.standard_normal(5)
-        p = zero_shot_prob(img, prompt(a, b), tau=0.3)
-        q = zero_shot_prob(img, prompt(b, a), tau=0.3)
+        a /= np.linalg.norm(a)
+        b /= np.linalg.norm(b)
+        p = zero_shot_prob(img, a, b, tau=0.3)
+        q = zero_shot_prob(img, b, a, tau=0.3)
         assert p + q == pytest.approx(1.0, abs=1e-15)
 
     def test_monotone_in_margin(self):
         img = np.array([1.0, 0.0])
         neg = np.array([0.0, 1.0])
         probs = [
-            zero_shot_prob(img, prompt([c, math.sqrt(1 - c * c)], neg), tau=0.5)
+            zero_shot_prob(img, [c, math.sqrt(1 - c * c)], neg, tau=0.5)
             for c in (0.0, 0.3, 0.6, 0.9)
         ]
         assert all(a < b for a, b in zip(probs, probs[1:]))
 
     def test_temperature_sharpens(self):
         img = np.array([1.0, 0.0])
-        pp = prompt([1.0, 0.0], [0.0, 1.0])
-        mild = zero_shot_prob(img, pp, tau=1.0)
-        sharp = zero_shot_prob(img, pp, tau=0.05)
+        pp = ([1.0, 0.0], [0.0, 1.0])
+        mild = zero_shot_prob(img, *pp, tau=1.0)
+        sharp = zero_shot_prob(img, *pp, tau=0.05)
         assert sharp > mild > 0.5
 
     def test_extreme_margin_saturates_cleanly(self):
         img = np.array([1.0, 0.0])
-        pp = prompt([1.0, 0.0], [-1.0, 0.0])
-        p = zero_shot_prob(img, pp, tau=1e-3)
+        p = zero_shot_prob(img, [1.0, 0.0], [-1.0, 0.0], tau=1e-3)
         assert p == 1.0  # sigmoid saturates without overflow
-        q = zero_shot_prob(img, prompt([-1.0, 0.0], [1.0, 0.0]), tau=1e-3)
+        q = zero_shot_prob(img, [-1.0, 0.0], [1.0, 0.0], tau=1e-3)
         assert q == pytest.approx(0.0, abs=1e-300)
 
     def test_head_projection_path(self):
         rng = np.random.default_rng(1)
         img = rng.standard_normal(4)
-        pp = prompt(rng.standard_normal(4), rng.standard_normal(4))
-        with_head = zero_shot_prob(img, pp, tau=0.2, head=identity_head(4))
-        plain = zero_shot_prob(img / np.linalg.norm(img), pp, tau=0.2)
+        pp = normalize_rows(rng.standard_normal((2, 4)))
+        with_head = zero_shot_prob(img, *pp, tau=0.2, head=identity_head(4))
+        plain = zero_shot_prob(img / np.linalg.norm(img), *pp, tau=0.2)
         assert with_head == pytest.approx(plain, abs=1e-15)
 
     def test_bad_temperature(self):
-        with pytest.raises(UsageError):
-            zero_shot_prob(np.ones(2), prompt([1, 0], [0, 1]), tau=0.0)
+        images, texts, labels, names, pos, neg = separated_batch()
+        for tau in (0.0, -1.0, float("nan")):
+            with pytest.raises(UsageError, match="temperature"):
+                evaluate_identity(images, texts, labels, names, pos, neg, tau)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(UsageError, match="mismatch"):
-            zero_shot_scores(np.ones((2, 3)), prompt([1, 0], [0, 1]), tau=1.0)
+        images, texts, labels, names, pos, neg = separated_batch()
+        wide = np.hstack([pos, np.zeros((2, 1))])
+        for p, n in ((wide, neg), (pos, wide)):
+            with pytest.raises(UsageError, match="prompt dimension 3 does not match text side 2"):
+                evaluate_identity(images, texts, labels, names, p, n)
 
 
 def auroc_pair_oracle(scores, labels):
@@ -152,8 +152,8 @@ class TestAuroc:
         assert auroc(np.exp(scores), labels) == pytest.approx(base, abs=1e-12)
 
     def test_single_class_undefined(self):
-        with pytest.raises(UndefinedMetricError, match="positives"):
-            auroc(np.array([0.1, 0.2]), np.array([True, True]))
+        assert auroc(np.array([0.1, 0.2]), np.array([True, True])) is None
+        assert auroc(np.array([0.1, 0.2]), np.array([False, False])) is None
 
 
 def auprc_threshold_oracle(scores, labels):
@@ -203,24 +203,48 @@ class TestAuprc:
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_no_positives_undefined(self):
-        with pytest.raises(UndefinedMetricError):
-            auprc(np.array([0.1, 0.2]), np.array([False, False]))
+        assert auprc(np.array([0.1, 0.2]), np.array([False, False])) is None
+
+
+def scored_batch():
+    """Three classes whose AUROCs are 1, 0.75 and undefined (no positives).
+
+    Image i is the unit vector at angle theta_i; the prompts for class c are
+    e0 (positive) and e1 (negative), so every class ranks the images by
+    cos(theta_i) - sin(theta_i), descending in i.
+    """
+    theta = np.linspace(0.0, 1.5, 4)
+    images = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    labels = np.zeros((4, 3), bool)
+    labels[[0, 1], 0] = True  # ranked first and second: AUROC 1, AUPRC 1
+    labels[[0, 2], 1] = True  # first and third: AUROC 0.75, AUPRC 5/6
+    pos = np.tile([1.0, 0.0], (3, 1))
+    neg = np.tile([0.0, 1.0], (3, 1))
+    return images, images.copy(), labels, ["a", "b", "c"], pos, neg
 
 
 class TestMacroAverage:
     def test_excludes_undefined(self):
-        mean, excluded = macro_average([0.9, None, 0.7])
-        assert mean == pytest.approx(0.8, abs=1e-15)
-        assert excluded == 1
+        report = evaluate_identity(*scored_batch(), tau=1.0)
+        assert [c.auroc for c in report.per_class] == [1.0, 0.75, None]
+        assert report.macro_auroc == pytest.approx(0.875, abs=1e-15)
+        assert report.auroc_excluded == 1
+        assert report.macro_auprc == pytest.approx((1.0 + 5.0 / 6.0) / 2.0, abs=1e-15)
+        assert report.auprc_excluded == 1
 
     def test_all_defined(self):
-        mean, excluded = macro_average([0.5, 0.7])
-        assert mean == pytest.approx(0.6)
-        assert excluded == 0
+        images, texts, labels, names, pos, neg = scored_batch()
+        report = evaluate_identity(images, texts, labels[:, :2], names[:2], pos[:2], neg[:2])
+        assert report.macro_auroc == pytest.approx(0.875)
+        assert report.auroc_excluded == 0
+        assert report.auprc_excluded == 0
 
     def test_all_undefined(self):
-        with pytest.raises(UndefinedMetricError):
-            macro_average([None, None])
+        images, texts, labels, names, pos, neg = scored_batch()
+        labels[:] = False
+        report = evaluate_identity(images, texts, labels, names, pos, neg)
+        assert report.macro_auroc is None and report.macro_auprc is None
+        assert report.auroc_excluded == 3 and report.auprc_excluded == 3
 
 
 class TestRecallAt1:
@@ -356,14 +380,18 @@ def separated_batch(n_per_class=20, seed=7):
     labels = np.zeros((2 * n_per_class, 2), bool)
     labels[:n_per_class, 0] = True
     labels[n_per_class:, 1] = True
-    prompts = [prompt(e0, e1, "alpha"), prompt(e1, e0, "beta")]
-    return images, texts, labels, prompts
+    return images, texts, labels, ["alpha", "beta"], np.stack([e0, e1]), np.stack([e1, e0])
+
+
+def evaluate_identity(images, texts, labels, names, pos, neg, tau=0.1):
+    """``evaluate_zero_shot`` in the raw space: the identity head."""
+    head = identity_head(images.shape[1])
+    return evaluate_zero_shot(head, images, texts, labels, names, pos, neg, tau)
 
 
 class TestEvaluateZeroShot:
     def test_separated_classes_are_perfect(self):
-        images, texts, labels, prompts = separated_batch()
-        report = evaluate_zero_shot(images, texts, labels, prompts, tau=0.1)
+        report = evaluate_identity(*separated_batch())
         assert report.macro_auroc == 1.0
         assert report.macro_auprc == 1.0
         assert report.auroc_excluded == 0
@@ -373,10 +401,11 @@ class TestEvaluateZeroShot:
             assert c.n_pos == 20
 
     def test_empty_class_excluded_not_zeroed(self):
-        images, texts, labels, prompts = separated_batch()
+        images, texts, labels, names, pos, neg = separated_batch()
         labels = np.hstack([labels, np.zeros((len(labels), 1), bool)])
-        prompts = prompts + [prompt([1.0, 1.0], [0.0, 1.0], "gamma")]
-        report = evaluate_zero_shot(images, texts, labels, prompts, tau=0.1)
+        pos = np.vstack([pos, [1.0, 1.0]])
+        neg = np.vstack([neg, [0.0, 1.0]])
+        report = evaluate_identity(images, texts, labels, names + ["gamma"], pos, neg)
         assert report.auroc_excluded == 1
         assert report.auprc_excluded == 1
         assert report.macro_auroc == 1.0  # mean over defined classes only
@@ -384,13 +413,26 @@ class TestEvaluateZeroShot:
         assert gamma.auroc is None and gamma.auprc is None and gamma.n_pos == 0
 
     def test_labels_shape_checked(self):
-        images, texts, labels, prompts = separated_batch()
+        images, texts, labels, names, pos, neg = separated_batch()
         with pytest.raises(UsageError, match="prompt classes"):
-            evaluate_zero_shot(images, texts, labels[:, :1], prompts, tau=0.1)
+            evaluate_identity(images, texts, labels[:, :1], names, pos, neg)
+        with pytest.raises(UsageError, match="prompt classes"):
+            evaluate_identity(images, texts, labels, names, pos[:1], neg)
+
+    @pytest.mark.parametrize("arg, row, where", [
+        (0, 3, "images: row 3"),
+        (1, 3, "texts: row 3"),
+        (4, 1, "positive prompt of class 'beta': row 1"),
+        (5, 0, "negative prompt of class 'alpha': row 0"),
+    ])
+    def test_collapsed_input_named(self, arg, row, where):
+        inputs = list(separated_batch())
+        inputs[arg][row] = 0.0
+        with pytest.raises(DegenerateVectorError, match=f"^projected {where} is all-zero$"):
+            evaluate_identity(*inputs)
 
     def test_report_json_layout(self):
-        images, texts, labels, prompts = separated_batch()
-        report = evaluate_zero_shot(images, texts, labels, prompts, tau=0.1)
+        report = evaluate_identity(*separated_batch())
         doc = json.loads(report.to_json())
         assert list(doc) == [
             "n_samples",
@@ -424,8 +466,7 @@ class TestEvaluateZeroShot:
         assert lines[2] == "b,,,0,8"
 
     def test_write_files(self, tmp_path):
-        images, texts, labels, prompts = separated_batch()
-        report = evaluate_zero_shot(images, texts, labels, prompts, tau=0.1)
+        report = evaluate_identity(*separated_batch())
         jp = tmp_path / "m.json"
         cp = tmp_path / "m.csv"
         commit_outputs([(jp, report.to_json()), (cp, report.to_csv())])

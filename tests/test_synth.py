@@ -9,7 +9,7 @@ from protocurate.cli import main
 from protocurate.config import EngineConfig
 from protocurate.errors import ConfigError, FormatError
 from protocurate.io import commit_outputs, encode_corpus, read_corpus
-from protocurate.metrics import PromptPair, evaluate_zero_shot
+from protocurate.metrics import evaluate_zero_shot
 from protocurate.synth import (
     generate_corpus,
     generate_prompts,
@@ -17,6 +17,7 @@ from protocurate.synth import (
     prompts_json,
     read_prompts,
 )
+from protocurate.trainer import identity_head
 
 
 def small_cfg(**kw):
@@ -179,11 +180,7 @@ class TestPrompts:
         )
         corpus, _ = generate_corpus(cfg)
         pos, neg = generate_prompts(cfg)
-        prompts = [
-            PromptPair(name=f"c{i}", positive=pos[i], negative=neg[i])
-            for i in range(6)
-        ]
-        report = evaluate_zero_shot(
-            corpus.img, corpus.txt, corpus.labels, prompts, tau=1.0
-        )
+        names = [f"c{i}" for i in range(6)]
+        head = identity_head(corpus.d_img)
+        report = evaluate_zero_shot(head, corpus.img, corpus.txt, corpus.labels, names, pos, neg, 1.0)
         assert report.macro_auroc == 1.0

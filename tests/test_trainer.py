@@ -9,7 +9,7 @@ import pytest
 from oracles import info_nce
 from protocurate.config import EngineConfig
 from protocurate.curation import CuratedSelection, SelectionRow
-from protocurate.errors import FormatError, UsageError
+from protocurate.errors import FormatError, NumericalFailureError, UsageError
 from protocurate.io import commit_outputs, rows_for_ids
 from protocurate.synth import generate_corpus
 from protocurate.trainer import (
@@ -335,6 +335,13 @@ class TestTrainHead:
         with pytest.raises(UsageError):
             train_head(corpus, EngineConfig(**self.CFG), rows=np.array([], dtype=np.int64))
 
+    def test_divergence_stops_at_the_step(self):
+        corpus = paired_corpus(128, seed=26)
+        cfg = EngineConfig(**{**self.CFG, "learning_rate": 1e300})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailureError, match=r"diverged at step \d+ \(epoch 1\)"):
+                train_head(corpus, cfg)
+
 
 class TestSelectionRows:
     def test_maps_ids_to_rows(self):
@@ -437,13 +444,16 @@ class TestParameterRecord:
             np.testing.assert_array_equal(view, getattr(head, name))
         assert not np.any(head.theta == before)
 
-    # W_img and W_txt's first dims set the layout; every other shape is checked.
+    # W_img and W_txt must be 2-D, and their first dims set the layout; every
+    # other shape is checked against it.
     @pytest.mark.parametrize("name,bad", [
         ("b_img", np.zeros(3)),
         ("W_txt", np.zeros((4, 3))),
         ("b_txt", np.zeros(3)),
         ("b_txt", np.zeros((2, 1))),
         ("log_tau", np.zeros(1)),
+        ("W_img", np.zeros(3)),
+        ("W_txt", np.zeros((4, 2, 1))),
     ])
     def test_wrong_shape_named(self, name, bad):
         values = dict(
