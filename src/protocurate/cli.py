@@ -13,15 +13,12 @@ import argparse
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .analysis import run_analysis, write_analysis_bundle
 from .config import EngineConfig, load_config
 from .curation import CuratedSelection, run_curation
-from .errors import (
-    FormatError,
-    NumericalFailureError,
-    ProtocurateError,
-    UsageError,
-)
+from .errors import ProtocurateError, UsageError
 from .io import check_outputs, commit_outputs, encode_corpus, read_corpus
 from .io import rows_for_ids, validate_corpus
 from .metrics import evaluate_zero_shot
@@ -224,24 +221,20 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
 
     try:
-        # Every --out and --*-out option is an output file: check before any input is read.
-        check_outputs(v for k, v in vars(args).items() if k == "out" or k.endswith("_out"))
-        return _COMMANDS[args.command](args)
-    except NumericalFailureError as exc:
+        # Every consumer checks its results, so numpy's warnings would only add stderr lines.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # Every --out and --*-out option is an output file: check before any input is read.
+            check_outputs(v for k, v in vars(args).items() if k == "out" or k.endswith("_out"))
+            return _COMMANDS[args.command](args)
+    except ProtocurateError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except FileNotFoundError as exc:
         print(f"error: cannot open {exc.filename}: no such file", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ProtocurateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MemoryError as exc:
         # A size the config asked for that no allocation can meet.
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)

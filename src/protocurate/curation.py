@@ -195,26 +195,20 @@ def fps_select(
     if n <= budget:
         return np.arange(n)
 
-    def pick(score: np.ndarray, available: np.ndarray) -> int:
-        masked = np.where(available, score, -np.inf)
-        best = masked.max()
-        cands = np.flatnonzero(masked == best)
+    def pick(score: np.ndarray) -> int:
+        cands = np.flatnonzero(score == score.max())
         return int(cands[np.argmin(ids[cands])])
 
-    available = np.ones(n, dtype=bool)
     anchor_dist = np.linalg.norm(points - np.asarray(anchor, dtype=np.float64)[None, :], axis=1)
-    first = pick(anchor_dist, available)
-    chosen = [first]
-    available[first] = False
+    chosen = [pick(anchor_dist)]
     # After the first pick the anchor drops out; max-min runs over picks only.
-    min_dist = np.linalg.norm(points - points[first][None, :], axis=1)
+    # A picked point's min distance is 0, and -inf keeps it from a tie at 0.
+    min_dist = np.full(n, np.inf)
     for _ in range(budget - 1):
-        pos = pick(min_dist, available)
-        chosen.append(pos)
-        available[pos] = False
-        min_dist = np.minimum(
-            min_dist, np.linalg.norm(points - points[pos][None, :], axis=1)
-        )
+        last = chosen[-1]
+        np.minimum(min_dist, np.linalg.norm(points - points[last][None, :], axis=1), out=min_dist)
+        min_dist[last] = -np.inf
+        chosen.append(pick(min_dist))
     return np.asarray(chosen, dtype=np.int64)
 
 
@@ -326,12 +320,12 @@ def run_curation(
     warm = perm[: cfg.warmup_samples]
     stream = perm[cfg.warmup_samples :]
 
+    unify = unify_batch if head is None else head.unified
+
     def embed(rows: np.ndarray) -> np.ndarray:
         img, txt = corpus.img[rows], corpus.txt[rows]
         try:
-            if head is None:
-                return unify_batch(img, txt, cfg.curation_space)
-            return head.unified(img, txt, cfg.curation_space)
+            return unify(img, txt, cfg.curation_space)
         except DegenerateVectorError:
             # The error names a position in ``rows``; name the sample instead.
             validate_corpus(Corpus(ids=corpus.ids[rows], img=img, txt=txt))

@@ -16,22 +16,39 @@ from .errors import DegenerateVectorError, UsageError
 
 CURATION_SPACES = ("concat", "image_only", "text_only")
 
+# What the direction rule finds wrong with a row, in the order it looks, as messages say it.
+NO_DIRECTION = {
+    "non-finite": "has non-finite entries",
+    "overflowing": "has a norm that overflows float64",
+    "all-zero": "is all-zero",
+}
+
+
+def check_directions(mat: np.ndarray, norms: np.ndarray) -> None:
+    """The one rule for a vector without a direction: a row has one when its
+    float64 norm is finite and nonzero.  ``norms`` holds the norms or their
+    squares.  Raises DegenerateVectorError naming the first row without one, by
+    kind in NO_DIRECTION's order; only rows whose norm is not finite are read again."""
+    finite = np.isfinite(norms)
+    if finite.all() and norms.all():
+        return
+    suspect = np.flatnonzero(~finite)
+    entries_finite = np.isfinite(mat[suspect]).all(axis=1)
+    if not entries_finite.all():
+        row, kind = suspect[np.argmin(entries_finite)], "non-finite"
+    elif len(suspect):
+        row, kind = suspect[0], "overflowing"
+    else:
+        row, kind = np.argmin(norms != 0.0), "all-zero"
+    raise DegenerateVectorError(f"row {row} {NO_DIRECTION[kind]}", int(row), kind)
+
 
 def normalize_rows(mat: np.ndarray) -> np.ndarray:
-    """Scale each row of a 2-D batch to unit Euclidean norm, preserving direction.
-
-    Raises DegenerateVectorError naming the first all-zero or non-finite
-    row: a vector without a direction cannot participate in the curation
-    geometry.
-    """
+    """Each row of a 2-D batch scaled to unit norm; ``check_directions`` names a
+    row without a direction, which the curation geometry cannot use."""
     mat = np.asarray(mat, dtype=np.float64)
-    if not np.all(np.isfinite(mat)):
-        bad = int(np.flatnonzero(~np.all(np.isfinite(mat), axis=1))[0])
-        raise DegenerateVectorError(f"row {bad} has non-finite entries", bad)
     norms = np.linalg.norm(mat, axis=1)
-    if np.any(norms == 0.0):
-        bad = int(np.flatnonzero(norms == 0.0)[0])
-        raise DegenerateVectorError(f"row {bad} is all-zero", bad)
+    check_directions(mat, norms)
     return mat / norms[:, None]
 
 

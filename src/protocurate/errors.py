@@ -1,12 +1,14 @@
 """Exception hierarchy shared across the engine.
 
-Each class maps to one failure category so the CLI can translate
-exceptions into stable exit codes (usage=1, format/io=2, numerics=3).
+Each class maps to one failure category, and ``exit_code`` is the CLI's
+exit code for it (usage=1, format/io=2, numerics=3).
 """
 
 
 class ProtocurateError(Exception):
     """Base class for all engine errors."""
+
+    exit_code = 1
 
 
 class UsageError(ProtocurateError):
@@ -22,16 +24,20 @@ class InsufficientWarmupError(UsageError):
 
 
 class DegenerateVectorError(UsageError):
-    """All-zero or non-finite embedding vector where a direction is required.
-    ``row`` is its position in the batch, when known."""
+    """A vector without a direction where one is required.  ``row`` is its
+    position in the batch the direction rule checked and ``kind`` what the
+    rule found ("non-finite", "overflowing" or "all-zero"), when known."""
 
-    def __init__(self, message: str, row: int | None = None):
+    def __init__(self, message: str, row: int | None = None, kind: str | None = None):
         super().__init__(message)
         self.row = row
+        self.kind = kind
 
 
 class FormatError(ProtocurateError):
     """Malformed binary/CSV artifact.  Carries the byte offset when known."""
+
+    exit_code = 2
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:
@@ -42,3 +48,5 @@ class FormatError(ProtocurateError):
 
 class NumericalFailureError(ProtocurateError):
     """A numerical routine failed: no convergence within its budget, or training diverged."""
+
+    exit_code = 3

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embedding import check_directions
 from .errors import DegenerateVectorError, FormatError, UsageError
 
 MAGIC = b"XFICEMB1"
@@ -182,37 +183,27 @@ def read_corpus(path) -> Corpus:
 
 
 def validate_corpus(corpus: Corpus) -> None:
-    """Ingest-time checks beyond format validity.
+    """Ingest-time checks beyond format validity: duplicate ids, and embedding
+    halves without a direction, named by sample id as ``check_directions``
+    picks them (the codec round-trips such records, but no stage accepts them).
 
-    Rejects duplicate ids and degenerate (all-zero / non-finite) embedding
-    halves; the codec itself round-trips such records faithfully, but no
-    pipeline stage accepts them.  Per half, the first non-finite row is
-    named, else the first all-zero one.  Rows are widened to float64 one
-    block at a time, so a float32 row of tiny entries, whose float32 norm
-    underflows, still counts as nonzero.
+    Squared norms are taken on rows widened to float64 a block at a time, so
+    a float32 row whose float32 norm underflows still counts as nonzero.
     """
     if len(np.unique(corpus.ids)) != corpus.n:
         ids, counts = np.unique(corpus.ids, return_counts=True)
         dup = int(ids[counts > 1][0])
         raise UsageError(f"duplicate sample id {dup} in corpus")
     for name, mat in (("img", corpus.img), ("txt", corpus.txt)):
-        zero = None  # first all-zero row of this half
+        sq = np.empty(corpus.n)
         for start in range(0, corpus.n, _VALIDATE_ROWS):
             block = np.asarray(mat[start : start + _VALIDATE_ROWS], dtype=np.float64)
-            # A finite sum of squares proves a row finite; it is 0 only when
-            # every square is, which is the all-zero test norm == 0 makes.
-            sq = np.einsum("ij,ij->i", block, block)
-            suspect = np.flatnonzero(~np.isfinite(sq))
-            bad = suspect[~np.all(np.isfinite(block[suspect]), axis=1)]
-            if len(bad):
-                bad_id = int(corpus.ids[start + bad[0]])
-                raise DegenerateVectorError(f"sample id {bad_id} has non-finite {name} vector")
-            zeros = np.flatnonzero(sq == 0.0)
-            if zero is None and len(zeros):
-                zero = start + int(zeros[0])
-        if zero is not None:
-            bad_id = int(corpus.ids[zero])
-            raise DegenerateVectorError(f"sample id {bad_id} has all-zero {name} vector")
+            np.einsum("ij,ij->i", block, block, out=sq[start : start + _VALIDATE_ROWS])
+        try:
+            check_directions(mat, sq)
+        except DegenerateVectorError as exc:
+            bad = int(corpus.ids[exc.row])
+            raise DegenerateVectorError(f"sample id {bad} has {exc.kind} {name} vector") from None
 
 
 def rows_for_ids(haystack_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:

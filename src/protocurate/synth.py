@@ -15,7 +15,8 @@ import json
 import numpy as np
 
 from .config import EngineConfig
-from .errors import FormatError, UsageError
+from .embedding import NO_DIRECTION, check_directions, normalize_rows
+from .errors import DegenerateVectorError, FormatError
 from .io import Corpus
 
 
@@ -99,21 +100,11 @@ def generate_prompts(cfg: EngineConfig) -> tuple[np.ndarray, np.ndarray]:
     means = _cluster_means(cfg, rng)
     amap = _alignment_map(cfg, rng)
 
-    mapped = means @ amap.T
-    norms = np.linalg.norm(mapped, axis=1)
-    if np.any(norms == 0.0):
-        raise UsageError("degenerate cluster mean: zero vector under alignment map")
-    positive = mapped / norms[:, None]
-
+    positive = normalize_rows(means @ amap.T)
     if cfg.clusters == 1:
         negative = -positive
     else:
-        total = positive.sum(axis=0)
-        others = (total[None, :] - positive) / (cfg.clusters - 1)
-        other_norms = np.linalg.norm(others, axis=1)
-        if np.any(other_norms == 0.0):
-            raise UsageError("degenerate negative prompt: other-class mean is zero")
-        negative = others / other_norms[:, None]
+        negative = normalize_rows((positive.sum(axis=0) - positive) / (cfg.clusters - 1))
     return positive, negative
 
 
@@ -151,12 +142,11 @@ def read_prompts(path) -> tuple[list[str], np.ndarray, np.ndarray]:
             f"prompts file {path}: needs equal-length positive and negative vectors "
             "for one or more classes"
         )
-    for index in range(len(names)):
-        for key, vector in (("positive", positive[index]), ("negative", negative[index])):
-            if not np.all(np.isfinite(vector)):
-                raise FormatError(
-                    f"prompts file {path}: class {index} {key} vector has non-finite entries"
-                )
-            if not np.any(vector):
-                raise FormatError(f"prompts file {path}: class {index} {key} vector is all-zero")
+    for key, mat in (("positive", positive), ("negative", negative)):
+        try:
+            check_directions(mat, np.linalg.norm(mat, axis=1))
+        except DegenerateVectorError as exc:
+            raise FormatError(
+                f"prompts file {path}: class {exc.row} {key} vector {NO_DIRECTION[exc.kind]}"
+            ) from None
     return names, positive, negative

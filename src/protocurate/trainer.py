@@ -24,8 +24,8 @@ import numpy as np
 
 from .config import EngineConfig
 from .curation import CuratedSelection, run_curation
-from .embedding import unify_batch
-from .errors import FormatError, NumericalFailureError, UsageError
+from .embedding import check_directions, unify_batch
+from .errors import DegenerateVectorError, FormatError, NumericalFailureError, UsageError
 from .io import Corpus, decode_records, encode_records
 from .prototypes import PrototypeBank
 
@@ -33,6 +33,7 @@ HEAD_MAGIC = b"XFICHEAD"
 LOG_TAU_MIN = math.log(1e-3)
 LOG_TAU_MAX = math.log(0.5)
 PARAM_NAMES = ("W_img", "b_img", "W_txt", "b_txt", "log_tau")
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def _head_layout(d_img: int, d_txt: int, d_shared: int) -> tuple[int, list]:
@@ -128,15 +129,10 @@ def init_head(
     )
 
 
-def identity_head(dim: int, tau: float = 1.0) -> ProjectionHead:
-    """Pass-through head (square identity maps); used by eval when none is trained."""
-    return ProjectionHead(
-        W_img=np.eye(dim),
-        b_img=np.zeros(dim),
-        W_txt=np.eye(dim),
-        b_txt=np.zeros(dim),
-        log_tau=math.log(tau),
-    )
+def identity_head(dim: int) -> ProjectionHead:
+    """Pass-through head (square identity maps, tau 1); used by eval when none is trained."""
+    eye, zero = np.eye(dim), np.zeros(dim)
+    return ProjectionHead(W_img=eye, b_img=zero, W_txt=eye, b_txt=zero, log_tau=0.0)
 
 
 def info_nce_grad(
@@ -144,7 +140,8 @@ def info_nce_grad(
 ) -> tuple[float, np.ndarray]:
     """Loss and analytic gradient through projection + normalization.
 
-    Returns (loss, grad) with grad a record of ``head.record``'s dtype.
+    Returns (loss, grad) with grad a record of ``head.record``'s dtype.  A
+    projected row without a direction raises DegenerateVectorError.
     """
     x_img = np.asarray(raw_img, dtype=np.float64)
     x_txt = np.asarray(raw_txt, dtype=np.float64)
@@ -152,12 +149,13 @@ def info_nce_grad(
     if b < 1:
         raise UsageError("batch must be nonempty")
 
-    r_u = x_img @ head.W_img + head.b_img
-    r_v = x_txt @ head.W_txt + head.b_txt
+    r_u = head.project_img(x_img)
+    r_v = head.project_txt(x_txt)
+    # The norms stay for the backward pass, so the rule gets them directly.
     nu = np.linalg.norm(r_u, axis=1)
     nv = np.linalg.norm(r_v, axis=1)
-    if np.any(nu == 0.0) or np.any(nv == 0.0):
-        raise UsageError("projected embedding collapsed to zero; cannot normalize")
+    check_directions(r_u, nu)
+    check_directions(r_v, nv)
     u = r_u / nu[:, None]
     v = r_v / nv[:, None]
 
@@ -209,9 +207,6 @@ class OptimizerState:
 
     base_lr: float
     weight_decay: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: np.ndarray | float = 0.0
     v: np.ndarray | float = 0.0
@@ -228,13 +223,13 @@ def optimizer_step(
     """
     state.step_count += 1
     lr = cosine_lr(state.base_lr, t, horizon)
-    bc1 = 1.0 - state.beta1**state.step_count
-    bc2 = 1.0 - state.beta2**state.step_count
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad**2
+    bc1 = 1.0 - BETA1**state.step_count
+    bc2 = 1.0 - BETA2**state.step_count
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v = BETA2 * state.v + (1.0 - BETA2) * grad**2
     m_hat = state.m / bc1
     v_hat = state.v / bc2
-    theta -= lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * theta)
+    theta -= lr * (m_hat / (np.sqrt(v_hat) + EPS) + state.weight_decay * theta)
     theta[-1] = min(max(theta[-1], LOG_TAU_MIN), LOG_TAU_MAX)
     return lr
 
@@ -253,6 +248,11 @@ def loss_csv(rows: list[LossRow]) -> str:
     )
 
 
+def _diverged(loss_rows: list[LossRow], epoch: int, why: str) -> NumericalFailureError:
+    step = len(loss_rows) + 1
+    return NumericalFailureError(f"training diverged at step {step} (epoch {epoch}): {why}")
+
+
 def _step(
     corpus: Corpus,
     rows: np.ndarray,
@@ -263,14 +263,15 @@ def _step(
     loss_rows: list[LossRow],
 ) -> None:
     """One optimizer step on ``rows``, scheduled at the start of ``epoch``; a
-    non-finite loss or parameter after it raises NumericalFailureError."""
-    loss, grad = info_nce_grad(corpus.img[rows], corpus.txt[rows], head)
+    projected row without a direction before it, or a non-finite loss or
+    parameter after it, raises NumericalFailureError."""
+    try:
+        loss, grad = info_nce_grad(corpus.img[rows], corpus.txt[rows], head)
+    except DegenerateVectorError as exc:
+        raise _diverged(loss_rows, epoch, f"projected {exc}") from None
     lr = optimizer_step(state, head.theta, _flat(grad), t=epoch - 1, horizon=cfg.epochs)
     if not (math.isfinite(loss) and np.all(np.isfinite(head.theta))):
-        raise NumericalFailureError(
-            f"training diverged at step {len(loss_rows) + 1} (epoch {epoch}): "
-            "non-finite loss or parameters"
-        )
+        raise _diverged(loss_rows, epoch, "non-finite loss or parameters")
     loss_rows.append(LossRow(step=len(loss_rows) + 1, epoch=epoch, lr=lr, loss=loss))
 
 
@@ -332,7 +333,12 @@ def train_joint(
         minibatches.append(rows)
         _step(corpus, rows, head, state, cfg, 1, loss_rows)
 
-    selection, bank = run_curation(corpus, cfg, head=head, on_minibatch=on_minibatch)
+    try:
+        selection, bank = run_curation(corpus, cfg, head=head, on_minibatch=on_minibatch)
+    except DegenerateVectorError as exc:
+        if exc.row is None:  # a bad corpus row, named by id; else the head lost a direction
+            raise
+        raise _diverged(loss_rows, 1, f"projected {exc}") from None
     if len(selection) == 0:
         raise UsageError("joint training curated an empty selection; corpus too small")
 

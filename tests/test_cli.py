@@ -467,8 +467,12 @@ class TestMalformedInputs:
                 lambda doc: set_prompt_vector(doc, 0, "negative", lambda v: [0.0] * len(v)),
                 "class 0 negative",
             ),
+            (
+                lambda doc: set_prompt_vector(doc, 1, "positive", lambda v: [1e200] + v[1:]),
+                "class 1 positive vector has a norm that overflows float64",
+            ),
         ],
-        ids=["bad-syntax", "no-positive", "nan-positive", "zero-negative"],
+        ids=["bad-syntax", "no-positive", "nan-positive", "zero-negative", "overflow-positive"],
     )
     def test_malformed_prompts(self, workspace, tmp_path, edit, detail):
         prompts = tmp_path / "p.json"
@@ -622,9 +626,25 @@ class TestUnfinishableConfigs:
             "--head-out", outputs / "h.bin", "--loss-out", outputs / "l.csv",
         )
         assert code == 3
-        # numpy's overflow warnings may come first; the error is the last line
-        assert "Traceback" not in err
-        assert err.strip().splitlines()[-1].startswith("error: training diverged at step ")
+        assert_one_line_error(err)
+        assert err.startswith("error: training diverged at step ")
+        assert list(outputs.iterdir()) == []
+
+    def test_overflowing_projection_is_divergence(self, workspace, tmp_path):
+        # At this rate the weights stay finite, but a projected row's norm overflows.
+        cfg = tmp_path / "lr.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("learning_rate = 0.001", "learning_rate = 1e10"))
+        outputs = tmp_path / "out"
+        outputs.mkdir()
+        code, err = run_cli(
+            "train", "--config", cfg, "--corpus", workspace["corpus"],
+            "--selection", workspace["selection"],
+            "--head-out", outputs / "h.bin", "--loss-out", outputs / "l.csv",
+        )
+        assert code == 3
+        assert_one_line_error(err)
+        assert err.startswith("error: training diverged at step ")
+        assert "projected row " in err and "has a norm that overflows float64" in err
         assert list(outputs.iterdir()) == []
 
     def test_out_of_memory_is_usage_error(self, tmp_path):

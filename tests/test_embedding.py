@@ -1,16 +1,22 @@
 """Unified embedding construction and distance geometry."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import EmbeddingPair, pairwise_distance, unify
+from oracles import EmbeddingPair, first_without_direction, pairwise_distance, unify
 from protocurate.embedding import (
     CURATION_SPACES,
     normalize_rows,
     pairwise_sq_distance,
     unify_batch,
 )
-from protocurate.errors import DegenerateVectorError, UsageError
+from protocurate.errors import DegenerateVectorError, FormatError, UsageError
+from protocurate.io import Corpus, validate_corpus
+from protocurate.synth import read_prompts
 
 
 def naive_distance_matrix(a, b):
@@ -39,6 +45,58 @@ class TestNormalize:
         mat[1] = 0.0
         with pytest.raises(DegenerateVectorError, match="row 1"):
             normalize_rows(mat)
+
+    def test_overflowing_norm_raises(self):
+        # Finite entries whose squares overflow: the norm is inf, not a scale.
+        with np.errstate(over="ignore"), pytest.raises(
+            DegenerateVectorError, match="^row 1 has a norm that overflows float64$"
+        ):
+            normalize_rows(np.array([[1.0, 2.0], [1e200, 0.0]]))
+
+
+# Rows without a direction: a nan, an infinity, finite entries whose norm overflows, zeros.
+DEFECTS = ([np.nan, 1.0], [1.0, -np.inf], [1e200, -1e200], [0.0, -0.0])
+SAID = {
+    "non-finite": "has non-finite entries",
+    "overflowing": "has a norm that overflows float64",
+    "all-zero": "is all-zero",
+}
+
+
+class TestDirectionRule:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        placed=st.lists(st.tuples(st.integers(0, 7), st.sampled_from(DEFECTS)), max_size=4),
+        seed=st.integers(0, 1000),
+    )
+    def test_callers_name_the_same_first_row(self, tmp_path_factory, n, placed, seed):
+        mat = np.random.default_rng(seed).standard_normal((n, 2))
+        for at, defect in placed:
+            mat[at % n] = defect
+        expected = first_without_direction(mat)
+
+        corpus = Corpus(ids=np.arange(n) + 100, img=np.ones((n, 2)), txt=mat)
+        prompts = tmp_path_factory.mktemp("prompts") / "p.json"
+        classes = [
+            {"name": f"c{i}", "positive": row.tolist(), "negative": [1.0, 0.0]}
+            for i, row in enumerate(mat)
+        ]
+        prompts.write_text(json.dumps({"classes": classes}))
+        with np.errstate(over="ignore"):
+            if expected is None:
+                normalize_rows(mat)
+                validate_corpus(corpus)
+                read_prompts(prompts)
+                return
+            row, kind = expected
+            with pytest.raises(DegenerateVectorError, match=f"^row {row} {SAID[kind]}$") as caught:
+                normalize_rows(mat)
+            assert (caught.value.row, caught.value.kind) == expected
+            with pytest.raises(DegenerateVectorError, match=f"^sample id {row + 100} has {kind} txt"):
+                validate_corpus(corpus)
+            with pytest.raises(FormatError, match=f": class {row} positive vector {SAID[kind]}$"):
+                read_prompts(prompts)
 
 
 class TestUnify:

@@ -519,11 +519,11 @@ class TestHeadCheckpoint:
 class TestIdentityHead:
     def test_pass_through(self):
         rng = np.random.default_rng(32)
-        head = identity_head(6, tau=0.3)
+        head = identity_head(6)
         x = rng.standard_normal((4, 6))
         np.testing.assert_array_equal(head.project_img(x), x)
         np.testing.assert_array_equal(head.project_txt(x), x)
-        assert head.tau == pytest.approx(0.3)
+        assert head.tau == 1.0
 
     def test_unified_norms(self):
         rng = np.random.default_rng(33)
