@@ -19,29 +19,9 @@ import numpy as np
 from .config import EngineConfig
 from .embedding import unify_batch
 from .errors import DegenerateVectorError, UsageError
-from .io import Corpus, commit_outputs, rows_for_ids
+from .io import Corpus, commit_outputs
 
 _KNN_CHUNK = 128
-
-
-@dataclass
-class DensityProfile:
-    ids: np.ndarray
-    values: np.ndarray
-    k: int
-
-    @property
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    @property
-    def sd(self) -> float:
-        return float(self.values.std(ddof=1)) if len(self.values) > 1 else 0.0
-
-    def restrict(self, ids: np.ndarray) -> "DensityProfile":
-        """Sub-profile for the given ids (must all be present), keeping their order."""
-        rows = rows_for_ids(self.ids, ids)
-        return DensityProfile(ids=self.ids[rows], values=self.values[rows], k=self.k)
 
 
 @dataclass
@@ -67,11 +47,10 @@ class TestResult:
         }
 
 
-def knn_mean_distance(points: np.ndarray, k: int, ids: np.ndarray | None = None) -> DensityProfile:
-    """Mean Euclidean distance of each point to its k nearest other points.
-
-    Exact scan in row chunks, so working memory grows as chunk x n; k is
-    clamped to n-1.  Large values mark low-density (long-tail) regions.
+def knn_mean_distance(points: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """Mean Euclidean distance of each point to its k nearest other points, and
+    the k used: k is clamped to n-1.  Large values mark low-density (long-tail)
+    regions.  Exact scan in row chunks, so working memory grows as chunk x n.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
@@ -80,8 +59,6 @@ def knn_mean_distance(points: np.ndarray, k: int, ids: np.ndarray | None = None)
     if k < 1:
         raise UsageError("k must be >= 1")
     k_eff = min(k, n - 1)
-    if ids is None:
-        ids = np.arange(n, dtype=np.uint64)
 
     sq_norms = np.einsum("ij,ij->i", points, points)
     # 2·(P_i P^T) == P_i (2P)^T bit for bit: doubling is exact unless a
@@ -100,7 +77,7 @@ def knn_mean_distance(points: np.ndarray, k: int, ids: np.ndarray | None = None)
         block[rows - start, rows] = np.inf  # exclude self
         block.partition(k_eff - 1, axis=1)
         values[start:stop] = np.sqrt(block[:, :k_eff]).mean(axis=1)
-    return DensityProfile(ids=np.asarray(ids, dtype=np.uint64), values=values, k=k_eff)
+    return values, k_eff
 
 
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
@@ -114,19 +91,17 @@ def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
     return float(np.sort(values)[rank - 1])
 
 
-def low_density_proportion(
-    subset_profile: DensityProfile, full_profile: DensityProfile, quantile: float = 0.25
-) -> float:
-    """Fraction of the subset inside the full set's lowest-density band.
+def low_density_proportion(subset: np.ndarray, full: np.ndarray, quantile: float = 0.25) -> float:
+    """Fraction of the subset's kNN values inside the full set's lowest-density band.
 
     The band holds the ``quantile`` fraction of the full set with the
     LARGEST kNN distances; its threshold is the nearest-rank
-    (1-quantile)-quantile of the full profile.
+    (1-quantile)-quantile of the full values.
     """
-    if len(subset_profile.values) == 0:
+    if len(subset) == 0:
         raise UsageError("low_density_proportion needs a nonempty subset")
-    threshold = nearest_rank_quantile(full_profile.values, 1.0 - quantile)
-    return float(np.mean(subset_profile.values >= threshold))
+    threshold = nearest_rank_quantile(full, 1.0 - quantile)
+    return float(np.mean(np.asarray(subset) >= threshold))
 
 
 def _betainc_cf(a: float, b: float, x: float) -> float:
@@ -259,123 +234,74 @@ def ecdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniq, np.cumsum(counts) / len(values)
 
 
-def label_histogram(labels: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class counts and sample fractions of a (n, C) boolean label matrix."""
-    if labels is None:
-        raise UsageError("corpus carries no labels")
-    labels = np.asarray(labels).astype(bool)
-    if labels.ndim != 2 or len(labels) == 0:
-        raise UsageError("labels must be a nonempty (n, C) matrix")
-    counts = labels.sum(axis=0)
-    return counts, counts / len(labels)
-
-
-def label_comparison(
-    full_labels: np.ndarray | None, subset_labels: np.ndarray | None
-) -> list[dict]:
-    """Full-vs-subset class frequency table with deltas (Fig.-9-style data)."""
-    fc, ff = label_histogram(full_labels)
-    sc, sf = label_histogram(subset_labels)
-    if len(fc) != len(sc):
-        raise UsageError("full and subset label matrices disagree on class count")
-    return [
-        {
-            "class": f"class_{i}",
-            "count_full": int(fc[i]),
-            "frac_full": float(ff[i]),
-            "count_subset": int(sc[i]),
-            "frac_subset": float(sf[i]),
-            "delta": float(sf[i] - ff[i]),
-        }
-        for i in range(len(fc))
-    ]
-
-
-def run_analysis(corpus: Corpus, cfg: EngineConfig, selection_ids: np.ndarray | None = None) -> dict:
-    """Compute the full analysis bundle in memory.
-
-    Returns a dict of artifacts; write_analysis_bundle persists it.  The
-    subset profile is the full-corpus profile restricted to the selection,
-    so both sides live in the same density field.
-    """
-    unified = unify_batch(corpus.img, corpus.txt, cfg.curation_space)
-    full_profile = knn_mean_distance(unified, cfg.knn_k, ids=corpus.ids)
-    proj, explained = pca2(unified)
-
-    bundle: dict = {
-        "full_profile": full_profile,
-        "pca_projection": proj,
-        "pca_explained": explained,
-        "ecdf_full": ecdf(full_profile.values),
-        "tests": {
-            "knn_k": full_profile.k,
-            "full_mean_knn": full_profile.mean,
-            "full_sd_knn": full_profile.sd,
-            "pca_explained": [float(explained[0]), float(explained[1])],
-        },
-    }
-    if corpus.labels is not None:
-        counts, fracs = label_histogram(corpus.labels)
-        bundle["label_counts"] = counts
-        bundle["label_fracs"] = fracs
-
-    if selection_ids is not None:
-        subset_profile = full_profile.restrict(selection_ids)
-        bundle["subset_profile"] = subset_profile
-        bundle["ecdf_subset"] = ecdf(subset_profile.values)
-        test = welch_t(subset_profile.values, full_profile.values)
-        prop = low_density_proportion(subset_profile, full_profile, cfg.density_quantile)
-        bundle["tests"].update(
-            subset_mean_knn=subset_profile.mean,
-            subset_sd_knn=subset_profile.sd,
-            welch_subset_vs_full=test.to_dict(),
-            low_density_proportion=prop,
-            density_quantile=cfg.density_quantile,
-        )
-        if corpus.labels is not None:
-            rows = rows_for_ids(corpus.ids, selection_ids)
-            bundle["label_table"] = label_comparison(corpus.labels, corpus.labels[rows])
-    return bundle
-
-
 def _csv(header: str, lines) -> str:
     return header + "\n" + "".join(line + "\n" for line in lines)
 
 
-def write_analysis_bundle(out_dir, bundle: dict) -> None:
-    """Persist the bundle as the documented CSV/JSON files, all or none of them."""
-    profile: DensityProfile = bundle["full_profile"]
-    ids = [int(i) for i in profile.ids]
+def _ecdf_csv(values: np.ndarray) -> str:
+    return _csv("value,cum_frac", (f"{value:.9g},{frac:.9g}" for value, frac in zip(*ecdf(values))))
+
+
+def _labels_csv(labels: np.ndarray, rows: np.ndarray | None) -> str:
+    """Per-class counts and sample fractions of the corpus, and with ``rows``
+    those of the subset beside them and the change in fraction (Fig.-9-style)."""
+    full = labels.sum(axis=0)
+    frac_full = full / len(labels)
+    if rows is None:
+        lines = (f"class_{c},{full[c]},{frac_full[c]:.9g}" for c in range(len(full)))
+        return _csv("class,count,frac", lines)
+    subset = labels[rows].sum(axis=0)
+    frac_subset = subset / len(rows)
+    lines = (
+        f"class_{c},{full[c]},{frac_full[c]:.9g},{subset[c]},{frac_subset[c]:.9g},"
+        f"{frac_subset[c] - frac_full[c]:.9g}"
+        for c in range(len(full))
+    )
+    return _csv("class,count_full,frac_full,count_subset,frac_subset,delta", lines)
+
+
+def run_analysis(
+    corpus: Corpus, cfg: EngineConfig, rows: np.ndarray | None = None
+) -> dict[str, str]:
+    """The analyze protocol: the files it writes, as {name: text}.
+
+    ``rows`` are the corpus rows of a selection to compare against the
+    corpus.  The subset's kNN values are the full-corpus values at those
+    rows, so both sides live in the same density field.
+    """
+    unified = unify_batch(corpus.img, corpus.txt, cfg.curation_space)
+    values, k = knn_mean_distance(unified, cfg.knn_k)
+    proj, explained = pca2(unified)
+    ids = [int(i) for i in corpus.ids]
     files = {
-        "knn_profile.csv": _csv(
-            "id,knn_mean", (f"{i},{value:.9g}" for i, value in zip(ids, profile.values))
-        ),
-        "pca2.csv": _csv(
-            "id,pc1,pc2",
-            (f"{i},{row[0]:.9g},{row[1]:.9g}" for i, row in zip(ids, bundle["pca_projection"])),
-        ),
-        "tests.json": json.dumps(bundle["tests"], indent=2) + "\n",
+        "knn_profile.csv": _csv("id,knn_mean", (f"{i},{v:.9g}" for i, v in zip(ids, values))),
+        "pca2.csv": _csv("id,pc1,pc2", (f"{i},{p[0]:.9g},{p[1]:.9g}" for i, p in zip(ids, proj))),
+        "ecdf_full.csv": _ecdf_csv(values),
     }
-    for name in ("ecdf_full", "ecdf_subset"):
-        if name in bundle:
-            steps = zip(*bundle[name])
-            files[f"{name}.csv"] = _csv(
-                "value,cum_frac", (f"{value:.9g},{frac:.9g}" for value, frac in steps)
-            )
-    if "label_table" in bundle:
-        files["labels.csv"] = _csv(
-            "class,count_full,frac_full,count_subset,frac_subset,delta",
-            (
-                f"{row['class']},{row['count_full']},{row['frac_full']:.9g},"
-                f"{row['count_subset']},{row['frac_subset']:.9g},{row['delta']:.9g}"
-                for row in bundle["label_table"]
-            ),
+    tests = {
+        "knn_k": k,
+        "full_mean_knn": float(values.mean()),
+        "full_sd_knn": float(values.std(ddof=1)),
+        "pca_explained": [float(explained[0]), float(explained[1])],
+    }
+    if rows is not None:
+        subset = values[rows]
+        files["ecdf_subset.csv"] = _ecdf_csv(subset)
+        test = welch_t(subset, values)  # needs two subset rows, so their sd is defined
+        tests.update(
+            subset_mean_knn=float(subset.mean()),
+            subset_sd_knn=float(subset.std(ddof=1)),
+            welch_subset_vs_full=test.to_dict(),
+            low_density_proportion=low_density_proportion(subset, values, cfg.density_quantile),
+            density_quantile=cfg.density_quantile,
         )
-    elif "label_counts" in bundle:
-        counts = zip(bundle["label_counts"], bundle["label_fracs"])
-        files["labels.csv"] = _csv(
-            "class,count,frac",
-            (f"class_{i},{int(count)},{frac:.9g}" for i, (count, frac) in enumerate(counts)),
-        )
+    if corpus.labels is not None:
+        files["labels.csv"] = _labels_csv(corpus.labels, rows)
+    files["tests.json"] = json.dumps(tests, indent=2) + "\n"
+    return files
+
+
+def write_analysis_bundle(out_dir, files: dict[str, str]) -> None:
+    """Write ``run_analysis``'s files into ``out_dir``, all or none of them."""
     os.makedirs(out_dir, exist_ok=True)
     commit_outputs([(os.path.join(out_dir, name), text) for name, text in files.items()])

@@ -10,6 +10,7 @@ command writes all of its outputs or none of them.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import replace
 
@@ -94,6 +95,15 @@ def _read_corpus_checked(path):
     return corpus
 
 
+def _selection_rows(path, corpus):
+    """Corpus rows of the selection CSV at ``path``, in file order; an empty
+    selection or an id the corpus lacks is a usage error."""
+    selection = CuratedSelection.read_csv(path)
+    if len(selection) == 0:
+        raise UsageError(f"selection file {path} holds no samples")
+    return rows_for_ids(corpus.ids, selection.ids())
+
+
 def _cmd_generate(args) -> int:
     cfg = _load_cfg(args)
     corpus, _ = generate_corpus(cfg)
@@ -130,11 +140,7 @@ def _cmd_train(args) -> int:
     corpus = _read_corpus_checked(args.corpus)
     joint_outputs = []
     if args.selection:
-        selection = CuratedSelection.read_csv(args.selection)
-        if len(selection) == 0:
-            raise UsageError(f"selection file {args.selection} holds no samples")
-        rows = rows_for_ids(corpus.ids, selection.ids())
-        head, loss_rows = train_head(corpus, cfg, rows=rows)
+        head, loss_rows = train_head(corpus, cfg, rows=_selection_rows(args.selection, corpus))
     else:
         head, loss_rows, selection, bank = train_joint(corpus, cfg)
         joint_outputs = [
@@ -156,18 +162,8 @@ def _cmd_eval(args) -> int:
     if corpus.labels is None:
         raise UsageError("eval requires a labeled corpus")
     names, positive, negative = read_prompts(args.prompts)
-    if len(names) != corpus.n_labels:
-        raise UsageError(
-            f"prompts file has {len(names)} classes, corpus has {corpus.n_labels}"
-        )
     if args.head:
         head = load_head(args.head)
-        head_dims = (head.W_img.shape[0], head.W_txt.shape[0])
-        if head_dims != (corpus.d_img, corpus.d_txt):
-            raise UsageError(
-                f"head {args.head} takes {head_dims[0]}+{head_dims[1]} input dims, "
-                f"corpus has {corpus.d_img}+{corpus.d_txt}"
-            )
     elif corpus.d_img != corpus.d_txt:
         raise UsageError("eval without --head needs d_img == d_txt for the identity head")
     else:
@@ -188,17 +184,16 @@ def _cmd_eval(args) -> int:
 def _cmd_analyze(args) -> int:
     cfg = _load_cfg(args)
     corpus = _read_corpus_checked(args.corpus)
-    selection_ids = None
-    if args.selection:
-        selection_ids = CuratedSelection.read_csv(args.selection).ids()
-    bundle = run_analysis(corpus, cfg, selection_ids=selection_ids)
-    write_analysis_bundle(args.out_dir, bundle)
+    rows = _selection_rows(args.selection, corpus) if args.selection else None
+    files = run_analysis(corpus, cfg, rows)
+    write_analysis_bundle(args.out_dir, files)
+    tests = json.loads(files["tests.json"])
     extra = ""
-    if "low_density_proportion" in bundle["tests"]:
-        extra = f", low-density proportion {bundle['tests']['low_density_proportion']:.4f}"
+    if "low_density_proportion" in tests:
+        extra = f", low-density proportion {tests['low_density_proportion']:.4f}"
     print(
-        f"analyzed {corpus.n} samples (mean kNN "
-        f"{bundle['tests']['full_mean_knn']:.6g}{extra}) -> {args.out_dir}"
+        f"analyzed {corpus.n} samples (mean kNN {tests['full_mean_knn']:.6g}{extra}) "
+        f"-> {args.out_dir}"
     )
     return 0
 

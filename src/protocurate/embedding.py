@@ -16,11 +16,13 @@ from .errors import DegenerateVectorError, UsageError
 
 CURATION_SPACES = ("concat", "image_only", "text_only")
 
-# What the direction rule finds wrong with a row, in the order it looks, as messages say it.
+# What the direction rule finds wrong with a row, in the order it looks, as messages say it;
+# a zero norm is "all-zero" or, when the row has a nonzero entry, "underflowing".
 NO_DIRECTION = {
     "non-finite": "has non-finite entries",
     "overflowing": "has a norm that overflows float64",
     "all-zero": "is all-zero",
+    "underflowing": "has a norm that underflows float64",
 }
 
 
@@ -28,7 +30,8 @@ def check_directions(mat: np.ndarray, norms: np.ndarray) -> None:
     """The one rule for a vector without a direction: a row has one when its
     float64 norm is finite and nonzero.  ``norms`` holds the norms or their
     squares.  Raises DegenerateVectorError naming the first row without one, by
-    kind in NO_DIRECTION's order; only rows whose norm is not finite are read again."""
+    kind in NO_DIRECTION's order; only rows whose norm is not finite, and the
+    first zero-norm row, are read again."""
     finite = np.isfinite(norms)
     if finite.all() and norms.all():
         return
@@ -39,7 +42,8 @@ def check_directions(mat: np.ndarray, norms: np.ndarray) -> None:
     elif len(suspect):
         row, kind = suspect[0], "overflowing"
     else:
-        row, kind = np.argmin(norms != 0.0), "all-zero"
+        row = np.argmin(norms != 0.0)
+        kind = "underflowing" if mat[row].any() else "all-zero"
     raise DegenerateVectorError(f"row {row} {NO_DIRECTION[kind]}", int(row), kind)
 
 

@@ -26,7 +26,7 @@ class InsufficientWarmupError(UsageError):
 class DegenerateVectorError(UsageError):
     """A vector without a direction where one is required.  ``row`` is its
     position in the batch the direction rule checked and ``kind`` what the
-    rule found ("non-finite", "overflowing" or "all-zero"), when known."""
+    rule found (a key of ``embedding.NO_DIRECTION``), when known."""
 
     def __init__(self, message: str, row: int | None = None, kind: str | None = None):
         super().__init__(message)

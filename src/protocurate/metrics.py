@@ -201,12 +201,18 @@ def evaluate_zero_shot(
 
     ``img``/``txt`` are the raw corpus halves, ``labels`` their (n, C)
     boolean matrix and ``positive``/``negative`` the (C, d_txt) prompt
-    matrices, row c for class ``names[c]``.  ``head`` is anything with
-    ``project_img``/``project_txt``; all four matrices go through it and are
+    matrices, row c for class ``names[c]``.  ``head`` is a ``ProjectionHead``
+    taking the corpus's input dims; all four matrices go through it and are
     normalised once before scoring at temperature ``tau``.
     """
     if not tau > 0.0:
         raise UsageError("temperature must be > 0")
+    head_dims = (head.W_img.shape[0], head.W_txt.shape[0])
+    if head_dims != (img.shape[1], txt.shape[1]):
+        raise UsageError(
+            f"head takes {head_dims[0]}+{head_dims[1]} input dims, "
+            f"corpus has {img.shape[1]}+{txt.shape[1]}"
+        )
     labels = np.asarray(labels).astype(bool)
     if labels.ndim != 2 or {labels.shape[1], len(positive), len(negative)} != {len(names)}:
         raise UsageError(

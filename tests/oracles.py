@@ -73,16 +73,19 @@ def pairwise_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def first_without_direction(mat: np.ndarray) -> tuple[int, str] | None:
     """Loop form of ``embedding.check_directions``: (row, kind) of the first
     non-finite row, else of the first whose sum of squares overflows, else of
-    the first all-zero row; None when every row has a direction."""
+    the first whose sum of squares is zero, "all-zero" or, with a nonzero
+    entry, "underflowing"; None when every row has a direction."""
     rows = [[float(x) for x in row] for row in mat]
     tests = (
         ("non-finite", lambda row: not all(map(math.isfinite, row))),
         ("overflowing", lambda row: math.isinf(sum(x * x for x in row))),
-        ("all-zero", lambda row: not any(row)),
+        ("zero", lambda row: sum(x * x for x in row) == 0.0),
     )
     for kind, test in tests:
         for index, row in enumerate(rows):
             if test(row):
+                if kind == "zero":
+                    kind = "underflowing" if any(row) else "all-zero"
                 return index, kind
     return None
 

@@ -8,6 +8,7 @@ check, and tolerances are stated inline next to each assertion.
 """
 
 import copy
+import json
 import math
 import time
 
@@ -49,13 +50,13 @@ def default_runs():
         cfg = EngineConfig(seed=seed)
         corpus, _ = generate_corpus(cfg)
         selection, _ = run_curation(corpus, cfg)
-        bundle = run_analysis(corpus, cfg, selection_ids=selection.ids())
+        files = run_analysis(corpus, cfg, rows_for_ids(corpus.ids, selection.ids()))
         runs.append(
             {
                 "cfg": cfg,
                 "corpus": corpus,
                 "selection": selection,
-                "bundle": bundle,
+                "files": files,
             }
         )
     return runs
@@ -203,7 +204,7 @@ def test_01_oracle_equivalences():
             if inst % 2 == 0
             else rng.normal(size=(n, d))
         )
-        got = knn_mean_distance(points, k).values
+        got, _ = knn_mean_distance(points, k)
         dev = float(np.max(np.abs(got - knn_oracle(points, k))))
         worst_knn = max(worst_knn, dev)
         assert dev <= 1e-12
@@ -427,7 +428,7 @@ def test_05_low_density_enrichment(default_runs):
     passes = 0
     details = []
     for seed, run in enumerate(default_runs):
-        tests = run["bundle"]["tests"]
+        tests = json.loads(run["files"]["tests.json"])
         mean_up = tests["subset_mean_knn"] > tests["full_mean_knn"]
         p = tests["welch_subset_vs_full"]["p_value"]
         prop = tests["low_density_proportion"]
@@ -448,13 +449,12 @@ def test_06_head_class_rebalance(default_runs):
     passes = 0
     details = []
     for seed, run in enumerate(default_runs):
-        row = run["bundle"]["label_table"][0]
-        ok = row["frac_subset"] < row["frac_full"]
+        lines = run["files"]["labels.csv"].splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        frac_full, frac_subset = float(row["frac_full"]), float(row["frac_subset"])
+        ok = row["class"] == "class_0" and frac_subset < frac_full
         passes += ok
-        details.append(
-            f"seed {seed}: {row['frac_full']:.3f}->{row['frac_subset']:.3f} "
-            f"{'ok' if ok else 'MISS'}"
-        )
+        details.append(f"seed {seed}: {frac_full:.3f}->{frac_subset:.3f} {'ok' if ok else 'MISS'}")
     report(
         "06 head-class re-balance",
         passes >= 4,

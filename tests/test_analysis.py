@@ -13,12 +13,9 @@ import oracles
 from oracles import paired_t, run_summary
 from protocurate.analysis import (
     _KNN_CHUNK,
-    DensityProfile,
     betainc_regularized,
     ecdf,
     knn_mean_distance,
-    label_comparison,
-    label_histogram,
     low_density_proportion,
     nearest_rank_quantile,
     pca2,
@@ -28,7 +25,9 @@ from protocurate.analysis import (
     write_analysis_bundle,
 )
 from protocurate.config import EngineConfig
+from protocurate.embedding import unify_batch
 from protocurate.errors import DegenerateVectorError, UsageError
+from protocurate.io import Corpus
 from protocurate.synth import generate_corpus
 
 
@@ -64,13 +63,13 @@ def lattice_points(seed, n, copies=0):
 class TestKnnMeanDistance:
     def test_duplicated_points_have_zero_density_distance(self):
         points = np.repeat(np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]]), 2, axis=0)
-        profile = knn_mean_distance(points, k=1)
-        np.testing.assert_array_equal(profile.values, np.zeros(6))
+        values, _ = knn_mean_distance(points, k=1)
+        np.testing.assert_array_equal(values, np.zeros(6))
 
     def test_collinear_hand_values(self):
         points = np.array([[0.0], [1.0], [2.0]])
-        profile = knn_mean_distance(points, k=2)
-        np.testing.assert_allclose(profile.values, [1.5, 1.0, 1.5], atol=1e-12)
+        values, _ = knn_mean_distance(points, k=2)
+        np.testing.assert_allclose(values, [1.5, 1.0, 1.5], atol=1e-12)
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(0)
@@ -79,53 +78,35 @@ class TestKnnMeanDistance:
             d = int(rng.integers(1, 6))
             k = int(rng.integers(1, 8))
             points = rng.standard_normal((n, d))
-            profile = knn_mean_distance(points, k)
-            np.testing.assert_allclose(profile.values, naive_knn_mean(points, k), atol=1e-10)
+            values, _ = knn_mean_distance(points, k)
+            np.testing.assert_allclose(values, naive_knn_mean(points, k), atol=1e-10)
 
     def test_chunked_path_matches_oracle(self):
         rng = np.random.default_rng(1)
         points = rng.standard_normal((1500, 3))
-        profile = knn_mean_distance(points, k=5)
-        np.testing.assert_allclose(profile.values, naive_knn_mean(points, 5), atol=1e-8)
+        values, _ = knn_mean_distance(points, k=5)
+        np.testing.assert_allclose(values, naive_knn_mean(points, 5), atol=1e-8)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(2)
         points = rng.standard_normal((30, 4))
-        base = knn_mean_distance(points, 3).values
-        scaled = knn_mean_distance(points * 7.0, 3).values
+        base = knn_mean_distance(points, 3)[0]
+        scaled = knn_mean_distance(points * 7.0, 3)[0]
         np.testing.assert_allclose(scaled, base * 7.0, rtol=1e-9)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         points = rng.standard_normal((25, 3))
         perm = rng.permutation(25)
-        base = knn_mean_distance(points, 4).values
-        shuffled = knn_mean_distance(points[perm], 4).values
+        base = knn_mean_distance(points, 4)[0]
+        shuffled = knn_mean_distance(points[perm], 4)[0]
         np.testing.assert_allclose(shuffled, base[perm], atol=1e-12)
 
     def test_k_clamped_to_n_minus_1(self):
         points = np.random.default_rng(4).standard_normal((5, 2))
-        profile = knn_mean_distance(points, k=10)
-        assert profile.k == 4
-        np.testing.assert_allclose(profile.values, naive_knn_mean(points, 4), atol=1e-12)
-
-    def test_custom_ids_carried(self):
-        points = np.random.default_rng(5).standard_normal((4, 2))
-        ids = np.array([40, 10, 30, 20], dtype=np.uint64)
-        profile = knn_mean_distance(points, 2, ids=ids)
-        np.testing.assert_array_equal(profile.ids, ids)
-
-    def test_restrict_by_ids(self):
-        points = np.random.default_rng(6).standard_normal((10, 2))
-        profile = knn_mean_distance(points, 3)
-        sub = profile.restrict(np.array([7, 2, 5], dtype=np.uint64))
-        np.testing.assert_array_equal(sub.ids, [7, 2, 5])
-        np.testing.assert_array_equal(sub.values, profile.values[[7, 2, 5]])
-
-    def test_restrict_missing_id(self):
-        profile = knn_mean_distance(np.random.default_rng(7).standard_normal((5, 2)), 2)
-        with pytest.raises(UsageError, match="77"):
-            profile.restrict(np.array([1, 77], dtype=np.uint64))
+        values, k = knn_mean_distance(points, k=10)
+        assert k == 4
+        np.testing.assert_allclose(values, naive_knn_mean(points, 4), atol=1e-12)
 
     def test_too_few_points(self):
         with pytest.raises(UsageError):
@@ -141,7 +122,7 @@ class TestKnnBitIdentity:
     def test_matches_one_shot_oracle(self, n):
         points = lattice_points(n, n)
         for k in (1, 5):
-            assert np.array_equal(knn_mean_distance(points, k).values, oracles.knn_mean_distance(points, k))
+            assert np.array_equal(knn_mean_distance(points, k)[0], oracles.knn_mean_distance(points, k))
 
     def test_duplicated_points_clip_at_zero(self):
         points = lattice_points(11, 2 * _KNN_CHUNK + 45, copies=120)
@@ -150,12 +131,12 @@ class TestKnnBitIdentity:
         np.fill_diagonal(expanded, 0.0)
         assert (expanded < 0).any() and (expanded == 0).any()
         for k in (1, 3):
-            assert np.array_equal(knn_mean_distance(points, k).values, oracles.knn_mean_distance(points, k))
-        assert (knn_mean_distance(points, 1).values == 0).any()
+            assert np.array_equal(knn_mean_distance(points, k)[0], oracles.knn_mean_distance(points, k))
+        assert (knn_mean_distance(points, 1)[0] == 0).any()
 
     def test_k_above_n_minus_1_is_clamped(self):
         points = lattice_points(12, 6, copies=2)
-        assert np.array_equal(knn_mean_distance(points, 50).values, oracles.knn_mean_distance(points, 5))
+        assert np.array_equal(knn_mean_distance(points, 50)[0], oracles.knn_mean_distance(points, 5))
 
 
 class TestQuantileAndBand:
@@ -175,34 +156,18 @@ class TestQuantileAndBand:
         with pytest.raises(UsageError):
             nearest_rank_quantile(np.array([]), 0.5)
 
-    def _profiles(self, full_values, subset_values):
-        full = DensityProfile(
-            ids=np.arange(len(full_values), dtype=np.uint64),
-            values=np.asarray(full_values, float),
-            k=1,
-        )
-        sub = DensityProfile(
-            ids=np.arange(len(subset_values), dtype=np.uint64),
-            values=np.asarray(subset_values, float),
-            k=1,
-        )
-        return sub, full
-
     def test_self_proportion_with_distinct_values(self):
         values = np.arange(100.0)
-        sub, full = self._profiles(values, values)
         # threshold is the 75th smallest; ranks 75..100 sit at or above it
-        assert low_density_proportion(sub, full, 0.25) == pytest.approx(0.26)
+        assert low_density_proportion(values, values, 0.25) == pytest.approx(0.26)
 
     def test_top_band_subset_is_all_low_density(self):
         values = np.arange(100.0)
-        sub, full = self._profiles(values, values[-25:])
-        assert low_density_proportion(sub, full, 0.25) == 1.0
+        assert low_density_proportion(values[-25:], values, 0.25) == 1.0
 
     def test_bottom_subset_is_none(self):
         values = np.arange(100.0)
-        sub, full = self._profiles(values, values[:50])
-        assert low_density_proportion(sub, full, 0.25) == 0.0
+        assert low_density_proportion(values[:50], values, 0.25) == 0.0
 
 
 class TestBetaInc:
@@ -423,30 +388,39 @@ class TestEcdf:
             ecdf(np.array([]))
 
 
-class TestLabels:
-    def test_histogram(self):
-        labels = np.array([[1, 0], [1, 0], [0, 1], [1, 0]], bool)
-        counts, fracs = label_histogram(labels)
-        np.testing.assert_array_equal(counts, [3, 1])
-        np.testing.assert_allclose(fracs, [0.75, 0.25])
+def labeled_corpus(labels, seed=0):
+    """A small corpus of random 2+2-dim rows carrying the given label matrix."""
+    rng = np.random.default_rng(seed)
+    n = len(labels)
+    return Corpus(
+        ids=np.arange(n) + 100,
+        img=rng.standard_normal((n, 2)),
+        txt=rng.standard_normal((n, 2)),
+        labels=np.asarray(labels, bool),
+    )
 
-    def test_histogram_rejects_none(self):
-        with pytest.raises(UsageError, match="labels"):
-            label_histogram(None)
+
+class TestLabels:
+    """labels.csv: the corpus's class counts, and the subset's beside them."""
+
+    def test_histogram(self):
+        corpus = labeled_corpus([[1, 0], [1, 0], [0, 1], [1, 0]])
+        files = run_analysis(corpus, EngineConfig(knn_k=2))
+        assert files["labels.csv"] == "class,count,frac\nclass_0,3,0.75\nclass_1,1,0.25\n"
 
     def test_comparison_table(self):
-        full = np.array([[1, 0]] * 8 + [[0, 1]] * 2, bool)
-        subset = np.array([[1, 0]] * 2 + [[0, 1]] * 2, bool)
-        table = label_comparison(full, subset)
-        assert table[0]["class"] == "class_0"
-        assert table[0]["count_full"] == 8
-        assert table[0]["frac_subset"] == 0.5
-        assert table[0]["delta"] == pytest.approx(0.5 - 0.8)
-        assert table[1]["delta"] == pytest.approx(0.5 - 0.2)
+        corpus = labeled_corpus([[1, 0]] * 8 + [[0, 1]] * 2)
+        files = run_analysis(corpus, EngineConfig(knn_k=2), rows=np.array([0, 8, 1, 9]))
+        assert files["labels.csv"].splitlines() == [
+            "class,count_full,frac_full,count_subset,frac_subset,delta",
+            "class_0,8,0.8,2,0.5,-0.3",
+            "class_1,2,0.2,2,0.5,0.3",
+        ]
 
-    def test_comparison_class_count_mismatch(self):
-        with pytest.raises(UsageError, match="class count"):
-            label_comparison(np.ones((3, 2), bool), np.ones((3, 3), bool))
+    def test_unlabeled_corpus_has_no_table(self):
+        corpus = labeled_corpus([[1, 0]] * 4)
+        corpus.labels = None
+        assert "labels.csv" not in run_analysis(corpus, EngineConfig(knn_k=2), rows=np.arange(3))
 
 
 def analysis_corpus(n=400, seed=16):
@@ -465,51 +439,49 @@ def analysis_corpus(n=400, seed=16):
     return corpus
 
 
+def csv_rows(text):
+    return [line.split(",") for line in text.splitlines()[1:]]
+
+
 class TestRunAnalysis:
     def test_bundle_without_selection(self):
         corpus = analysis_corpus()
-        cfg = EngineConfig(knn_k=5)
-        bundle = run_analysis(corpus, cfg)
-        assert set(bundle) >= {"full_profile", "pca_projection", "pca_explained", "ecdf_full", "tests"}
-        assert "subset_profile" not in bundle
-        assert bundle["tests"]["knn_k"] == 5
-        assert bundle["full_profile"].values.shape == (400,)
-        assert bundle["pca_projection"].shape == (400, 2)
+        files = run_analysis(corpus, EngineConfig(knn_k=5))
+        assert set(files) == {"knn_profile.csv", "pca2.csv", "ecdf_full.csv", "labels.csv", "tests.json"}
+        tests = json.loads(files["tests.json"])
+        assert list(tests) == ["knn_k", "full_mean_knn", "full_sd_knn", "pca_explained"]
+        assert tests["knn_k"] == 5
+        assert len(csv_rows(files["knn_profile.csv"])) == 400
+        assert len(csv_rows(files["pca2.csv"])) == 400
 
     def test_bundle_with_selection(self):
         corpus = analysis_corpus(seed=17)
         cfg = EngineConfig(knn_k=5, density_quantile=0.25)
-        chosen = corpus.ids[np.arange(0, 400, 7)]
-        bundle = run_analysis(corpus, cfg, selection_ids=chosen)
-        sub = bundle["subset_profile"]
-        assert len(sub.values) == len(chosen)
-        # the subset profile reuses the full-corpus density field
-        full = bundle["full_profile"]
-        np.testing.assert_array_equal(
-            sub.values, full.restrict(chosen).values
-        )
-        t = bundle["tests"]
-        assert "welch_subset_vs_full" in t
-        assert 0.0 <= t["low_density_proportion"] <= 1.0
-        assert t["density_quantile"] == 0.25
-        assert "label_table" in bundle
-
-    def test_missing_selection_id(self):
-        corpus = analysis_corpus(seed=18)
-        with pytest.raises(UsageError, match="not present"):
-            run_analysis(corpus, EngineConfig(), selection_ids=np.array([10**9], dtype=np.uint64))
+        rows = np.arange(0, 400, 7)
+        files = run_analysis(corpus, cfg, rows)
+        # the subset's values are the full-corpus density field at its rows
+        values, _ = knn_mean_distance(unify_batch(corpus.img, corpus.txt), 5)
+        subset = values[rows]
+        tests = json.loads(files["tests.json"])
+        assert tests["subset_mean_knn"] == float(subset.mean())
+        assert tests["subset_sd_knn"] == float(subset.std(ddof=1))
+        assert tests["welch_subset_vs_full"] == welch_t(subset, values).to_dict()
+        assert tests["low_density_proportion"] == low_density_proportion(subset, values, 0.25)
+        assert tests["density_quantile"] == 0.25
+        ecdf_subset = [float(value) for value, _ in csv_rows(files["ecdf_subset.csv"])]
+        np.testing.assert_allclose(ecdf_subset, np.unique(subset), rtol=1e-8)
+        assert files["labels.csv"].startswith("class,count_full,")
 
     def test_written_bundle_files(self, tmp_path):
         corpus = analysis_corpus(seed=19)
-        cfg = EngineConfig(knn_k=4)
-        chosen = corpus.ids[:40]
-        bundle = run_analysis(corpus, cfg, selection_ids=chosen)
+        files = run_analysis(corpus, EngineConfig(knn_k=4), np.arange(40))
         out = tmp_path / "bundle"
-        write_analysis_bundle(out, bundle)
+        write_analysis_bundle(out, files)
+        assert {path.name: path.read_text() for path in out.iterdir()} == files
 
         knn = (out / "knn_profile.csv").read_text().splitlines()
         assert knn[0] == "id,knn_mean"
-        assert len(knn) == 401
+        assert [int(row[0]) for row in csv_rows(files["knn_profile.csv"])] == corpus.ids.tolist()
 
         for name in ("ecdf_full.csv", "ecdf_subset.csv"):
             lines = (out / name).read_text().splitlines()
@@ -530,9 +502,8 @@ class TestRunAnalysis:
 
     def test_written_bundle_without_selection_plain_labels(self, tmp_path):
         corpus = analysis_corpus(seed=20)
-        bundle = run_analysis(corpus, EngineConfig(knn_k=4))
         out = tmp_path / "bundle"
-        write_analysis_bundle(out, bundle)
+        write_analysis_bundle(out, run_analysis(corpus, EngineConfig(knn_k=4)))
         labels = (out / "labels.csv").read_text().splitlines()
         assert labels[0] == "class,count,frac"
         assert not (out / "ecdf_subset.csv").exists()

@@ -57,6 +57,13 @@ def assert_one_line_error(stderr):
     assert len(lines) == 1 and lines[0].startswith("error: "), stderr
 
 
+# The output options of each command that takes --selection, under a directory.
+SELECTION_OUTPUTS = {
+    "train": lambda d: ["--head-out", str(d / "h.bin"), "--loss-out", str(d / "l.csv")],
+    "analyze": lambda d: ["--out-dir", str(d / "analysis")],
+}
+
+
 def set_prompt_vector(doc, index, field, make):
     """JSON text of a prompts document with one class's vector replaced by ``make(vector)``."""
     entry = doc["classes"][index]
@@ -405,21 +412,22 @@ class TestFailureModes:
         assert main(["--help"]) == 0
         assert "generate" in capsys.readouterr().out
 
-    def test_empty_selection_file(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    def test_empty_selection_file(self, workspace, tmp_path, capsys, command):
         sel = tmp_path / "empty.csv"
         sel.write_text("id,iteration,reason,proto,distance\n")
         code = main(
             [
-                "train",
+                command,
                 "--config", workspace["cfg"],
                 "--corpus", workspace["corpus"],
                 "--selection", str(sel),
-                "--head-out", str(tmp_path / "h.bin"),
-                "--loss-out", str(tmp_path / "l.csv"),
+                *SELECTION_OUTPUTS[command](tmp_path),
             ]
         )
         assert code == 1
-        assert "no samples" in capsys.readouterr().err
+        assert f"selection file {sel} holds no samples" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["empty.csv"]
 
 
 class TestMalformedInputs:
@@ -453,6 +461,20 @@ class TestMalformedInputs:
         assert_one_line_error(err)
         assert f"line {len(rows) + 1}: duplicate id {rows[1].split(',')[0]}" in err
         assert not (tmp_path / "h.bin").exists()
+
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    def test_selection_id_not_in_corpus(self, workspace, tmp_path, command):
+        rows = open(workspace["selection"]).read().splitlines()
+        sel = tmp_path / "sel.csv"
+        sel.write_text("\n".join(rows + ["987654321,1,fps,0,0.5"]) + "\n")
+        code, err = run_cli(
+            command, "--config", workspace["cfg"], "--corpus", workspace["corpus"],
+            "--selection", sel, *SELECTION_OUTPUTS[command](tmp_path),
+        )
+        assert code == 1
+        assert_one_line_error(err)
+        assert "sample id 987654321 not present in corpus" in err
+        assert [path.name for path in tmp_path.iterdir()] == ["sel.csv"]
 
     @pytest.mark.parametrize(
         "edit, detail",
@@ -493,13 +515,9 @@ class TestMalformedInputs:
         rows = open(workspace["selection"]).read().splitlines()
         sel = tmp_path / "sel.csv"
         sel.write_text("\n".join(rows + [f"{bad_id},1,fps,0,0.5"]) + "\n")
-        outputs = {
-            "train": ["--head-out", tmp_path / "h.bin", "--loss-out", tmp_path / "l.csv"],
-            "analyze": ["--out-dir", tmp_path / "analysis"],
-        }[command]
         code, err = run_cli(
             command, "--config", workspace["cfg"], "--corpus", workspace["corpus"],
-            "--selection", sel, *outputs,
+            "--selection", sel, *SELECTION_OUTPUTS[command](tmp_path),
         )
         assert code == 2
         assert_one_line_error(err)

@@ -53,13 +53,23 @@ class TestNormalize:
         ):
             normalize_rows(np.array([[1.0, 2.0], [1e200, 0.0]]))
 
+    def test_underflowing_norm_raises(self):
+        # Nonzero entries whose squares underflow: the row is not all-zero, but its norm is 0.
+        with pytest.raises(
+            DegenerateVectorError, match="^row 0 has a norm that underflows float64$"
+        ) as caught:
+            normalize_rows(np.array([[1e-170, 1e-170]]))
+        assert caught.value.kind == "underflowing"
 
-# Rows without a direction: a nan, an infinity, finite entries whose norm overflows, zeros.
-DEFECTS = ([np.nan, 1.0], [1.0, -np.inf], [1e200, -1e200], [0.0, -0.0])
+
+# Rows without a direction: a nan, an infinity, finite entries whose norm overflows,
+# zeros, and nonzero entries whose norm underflows.
+DEFECTS = ([np.nan, 1.0], [1.0, -np.inf], [1e200, -1e200], [0.0, -0.0], [1e-170, -1e-170])
 SAID = {
     "non-finite": "has non-finite entries",
     "overflowing": "has a norm that overflows float64",
     "all-zero": "is all-zero",
+    "underflowing": "has a norm that underflows float64",
 }
 
 

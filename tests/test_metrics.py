@@ -419,6 +419,13 @@ class TestEvaluateZeroShot:
         with pytest.raises(UsageError, match="prompt classes"):
             evaluate_identity(images, texts, labels, names, pos[:1], neg)
 
+    def test_head_dims_checked(self):
+        # A head whose input dims differ from the data's is a usage error, not a matmul one.
+        images, texts, labels, names, pos, neg = separated_batch()
+        wide = [np.hstack([m, np.zeros((len(m), 2))]) for m in (images, texts, pos, neg)]
+        with pytest.raises(UsageError, match=r"^head takes 5\+5 input dims, corpus has 4\+4$"):
+            evaluate_zero_shot(identity_head(5), wide[0], wide[1], labels, names, *wide[2:], 0.1)
+
     @pytest.mark.parametrize("arg, row, where", [
         (0, 3, "images: row 3"),
         (1, 3, "texts: row 3"),
