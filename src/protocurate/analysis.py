@@ -266,9 +266,15 @@ def run_analysis(
     """The analyze protocol: the files it writes, as {name: text}.
 
     ``rows`` are the corpus rows of a selection to compare against the
-    corpus.  The subset's kNN values are the full-corpus values at those
-    rows, so both sides live in the same density field.
+    corpus; the comparison needs at least two.  The subset's kNN values are
+    the full-corpus values at those rows, so both sides live in the same
+    density field.
     """
+    if rows is not None and len(rows) < 2:
+        n = len(rows)
+        raise UsageError(
+            f"the selection holds {n} sample{'' if n == 1 else 's'}; analyze needs at least 2"
+        )
     unified = unify_batch(corpus.img, corpus.txt, cfg.curation_space)
     values, k = knn_mean_distance(unified, cfg.knn_k)
     proj, explained = pca2(unified)
@@ -287,7 +293,7 @@ def run_analysis(
     if rows is not None:
         subset = values[rows]
         files["ecdf_subset.csv"] = _ecdf_csv(subset)
-        test = welch_t(subset, values)  # needs two subset rows, so their sd is defined
+        test = welch_t(subset, values)
         tests.update(
             subset_mean_knn=float(subset.mean()),
             subset_sd_knn=float(subset.std(ddof=1)),

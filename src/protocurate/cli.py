@@ -20,8 +20,7 @@ from .analysis import run_analysis, write_analysis_bundle
 from .config import EngineConfig, load_config
 from .curation import CuratedSelection, run_curation
 from .errors import ProtocurateError, UsageError
-from .io import check_outputs, commit_outputs, encode_corpus, read_corpus
-from .io import rows_for_ids, validate_corpus
+from .io import check_outputs, commit_outputs, encode_corpus, read_corpus, validate_corpus
 from .metrics import evaluate_zero_shot
 from .prototypes import encode_bank
 from .synth import generate_corpus, generate_prompts, manifest_json, prompts_json, read_prompts
@@ -95,15 +94,6 @@ def _read_corpus_checked(path):
     return corpus
 
 
-def _selection_rows(path, corpus):
-    """Corpus rows of the selection CSV at ``path``, in file order; an empty
-    selection or an id the corpus lacks is a usage error."""
-    selection = CuratedSelection.read_csv(path)
-    if len(selection) == 0:
-        raise UsageError(f"selection file {path} holds no samples")
-    return rows_for_ids(corpus.ids, selection.ids())
-
-
 def _cmd_generate(args) -> int:
     cfg = _load_cfg(args)
     corpus, _ = generate_corpus(cfg)
@@ -140,7 +130,8 @@ def _cmd_train(args) -> int:
     corpus = _read_corpus_checked(args.corpus)
     joint_outputs = []
     if args.selection:
-        head, loss_rows = train_head(corpus, cfg, rows=_selection_rows(args.selection, corpus))
+        rows = CuratedSelection.read_csv(args.selection, corpus).records["row"]
+        head, loss_rows = train_head(corpus, cfg, rows=rows)
     else:
         head, loss_rows, selection, bank = train_joint(corpus, cfg)
         joint_outputs = [
@@ -184,7 +175,9 @@ def _cmd_eval(args) -> int:
 def _cmd_analyze(args) -> int:
     cfg = _load_cfg(args)
     corpus = _read_corpus_checked(args.corpus)
-    rows = _selection_rows(args.selection, corpus) if args.selection else None
+    rows = None
+    if args.selection:
+        rows = CuratedSelection.read_csv(args.selection, corpus).records["row"]
     files = run_analysis(corpus, cfg, rows)
     write_analysis_bundle(args.out_dir, files)
     tests = json.loads(files["tests.json"])

@@ -22,60 +22,57 @@ import numpy as np
 
 from .config import EngineConfig
 from .embedding import pairwise_sq_distance, unify_batch
-from .errors import (
-    DegenerateVectorError,
-    FormatError,
-    InsufficientWarmupError,
-    NumericalFailureError,
-    UsageError,
-)
-from .io import Corpus, validate_corpus
-from .prototypes import (
-    PrototypeBank,
-    init_kmeans,
-    sinkhorn_plan,
-    update_prototypes,
-)
+from .errors import DegenerateVectorError, FormatError, InsufficientWarmupError
+from .errors import NumericalFailureError, UsageError
+from .io import Corpus, rows_for_ids, validate_corpus
+from .prototypes import PrototypeBank, init_kmeans, sinkhorn_plan, update_prototypes
 
 REASONS = ("distant", "fps")
-
-
-@dataclass(frozen=True)
-class SelectionRow:
-    id: int
-    iteration: int
-    reason: str
-    proto: int
-    distance: float
+# One curated sample: its corpus row, then the columns of selection.csv.
+RECORD = np.dtype([
+    ("row", "<i8"), ("id", "<u8"), ("iteration", "<i8"),
+    ("reason", f"U{max(map(len, REASONS))}"), ("proto", "<i8"), ("distance", "<f8"),
+])
+COLUMNS = RECORD.names[1:]
+HEADER = ",".join(COLUMNS)
 
 
 @dataclass
 class CuratedSelection:
-    rows: list[SelectionRow] = field(default_factory=list)
+    """One ``RECORD`` per curated sample in emission order, and the
+    per-iteration stats of the run that curated them."""
+
+    records: np.ndarray
     stats: list[dict] = field(default_factory=list)
 
-    def ids(self) -> np.ndarray:
-        return np.array([row.id for row in self.rows], dtype=np.uint64)
-
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.records)
 
     def to_csv(self) -> str:
-        lines = ["id,iteration,reason,proto,distance"]
-        for row in self.rows:
-            # repr is the shortest exact float form, so a written selection
-            # survives a read back bit for bit
-            lines.append(
-                f"{row.id},{row.iteration},{row.reason},{row.proto},{row.distance!r}"
-            )
-        return "\n".join(lines) + "\n"
+        # repr is the shortest exact float form, so a written selection
+        # survives a read back bit for bit
+        columns = (self.records[name].tolist() for name in COLUMNS)
+        lines = (
+            f"{i},{iteration},{reason},{proto},{distance!r}"
+            for i, iteration, reason, proto, distance in zip(*columns)
+        )
+        return "\n".join([HEADER, *lines]) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str) -> "CuratedSelection":
-        lines = text.splitlines()
-        if not lines or lines[0] != "id,iteration,reason,proto,distance":
-            raise FormatError("selection file missing expected CSV header")
-        rows = []
+    def read_csv(cls, path, corpus: Corpus) -> "CuratedSelection":
+        """The selection file at ``path``, its ids found among ``corpus``'s rows.
+
+        A malformed line is a format error; a file without samples, or an id
+        the corpus lacks, is a usage error.
+        """
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                lines = fh.read().splitlines()
+            except UnicodeDecodeError:
+                raise FormatError(f"selection file {path}: not UTF-8 text") from None
+        if not lines or lines[0] != HEADER:
+            raise FormatError(f"selection file {path}: missing expected CSV header")
+        records = []
         line_of_id: dict[int, int] = {}
         for lineno, line in enumerate(lines[1:], start=2):
             if not line:
@@ -83,48 +80,36 @@ class CuratedSelection:
             parts = line.split(",")
             if len(parts) != 5:
                 raise FormatError(f"selection line {lineno}: expected 5 fields")
+            i, iteration, reason, proto, distance = parts
             try:
-                row = SelectionRow(
-                    id=int(parts[0]),
-                    iteration=int(parts[1]),
-                    reason=parts[2],
-                    proto=int(parts[3]),
-                    distance=float(parts[4]),
-                )
+                i, iteration, proto, distance = int(i), int(iteration), int(proto), float(distance)
             except ValueError:
                 raise FormatError(f"selection line {lineno}: malformed field") from None
-            if not 0 <= row.id < 2**64:
-                raise FormatError(f"selection line {lineno}: id {row.id} is not a uint64")
-            if row.reason not in REASONS:
-                raise FormatError(
-                    f"selection line {lineno}: unknown reason {row.reason!r}"
-                )
-            for name, ok in (
-                ("iteration", row.iteration >= 1),
-                ("proto", row.proto >= 0),
-                ("distance", 0.0 <= row.distance < math.inf),
+            if not 0 <= i < 2**64:
+                raise FormatError(f"selection line {lineno}: id {i} is not a uint64")
+            if reason not in REASONS:
+                raise FormatError(f"selection line {lineno}: unknown reason {reason!r}")
+            for name, value, ok in (
+                ("iteration", iteration, 1 <= iteration < 2**63),
+                ("proto", proto, 0 <= proto < 2**63),
+                ("distance", distance, 0.0 <= distance < math.inf),
             ):
                 if not ok:
-                    raise FormatError(
-                        f"selection line {lineno}: {name} {getattr(row, name)!r} out of range"
-                    )
-            if row.id in line_of_id:
+                    raise FormatError(f"selection line {lineno}: {name} {value!r} out of range")
+            if i in line_of_id:
                 raise FormatError(
-                    f"selection line {lineno}: duplicate id {row.id} "
-                    f"(first on line {line_of_id[row.id]})"
+                    f"selection line {lineno}: duplicate id {i} (first on line {line_of_id[i]})"
                 )
-            line_of_id[row.id] = lineno
-            rows.append(row)
-        return cls(rows=rows)
-
-    @classmethod
-    def read_csv(cls, path) -> "CuratedSelection":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError:
-                raise FormatError(f"selection file {path}: not UTF-8 text") from None
-        return cls.from_csv(text)
+            line_of_id[i] = lineno
+            records.append((0, i, iteration, reason, proto, distance))
+        if not records:
+            raise UsageError(f"selection file {path} holds no samples")
+        records = np.array(records, dtype=RECORD)
+        try:
+            records["row"] = rows_for_ids(corpus.ids, records["id"])
+        except UsageError as exc:
+            raise UsageError(f"selection file {path}: {exc}") from None
+        return cls(records)
 
     def stats_json(self) -> str:
         return json.dumps(self.stats, indent=2) + "\n"
@@ -225,34 +210,26 @@ def _solve(z: np.ndarray, bank: PrototypeBank, cfg: EngineConfig, what: str):
 
 def curate_superbatch(
     z: np.ndarray, ids: np.ndarray, bank: PrototypeBank, cfg: EngineConfig
-) -> tuple[list[tuple[int, str, int, float]], dict]:
-    """One iteration of the curation pipeline over a super-batch.
+) -> tuple[np.ndarray, dict]:
+    """One iteration of the curation pipeline over a nonempty super-batch.
 
-    Returns (mini-batch records, stats).  Records are (position in the
-    super-batch, reason, nearest prototype index, distance) in emission
+    Returns (mini-batch records, stats).  The ``RECORD``s come in emission
     order: retained distant samples first (distance descending), then FPS
-    picks grouped by cluster index in pick order.  Mutates the bank via the
-    EMA update.
+    picks grouped by cluster index in pick order.  Their ``row`` is the
+    position in the super-batch and their ``iteration`` is 0.  Mutates the
+    bank via the EMA update.
     """
     z = np.asarray(z, dtype=np.float64)
     ids = np.asarray(ids, dtype=np.uint64)
-    m = len(ids)
-    stats: dict = {"superbatch": m}
-    if m == 0:
-        stats.update(trimmed=0, distant=0, pool=0, fps=0, minibatch=0)
-        return [], stats
-
     proto_idx, dist = score_superbatch(z, bank)
 
     kept, trimmed = trim_outliers(ids, dist, cfg.outlier_frac)
-    distant_local, pool_local = select_distant(
-        ids[kept], dist[kept], cfg.keep_frac
-    )
+    distant_local, pool_local = select_distant(ids[kept], dist[kept], cfg.keep_frac)
     distant = kept[distant_local]
     pool = kept[pool_local]
 
     # EngineConfig keeps outlier_frac and keep_frac below 1 and per_cluster_budget
-    # at 1 or more, so for m >= 1 the pool and the mini-batch are never empty.
+    # at 1 or more, so the pool and the mini-batch are never empty.
     pool_sink = _solve(z[pool], bank, cfg, "pool")
     hard = pool_sink.hard_assignment()
     order = [distant]
@@ -263,16 +240,20 @@ def curate_superbatch(
             order.append(members[picks])
 
     mb = np.concatenate(order)
-    records = [
-        (int(pos), "distant" if i < len(distant) else "fps", int(proto_idx[pos]), float(dist[pos]))
-        for i, pos in enumerate(mb)
-    ]
+    records = np.zeros(len(mb), dtype=RECORD)
+    records["row"] = mb
+    records["id"] = ids[mb]
+    records["reason"] = "fps"
+    records["reason"][: len(distant)] = "distant"
+    records["proto"] = proto_idx[mb]
+    records["distance"] = dist[mb]
 
     z_mb = z[mb]
     update_sink = _solve(z_mb, bank, cfg, "mini-batch update")
     skipped = update_prototypes(update_sink, z_mb, bank)
 
-    stats.update(
+    stats = dict(
+        superbatch=len(ids),
         trimmed=int(len(trimmed)),
         distant=int(len(distant)),
         pool=int(len(pool)),
@@ -339,32 +320,29 @@ def run_curation(
         ema_alpha=cfg.ema_alpha,
     )
 
-    selection = CuratedSelection()
-    target = cfg.target_subset_size
-    iteration = 0
-    for start in range(0, len(stream), cfg.superbatch_size):
+    chunks = [np.zeros(0, dtype=RECORD)]
+    all_stats = []
+    emitted = 0
+    for iteration, start in enumerate(range(0, len(stream), cfg.superbatch_size), start=1):
         rows = stream[start : start + cfg.superbatch_size]
-        iteration += 1
-        ids = corpus.ids[rows]
         try:
-            records, stats = curate_superbatch(embed(rows), ids, bank, cfg)
+            records, stats = curate_superbatch(embed(rows), corpus.ids[rows], bank, cfg)
         except NumericalFailureError as exc:
             raise NumericalFailureError(f"curation iteration {iteration}: {exc}") from exc
 
-        if target is not None and len(selection) + len(records) > target:
-            records = records[: target - len(selection)]
-        for pos, reason, proto, distance in records:
-            selection.rows.append(
-                SelectionRow(int(ids[pos]), iteration, reason, proto, distance)
-            )
-        stats["iteration"] = iteration
-        stats["emitted"] = len(records)
-        selection.stats.append(stats)
+        if cfg.target_subset_size is not None:
+            records = records[: cfg.target_subset_size - emitted]
+        records["row"] = rows[records["row"]]
+        records["iteration"] = iteration
+        stats.update(iteration=iteration, emitted=len(records))
+        chunks.append(records)
+        all_stats.append(stats)
+        emitted += len(records)
 
-        if on_minibatch is not None and records:
-            on_minibatch(rows[[rec[0] for rec in records]])
+        if on_minibatch is not None:
+            on_minibatch(records["row"])
 
-        if target is not None and len(selection) >= target:
+        if emitted == cfg.target_subset_size:
             break
 
-    return selection, bank
+    return CuratedSelection(np.concatenate(chunks), all_stats), bank

@@ -327,10 +327,8 @@ def train_joint(
     state = OptimizerState(base_lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
     loss_rows: list[LossRow] = []
-    minibatches: list[np.ndarray] = []  # the selection's rows, in selection order
 
     def on_minibatch(rows: np.ndarray) -> None:
-        minibatches.append(rows)
         _step(corpus, rows, head, state, cfg, 1, loss_rows)
 
     try:
@@ -342,9 +340,8 @@ def train_joint(
     if len(selection) == 0:
         raise UsageError("joint training curated an empty selection; corpus too small")
 
-    rows = np.concatenate(minibatches)
     for epoch in range(2, cfg.epochs + 1):
-        _epoch_steps(corpus, rows, head, state, rng, cfg, epoch, loss_rows)
+        _epoch_steps(corpus, selection.records["row"], head, state, rng, cfg, epoch, loss_rows)
     return head, loss_rows, selection, bank
 
 

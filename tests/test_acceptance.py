@@ -26,7 +26,7 @@ from protocurate.analysis import (
 from protocurate.cli import main
 from protocurate.config import EngineConfig
 from protocurate.curation import fps_select, run_curation
-from protocurate.io import Corpus, rows_for_ids
+from protocurate.io import Corpus
 from protocurate.metrics import auprc, auroc, evaluate_zero_shot
 from protocurate.prototypes import PrototypeBank, sinkhorn_from_cost
 from protocurate.synth import generate_corpus, generate_prompts
@@ -50,7 +50,7 @@ def default_runs():
         cfg = EngineConfig(seed=seed)
         corpus, _ = generate_corpus(cfg)
         selection, _ = run_curation(corpus, cfg)
-        files = run_analysis(corpus, cfg, rows_for_ids(corpus.ids, selection.ids()))
+        files = run_analysis(corpus, cfg, selection.records["row"])
         runs.append(
             {
                 "cfg": cfg,
@@ -490,7 +490,7 @@ def test_07_curated_beats_random(default_runs):
         held = take_rows(corpus, slice(corpus.n - HELD_OUT, corpus.n))
 
         selection, _ = run_curation(pool, EngineConfig(seed=seed))
-        rows_cur = rows_for_ids(pool.ids, selection.ids())
+        rows_cur = selection.records["row"]
         rng = np.random.default_rng(9000 + seed)
         rows_rnd = rng.choice(pool.n, size=len(rows_cur), replace=False)
         rows_per_seed.append(len(rows_cur))

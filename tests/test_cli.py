@@ -15,7 +15,7 @@ import protocurate
 from oracles import load_bank
 from protocurate.cli import main
 from protocurate.curation import CuratedSelection
-from protocurate.io import Corpus, commit_outputs, encode_corpus
+from protocurate.io import Corpus, commit_outputs, encode_corpus, read_corpus
 from protocurate.trainer import encode_head, init_head, load_head
 
 SMALL_CONFIG = """\
@@ -162,7 +162,8 @@ class TestHappyPath:
         assert len(prompts["classes"]) == 4
 
     def test_curate_artifacts(self, workspace):
-        selection = CuratedSelection.read_csv(workspace["selection"])
+        corpus = read_corpus(workspace["corpus"])
+        selection = CuratedSelection.read_csv(workspace["selection"], corpus)
         assert 0 < len(selection) <= 3 * (6 + 4 * 10)
         bank = load_bank(workspace["protos"])
         assert bank.protos.shape == (4, 16)  # K x concat dim
@@ -252,7 +253,7 @@ class TestModes:
             ]
         )
         assert code == 0
-        assert len(CuratedSelection.read_csv(out)) == 10
+        assert len(CuratedSelection.read_csv(out, read_corpus(workspace["corpus"]))) == 10
 
     def test_train_joint_writes_selection_and_bank(self, workspace, tmp_path):
         code = main(
@@ -268,7 +269,7 @@ class TestModes:
             ]
         )
         assert code == 0
-        sel = CuratedSelection.read_csv(tmp_path / "s.csv")
+        sel = CuratedSelection.read_csv(tmp_path / "s.csv", read_corpus(workspace["corpus"]))
         assert len(sel) > 0
         assert load_bank(tmp_path / "p.bin").update_count == 3
         stats = json.loads((tmp_path / "stats.json").read_text())
@@ -473,8 +474,35 @@ class TestMalformedInputs:
         )
         assert code == 1
         assert_one_line_error(err)
-        assert "sample id 987654321 not present in corpus" in err
+        assert f"selection file {sel}: sample id 987654321 not present in corpus" in err
         assert [path.name for path in tmp_path.iterdir()] == ["sel.csv"]
+
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    def test_selection_without_header(self, workspace, tmp_path, command):
+        rows = open(workspace["selection"]).read().splitlines()
+        sel = tmp_path / "sel.csv"
+        sel.write_text("\n".join(rows[1:]) + "\n")
+        code, err = run_cli(
+            command, "--config", workspace["cfg"], "--corpus", workspace["corpus"],
+            "--selection", sel, *SELECTION_OUTPUTS[command](tmp_path),
+        )
+        assert code == 2
+        assert_one_line_error(err)
+        assert f"selection file {sel}: missing expected CSV header" in err
+        assert [path.name for path in tmp_path.iterdir()] == ["sel.csv"]
+
+    def test_analyze_one_sample_selection(self, workspace, tmp_path):
+        rows = open(workspace["selection"]).read().splitlines()
+        sel = tmp_path / "one.csv"
+        sel.write_text("\n".join(rows[:2]) + "\n")
+        code, err = run_cli(
+            "analyze", "--config", workspace["cfg"], "--corpus", workspace["corpus"],
+            "--selection", sel, *SELECTION_OUTPUTS["analyze"](tmp_path),
+        )
+        assert code == 1
+        assert_one_line_error(err)
+        assert "the selection holds 1 sample; analyze needs at least 2" in err
+        assert [path.name for path in tmp_path.iterdir()] == ["one.csv"]
 
     @pytest.mark.parametrize(
         "edit, detail",

@@ -1,6 +1,7 @@
 """Curation loop: trimming, distant retention, FPS, full-epoch runs."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from protocurate import curation
 from protocurate.config import EngineConfig
 from protocurate.curation import (
+    RECORD,
     CuratedSelection,
     curate_superbatch,
     fps_select,
@@ -211,25 +213,24 @@ class TestCurateSuperbatch:
     def test_record_structure(self):
         z, ids, bank = self._setup(seed=1)
         records, stats = curate_superbatch(z, ids, bank, EngineConfig())
-        # a record leads with the sample's position in the super-batch
-        assert all(0 <= r[0] < len(ids) for r in records)
-        got_ids = [int(ids[r[0]]) for r in records]
-        assert len(set(got_ids)) == len(got_ids)
-        assert set(got_ids) <= set(int(i) for i in ids)
-        for _, reason, proto, d in records:
-            assert reason in ("distant", "fps")
-            assert 0 <= proto < bank.k
-            assert d >= 0.0
-        distant = [r for r in records if r[1] == "distant"]
-        fps = [r for r in records if r[1] == "fps"]
-        assert len(distant) == stats["distant"]
+        assert records.dtype == RECORD
+        # a record's row is the sample's position in the super-batch
+        assert np.all((0 <= records["row"]) & (records["row"] < len(ids)))
+        assert np.array_equal(records["id"], ids[records["row"]])
+        assert len(np.unique(records["id"])) == len(records)
+        assert np.all(records["iteration"] == 0)  # run_curation stamps it
+        assert set(records["reason"]) <= {"distant", "fps"}
+        assert np.all((0 <= records["proto"]) & (records["proto"] < bank.k))
+        assert np.all(records["distance"] >= 0.0)
+        n_distant = stats["distant"]
         # distant block leads and is sorted by distance descending
-        assert records[: len(distant)] == distant
-        dd = [r[3] for r in distant]
-        assert all(a >= b for a, b in zip(dd, dd[1:]))
+        assert np.all(records["reason"][:n_distant] == "distant")
+        assert np.all(records["reason"][n_distant:] == "fps")
+        dd = records["distance"][:n_distant]
+        assert np.all(dd[:-1] >= dd[1:])
         # retained distances dominate the pooled ones
-        if distant and fps:
-            assert min(dd) >= max(r[3] for r in fps)
+        assert n_distant and len(records) > n_distant
+        assert dd.min() >= records["distance"][n_distant:].max()
 
     def test_mutates_bank(self):
         z, ids, bank = self._setup(seed=2)
@@ -245,15 +246,7 @@ class TestCurateSuperbatch:
         assert stats["distant"] == 0
         assert stats["pool"] == 1
         assert len(records) == 1
-        assert records[0][1] == "fps"
-
-    def test_empty_superbatch(self):
-        _, _, bank = self._setup(seed=4)
-        records, stats = curate_superbatch(
-            np.zeros((0, 16)), np.zeros(0, dtype=np.uint64), bank, EngineConfig()
-        )
-        assert records == []
-        assert stats["minibatch"] == 0
+        assert records["reason"][0] == "fps"
 
     def test_sinkhorn_stats_recorded(self):
         z, ids, bank = self._setup(seed=5)
@@ -286,10 +279,11 @@ class TestRunCuration:
         selection, bank = run_curation(corpus, small_cfg())
         assert [s["iteration"] for s in selection.stats] == [1, 2, 3]
         assert bank.update_count == 3
-        iters = sorted({row.iteration for row in selection.rows})
-        assert iters == [1, 2, 3]
-        ids = selection.ids()
+        assert np.unique(selection.records["iteration"]).tolist() == [1, 2, 3]
+        ids = selection.records["id"]
         assert len(np.unique(ids)) == len(ids)
+        # each record's row is the corpus row of its id
+        assert np.array_equal(corpus.ids[selection.records["row"]], ids)
 
     def test_ragged_final_superbatch(self):
         corpus = small_corpus(128 + 64 + 20)
@@ -314,7 +308,7 @@ class TestRunCuration:
         assert len(full) > 20
         capped, _ = run_curation(corpus, small_cfg(target_subset_size=20))
         assert len(capped) == 20
-        assert [r.id for r in capped.rows] == [r.id for r in full.rows[:20]]
+        assert np.array_equal(capped.records, full.records[:20])
 
     def test_warmup_shortfall_raises(self):
         corpus = small_corpus(100)
@@ -327,7 +321,7 @@ class TestRunCuration:
         rng = np.random.default_rng(cfg.seed)
         warm_rows = rng.permutation(corpus.n)[: cfg.warmup_samples]
         warm_ids = set(int(i) for i in corpus.ids[warm_rows])
-        got = set(int(i) for i in run_curation(corpus, cfg)[0].ids())
+        got = set(run_curation(corpus, cfg)[0].records["id"].tolist())
         assert not (got & warm_ids)
 
     def test_minibatch_callback_sees_selected_rows(self):
@@ -335,10 +329,7 @@ class TestRunCuration:
         seen = []
         selection, _ = run_curation(corpus, small_cfg(), on_minibatch=seen.append)
         assert len(seen) == 2
-        flat = np.concatenate(seen)
-        assert np.array_equal(
-            corpus.ids[flat], selection.ids()
-        )
+        assert np.array_equal(np.concatenate(seen), selection.records["row"])
 
         # a target that runs out three records into the second mini-batch
         first = selection.stats[0]["emitted"]
@@ -347,8 +338,8 @@ class TestRunCuration:
             corpus, small_cfg(target_subset_size=first + 3), on_minibatch=seen.append
         )
         assert [len(rows) for rows in seen] == [first, 3]
-        assert np.array_equal(corpus.ids[np.concatenate(seen)], capped.ids())
-        assert np.array_equal(capped.ids(), selection.ids()[: first + 3])
+        assert np.array_equal(np.concatenate(seen), capped.records["row"])
+        assert np.array_equal(capped.records, selection.records[: first + 3])
 
     def test_frozen_embeds_one_superbatch_at_a_time(self, monkeypatch):
         corpus = small_corpus(128 + 3 * 64 + 20, seed=12)
@@ -398,34 +389,49 @@ class TestRunCuration:
 
 
 class TestSelectionCsv:
-    def test_round_trip(self):
-        corpus = small_corpus(128 + 64, seed=11)
+    HEADER = "id,iteration,reason,proto,distance\n"
+
+    @staticmethod
+    def read(tmp_path, text, corpus=None):
+        path = tmp_path / "sel.csv"
+        path.write_text(text)
+        return CuratedSelection.read_csv(path, corpus or small_corpus(16))
+
+    @staticmethod
+    def named(tmp_path):
+        """Pattern of the message prefix that names the file ``read`` wrote."""
+        return f"^selection file {re.escape(str(tmp_path / 'sel.csv'))}"
+
+    def test_round_trip(self, tmp_path):
+        corpus = small_corpus(128 + 2 * 64, seed=11)
         selection, _ = run_curation(corpus, small_cfg())
-        back = CuratedSelection.from_csv(selection.to_csv())
-        assert back.rows == selection.rows
+        text = selection.to_csv()
+        assert text.startswith(self.HEADER)
+        back = self.read(tmp_path, text, corpus)
+        assert back.records.dtype == RECORD
+        assert np.array_equal(back.records, selection.records)  # row included
+        assert back.to_csv() == text
 
     def test_file_round_trip(self, tmp_path):
         corpus = small_corpus(128 + 64, seed=12)
         selection, _ = run_curation(corpus, small_cfg())
         p = tmp_path / "sel.csv"
         commit_outputs([(p, selection.to_csv())])
-        assert CuratedSelection.read_csv(p).rows == selection.rows
-        text = p.read_text()
-        assert text.startswith("id,iteration,reason,proto,distance\n")
+        assert p.read_text().startswith(self.HEADER)
+        back = CuratedSelection.read_csv(p, corpus)
+        assert np.array_equal(back.records, selection.records)
 
-    def test_bad_header(self):
-        with pytest.raises(FormatError, match="header"):
-            CuratedSelection.from_csv("id,reason\n1,fps\n")
+    def test_bad_header(self, tmp_path):
+        with pytest.raises(FormatError, match=self.named(tmp_path) + ": .*header"):
+            self.read(tmp_path, "id,reason\n1,fps\n")
 
-    def test_bad_reason(self):
-        good = "id,iteration,reason,proto,distance\n"
+    def test_bad_reason(self, tmp_path):
         with pytest.raises(FormatError, match="reason"):
-            CuratedSelection.from_csv(good + "1,1,outlier,0,0.5\n")
+            self.read(tmp_path, self.HEADER + "1,1,outlier,0,0.5\n")
 
-    def test_malformed_field(self):
-        good = "id,iteration,reason,proto,distance\n"
+    def test_malformed_field(self, tmp_path):
         with pytest.raises(FormatError, match="line 2"):
-            CuratedSelection.from_csv(good + "x,1,fps,0,0.5\n")
+            self.read(tmp_path, self.HEADER + "x,1,fps,0,0.5\n")
 
     @pytest.mark.parametrize("line, detail", [
         ("5,0,fps,0,0.5", "iteration 0 out of range"),
@@ -435,11 +441,26 @@ class TestSelectionCsv:
         ("5,1,fps,0,nan", "distance nan out of range"),
         ("5,1,distant,0,inf", "distance inf out of range"),
         ("5,-1,fps,-7,nan", "iteration -1 out of range"),
+        (f"5,{2**63},fps,0,0.5", f"iteration {2**63} out of range"),
+        (f"5,1,fps,{2**63},0.5", f"proto {2**63} out of range"),
     ])
-    def test_field_out_of_range(self, line, detail):
-        good = "id,iteration,reason,proto,distance\n1,1,fps,0,0.5\n"
+    def test_field_out_of_range(self, tmp_path, line, detail):
+        good = self.HEADER + "1,1,fps,0,0.5\n"
         with pytest.raises(FormatError, match=f"^selection line 3: {detail}$"):
-            CuratedSelection.from_csv(good + line + "\n")
+            self.read(tmp_path, good + line + "\n")
+
+    def test_empty_selection(self, tmp_path):
+        with pytest.raises(UsageError, match=self.named(tmp_path) + " holds no samples$"):
+            self.read(tmp_path, self.HEADER)
+
+    def test_id_not_in_corpus(self, tmp_path):
+        corpus = small_corpus(16)
+        text = self.HEADER + f"{corpus.ids[3]},1,fps,0,0.5\n987654321,1,fps,0,0.5\n"
+        with pytest.raises(
+            UsageError,
+            match=self.named(tmp_path) + ": sample id 987654321 not present in corpus$",
+        ):
+            self.read(tmp_path, text, corpus)
 
     def test_stats_json(self):
         corpus = small_corpus(128 + 64, seed=13)

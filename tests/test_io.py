@@ -25,6 +25,7 @@ from protocurate.io import (
     decode_corpus,
     encode_corpus,
     read_corpus,
+    rows_for_ids,
     validate_corpus,
 )
 from protocurate.prototypes import PROTO_MAGIC, PrototypeBank, decode_bank, encode_bank
@@ -237,6 +238,17 @@ class TestValidation:
                 img=np.zeros((3, 2)),
                 txt=np.zeros((2, 2)),
             )
+
+
+class TestRowsForIds:
+    def test_ids_come_back_in_order(self):
+        haystack = np.array([40, 10, 30, 20, 50], dtype=np.uint64)
+        np.testing.assert_array_equal(rows_for_ids(haystack, [20, 40, 50, 10]), [3, 0, 4, 1])
+
+    def test_missing_id_named(self):
+        haystack = np.array([40, 10, 30], dtype=np.uint64)
+        with pytest.raises(UsageError, match="^sample id 999999 not present in corpus$"):
+            rows_for_ids(haystack, [30, 999999])
 
 
 def test_read_and_validate_hold_one_copy_of_the_file(tmp_path):

@@ -91,6 +91,12 @@ def test_every_definition_has_a_library_caller():
     assert unused_definitions(PACKAGE, library_use_names()) == []
 
 
+def test_one_id_to_row_lookup():
+    """The selection reader is the one library code that maps ids to corpus rows."""
+    _, refs = scan_package(PACKAGE)
+    assert refs[("io", "rows_for_ids")] == {("curation", "CuratedSelection")}
+
+
 def test_scan_follows_imports_and_dead_callers(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()

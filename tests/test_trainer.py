@@ -8,9 +8,8 @@ import pytest
 
 from oracles import info_nce
 from protocurate.config import EngineConfig
-from protocurate.curation import CuratedSelection, SelectionRow
 from protocurate.errors import FormatError, NumericalFailureError, UsageError
-from protocurate.io import commit_outputs, rows_for_ids
+from protocurate.io import commit_outputs
 from protocurate.synth import generate_corpus
 from protocurate.trainer import (
     LOG_TAU_MAX,
@@ -341,26 +340,6 @@ class TestTrainHead:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailureError, match=r"diverged at step \d+ \(epoch 1\)"):
                 train_head(corpus, cfg)
-
-
-class TestSelectionRows:
-    def test_maps_ids_to_rows(self):
-        corpus = paired_corpus(64, seed=26)
-        sel = CuratedSelection(
-            rows=[
-                SelectionRow(id=int(corpus.ids[7]), iteration=1, reason="fps", proto=0, distance=0.1),
-                SelectionRow(id=int(corpus.ids[3]), iteration=1, reason="distant", proto=1, distance=0.9),
-            ]
-        )
-        np.testing.assert_array_equal(rows_for_ids(corpus.ids, sel.ids()), [7, 3])
-
-    def test_missing_id_named(self):
-        corpus = paired_corpus(16, seed=27)
-        sel = CuratedSelection(
-            rows=[SelectionRow(id=999999, iteration=1, reason="fps", proto=0, distance=0.0)]
-        )
-        with pytest.raises(UsageError, match="999999"):
-            rows_for_ids(corpus.ids, sel.ids())
 
 
 class TestTrainJoint:
