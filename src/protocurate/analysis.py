@@ -17,12 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EngineConfig
-from .embedding import unify_batch
+from .embedding import exact_pairs, float32_cut, float32_scan, unify_batch, unit_scaled
 from .errors import DegenerateVectorError, UsageError
 from .io import Corpus, commit_outputs
-
-_KNN_CHUNK = 128
-
 
 @dataclass
 class TestResult:
@@ -47,10 +44,30 @@ class TestResult:
         }
 
 
+def _k_smallest(values: np.ndarray, row: np.ndarray, rows: int, k: int) -> np.ndarray:
+    """Each of ``rows`` rows' k smallest ``values``, unsorted; ``row`` gives the
+    row of each value in nondecreasing order, and every row has at least k."""
+    counts = np.bincount(row, minlength=rows)
+    padded = np.full((rows, counts.max()), np.inf, dtype=values.dtype)
+    padded[row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]] = values
+    padded.partition(k - 1, axis=1)
+    return padded[:, :k]
+
+
 def knn_mean_distance(points: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     """Mean Euclidean distance of each point to its k nearest other points, and
     the k used: k is clamped to n-1.  Large values mark low-density (long-tail)
-    regions.  Exact scan in row chunks, so working memory grows as chunk x n.
+    regions.
+
+    Exact, and the same bits for any SCAN_BLOCK: each value is the mean of the
+    square roots of the row's k smallest float64 ||p_i - p_j||^2, computed by
+    elementwise difference and summed in ascending order.  Only the pairs
+    that can be among them are computed: ``float32_scan`` of [p, |p|^2, 1] .
+    [-2p, 1, |p|^2] approximates every squared distance, and with t_i the k-th
+    smallest off-diagonal entry of row i, each of the k nearest has an entry
+    <= t_i + margin.  Column j falls in group j % groups; a row's k-th
+    smallest group minimum is an entry of k other points, so it bounds t_i
+    from above, and only groups whose minimum is under the cut are read.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
@@ -60,23 +77,37 @@ def knn_mean_distance(points: np.ndarray, k: int) -> tuple[np.ndarray, int]:
         raise UsageError("k must be >= 1")
     k_eff = min(k, n - 1)
 
-    sq_norms = np.einsum("ij,ij->i", points, points)
-    # 2·(P_i P^T) == P_i (2P)^T bit for bit: doubling is exact unless a
-    # product is subnormal.
-    twice = 2.0 * points
+    # With at least 32 groups of 32 columns, the < 32 padding columns sit in
+    # the last layer, so every group minimum is a real entry of another point.
+    per = 32 if n >= 32 * max(k_eff + 1, 32) else 1
+    groups = -(-n // per)
+    q = unit_scaled(points)
+    sq = np.einsum("ij,ij->i", q, q)[:, None]
+    ones = np.ones_like(sq)
+    # A padding column [0, ..., 0, max] gives entries of exactly float32's
+    # largest value (1 * max plus zeros), which no cut reaches.
+    pad = np.zeros((groups * per - n, q.shape[1] + 2))
+    pad[:, -1] = np.finfo(np.float32).max
+    # sum_k |x_ik y_jk| <= (|q_i| + |q_j|)^2 for the augmented rows, whose |q|^2
+    # column is within a relative d 2^-53 < 2^-24 of its exact value.
+    margin, blocks = float32_scan(
+        np.hstack([q, sq, ones]), np.vstack([np.hstack([-2.0 * q, ones, sq]), pad]), 4.0 * sq.max()
+    )
     values = np.empty(n, dtype=np.float64)
-    gram_buf = np.empty((min(_KNN_CHUNK, n), n))
-    dist_buf = np.empty_like(gram_buf)
-    for start in range(0, n, _KNN_CHUNK):
-        stop = min(start + _KNN_CHUNK, n)
-        gram = np.matmul(points[start:stop], twice.T, out=gram_buf[: stop - start])
-        block = np.add(sq_norms[start:stop, None], sq_norms[None, :], out=dist_buf[: stop - start])
-        np.subtract(block, gram, out=block)
-        np.maximum(block, 0.0, out=block)
-        rows = np.arange(start, stop)
-        block[rows - start, rows] = np.inf  # exclude self
-        block.partition(k_eff - 1, axis=1)
-        values[start:stop] = np.sqrt(block[:, :k_eff]).mean(axis=1)
+    for start, approx in blocks:
+        rows = len(approx)
+        local = np.arange(rows)
+        approx[local, start + local] = np.inf  # exclude self
+        layers = approx.reshape(rows, per, groups)
+        low = layers.min(axis=1)
+        cut = float32_cut(np.partition(low, k_eff - 1, axis=1)[:, k_eff - 1], margin)
+        hit = np.flatnonzero(low <= cut[:, None])
+        row, group = hit // groups, hit % groups
+        flat = np.flatnonzero(layers[row, :, group] <= cut[row, None])
+        row, col = row[flat // per], group[flat // per] + groups * (flat % per)
+        exact = exact_pairs(points, points, start + row, col, distance=True)
+        nearest = np.sort(_k_smallest(exact, row, rows, k_eff), axis=1)
+        values[start : start + rows] = np.sqrt(nearest).mean(axis=1)
     return values, k_eff
 
 

@@ -74,32 +74,34 @@ class CuratedSelection:
             raise FormatError(f"selection file {path}: missing expected CSV header")
         records = []
         line_of_id: dict[int, int] = {}
+
+        def malformed(detail: str) -> FormatError:
+            return FormatError(f"selection file {path} line {lineno}: {detail}")
+
         for lineno, line in enumerate(lines[1:], start=2):
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != 5:
-                raise FormatError(f"selection line {lineno}: expected 5 fields")
+                raise malformed("expected 5 fields")
             i, iteration, reason, proto, distance = parts
             try:
                 i, iteration, proto, distance = int(i), int(iteration), int(proto), float(distance)
             except ValueError:
-                raise FormatError(f"selection line {lineno}: malformed field") from None
+                raise malformed("malformed field") from None
             if not 0 <= i < 2**64:
-                raise FormatError(f"selection line {lineno}: id {i} is not a uint64")
+                raise malformed(f"id {i} is not a uint64")
             if reason not in REASONS:
-                raise FormatError(f"selection line {lineno}: unknown reason {reason!r}")
+                raise malformed(f"unknown reason {reason!r}")
             for name, value, ok in (
                 ("iteration", iteration, 1 <= iteration < 2**63),
                 ("proto", proto, 0 <= proto < 2**63),
                 ("distance", distance, 0.0 <= distance < math.inf),
             ):
                 if not ok:
-                    raise FormatError(f"selection line {lineno}: {name} {value!r} out of range")
+                    raise malformed(f"{name} {value!r} out of range")
             if i in line_of_id:
-                raise FormatError(
-                    f"selection line {lineno}: duplicate id {i} (first on line {line_of_id[i]})"
-                )
+                raise malformed(f"duplicate id {i} (first on line {line_of_id[i]})")
             line_of_id[i] = lineno
             records.append((0, i, iteration, reason, proto, distance))
         if not records:
@@ -161,6 +163,14 @@ def select_distant(
     return distant, pool
 
 
+def _distances(points: np.ndarray, p: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(points - p, axis=1)``, bit for bit, with the differences
+    in ``buf`` (shaped like ``points``) instead of a new array."""
+    np.subtract(points, p, out=buf)
+    np.multiply(buf, buf, out=buf)
+    return np.sqrt(np.add.reduce(buf, axis=1))
+
+
 def fps_select(
     points: np.ndarray, ids: np.ndarray, budget: int, anchor: np.ndarray
 ) -> np.ndarray:
@@ -184,14 +194,14 @@ def fps_select(
         cands = np.flatnonzero(score == score.max())
         return int(cands[np.argmin(ids[cands])])
 
-    anchor_dist = np.linalg.norm(points - np.asarray(anchor, dtype=np.float64)[None, :], axis=1)
-    chosen = [pick(anchor_dist)]
+    buf = np.empty_like(points)
+    chosen = [pick(_distances(points, np.asarray(anchor, dtype=np.float64), buf))]
     # After the first pick the anchor drops out; max-min runs over picks only.
     # A picked point's min distance is 0, and -inf keeps it from a tie at 0.
     min_dist = np.full(n, np.inf)
     for _ in range(budget - 1):
         last = chosen[-1]
-        np.minimum(min_dist, np.linalg.norm(points - points[last][None, :], axis=1), out=min_dist)
+        np.minimum(min_dist, _distances(points, points[last], buf), out=min_dist)
         min_dist[last] = -np.inf
         chosen.append(pick(min_dist))
     return np.asarray(chosen, dtype=np.int64)

@@ -6,6 +6,10 @@ norm sqrt(2); all curation distances are Euclidean in that space.  With
 fixed-norm vectors, squared Euclidean distance is an affine function of
 the dot product, so distance ranking coincides with reversed cosine
 ranking and the metric choice is behaviorally neutral for selection.
+
+The exact all-pairs scans of ``eval`` and ``analyze`` share their pieces
+here: a float32 GEMM filter with a proven rounding margin, and a float64
+refine of the pairs the filter cannot rule out, computed outside BLAS.
 """
 
 from __future__ import annotations
@@ -82,3 +86,88 @@ def pairwise_sq_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # all of ``a`` (13 MB for a 6400 x 256 super-batch), for ``b @ a.T`` a block.
     out -= 2.0 * (b @ a.T).T
     return np.maximum(out, 0.0, out=out)
+
+
+# Rows of the left operand per float32 product in the exact scans of ``eval``
+# and ``analyze``; a block of the product is SCAN_BLOCK x n float32.  Read at
+# call time, so a test can vary it: no result depends on it.
+SCAN_BLOCK = 256
+_U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoffs of float32 and float64
+
+
+def unit_scaled(x: np.ndarray) -> np.ndarray:
+    """``x`` times the power of two that puts its largest |entry| in [1/2, 1)
+    (x itself when all zero): exact, and safe from float32 range limits."""
+    peak = float(np.max(np.abs(x), initial=0.0))
+    if not np.isfinite(peak):
+        raise UsageError("an exact scan needs finite values")
+    return np.ldexp(x, -np.frexp(peak)[1])
+
+
+def float32_scan(a: np.ndarray, b: np.ndarray, magnitude: float):
+    """The filter of an exact scan: ``(margin, blocks)``.  ``blocks`` yields
+    ``(start, S)`` for each row block of fl32(a) fl32(b)^T, one float32 GEMM
+    into one buffer.  Any two entries of S each lie within margin/2 of the
+    float64 values r the scan decides with, so S_ij - S_il > margin proves
+    r_ij > r_il.
+
+    The contract.  Each pair's value is v_ij = x_i . y_j for real rows x_i,
+    y_j of length m.  Each product a_ik b_jk is x_ik y_jk to within a
+    relative u (u = 2^-24, w = 2^-53), the data went through ``unit_scaled``,
+    and ``magnitude`` >= 1/4 bounds every M_ij = sum_k |x_ik| |y_jk|.  The
+    caller computes r_ij in float64 by a fixed-order sum of terms that pass
+    through at most m roundings, so |r_ij - v_ij| <= g_m(w) M_ij, where
+    g_m(e) = m e / (1 - m e).
+
+    The bound.  With the float32 casts, fl32(a_ik) fl32(b_jk) = x_ik y_jk
+    (1 + t), |t| <= (1 + u)^3 - 1 =: p.  A float32 GEMM of length m, in any
+    order, with or without FMA, errs by at most g_m(u) sum_k |fl32(a_ik)|
+    |fl32(b_jk)| (Higham, Accuracy and Stability, 2nd ed., sec. 3.1).  So
+        |S_ij - r_ij| <= E := (g_m(u) (1 + p) + p + g_m(w)) * magnitude,
+    and ``margin`` is 2E doubled, 4E.  The doubling covers gradual underflow
+    (at most (m + 2)^2 2^-149 absolute, while E >= m 2^-26), the float64
+    evaluation of E and of ``magnitude``, and the float64 rounding of a
+    comparison against the margin.  ``float32_cut`` rounds a threshold to
+    float32 outward, so that rounding loses no entry.
+    """
+    m = a.shape[1]
+    g32, g64 = (m * e / (1.0 - m * e) for e in (_U32, _U64))
+    p = (1.0 + _U32) ** 3 - 1.0
+    margin = 4.0 * (g32 * (1.0 + p) + p + g64) * magnitude
+    a32, b32 = a.astype(np.float32), b.astype(np.float32)
+
+    def blocks():
+        block = SCAN_BLOCK
+        buf = np.empty((min(block, len(a32)), len(b32)), dtype=np.float32)
+        for start in range(0, len(a32), block):
+            stop = min(start + block, len(a32))
+            yield start, np.matmul(a32[start:stop], b32.T, out=buf[: stop - start])
+
+    return margin, blocks()
+
+
+def float32_cut(values: np.ndarray, offset: float) -> np.ndarray:
+    """The thresholds ``values`` + ``offset``, added in float64 and rounded to
+    float32 away from ``values``, so a float32 comparison keeps every entry
+    that the float64 threshold keeps."""
+    exact = values.astype(np.float64) + offset
+    cut = exact.astype(np.float32)
+    short = cut < exact if offset > 0 else cut > exact
+    return np.where(short, np.nextafter(cut, np.float32(np.copysign(np.inf, offset))), cut)
+
+
+def exact_pairs(
+    a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray, distance: bool
+) -> np.ndarray:
+    """float64 value of each row pair (a[i], b[j]) outside BLAS: the squared
+    distance ||a_i - b_j||^2 by elementwise difference, else the dot product.
+    One fixed-order einsum per pair, so a value does not depend on which other
+    pairs are asked for; pairs go in chunks to bound the gathered rows."""
+    out = np.empty(len(i))
+    step = 32 * SCAN_BLOCK
+    for start in range(0, len(i), step):
+        x, y = a[i[start : start + step]], b[j[start : start + step]]
+        if distance:
+            x = y = np.subtract(x, y, out=x)
+        out[start : start + step] = np.einsum("ij,ij->i", x, y)
+    return out

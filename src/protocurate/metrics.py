@@ -11,11 +11,12 @@ scored zero.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import normalize_rows
+from .embedding import exact_pairs, float32_cut, float32_scan, normalize_rows, unit_scaled
 from .errors import DegenerateVectorError, UsageError
 
 
@@ -146,18 +147,36 @@ def _macro(values: list[float | None]) -> tuple[float | None, int]:
     return (float(np.mean(defined)) if defined else None), len(values) - len(defined)
 
 
-_RECALL_BLOCK = 256
+def _exact_hits(a: np.ndarray, b: np.ndarray, rows: np.ndarray, magnitude: float) -> np.ndarray:
+    """Whether each of ``rows`` of a b^T has its largest float64 dot product on
+    the diagonal, ties going to the smallest index.  Only a column whose
+    float32 entry is at least the diagonal one minus the margin can beat it,
+    so only those get an exact dot product."""
+    hits = np.empty(len(rows), dtype=bool)
+    margin, blocks = float32_scan(a[rows], b, magnitude)
+    for start, sim in blocks:
+        own = rows[start : start + len(sim)]
+        local = np.arange(len(sim))
+        flat = np.flatnonzero(sim >= float32_cut(sim[local, own], -margin)[:, None])
+        row, col = flat // len(b), flat % len(b)
+        exact = exact_pairs(a, b, own[row], col, distance=False)
+        on_diag = col == own[row]
+        diag = np.empty(len(sim))
+        diag[row[on_diag]] = exact[on_diag]
+        beats = (exact > diag[row]) | ((exact == diag[row]) & (col < own[row]))
+        hits[start : start + len(sim)] = np.bincount(row[beats], minlength=len(sim)) == 0
+    return hits
 
 
 def recall_both_blocked(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Both retrieval directions without materializing the full n x n matrix.
+    """Recall@1 both ways: the share of rows of U V^T, and of columns, whose
+    largest entry is their diagonal one, ties going to the smallest index.
 
-    Streams row blocks of U V^T through one preallocated buffer.  Rows are
-    scored per block.  For columns, each block keeps only its column maxima
-    and, on its own diagonal sub-block, the in-block argmax.  Column j is a
-    hit iff the first block that reaches j's global maximum is j's own block
-    and that block's first maximal row is j: the smallest-index tie rule of
-    argmax over the full matrix.
+    Exact, and the same for any SCAN_BLOCK: the entries are float64 dot
+    products computed outside BLAS.  One ``float32_scan`` keeps each row's
+    and each column's largest off-diagonal float32 entry.  Where that lies
+    more than the margin from the diagonal entry, the float32 gap decides;
+    the rest go to ``_exact_hits``, rows of U V^T and columns as rows of V U^T.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -167,21 +186,29 @@ def recall_both_blocked(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     if n == 0:
         raise UsageError("retrieval needs a nonempty batch")
 
-    starts = range(0, n, _RECALL_BLOCK)
-    buf = np.empty((min(_RECALL_BLOCK, n), n))
-    col_max = np.empty((len(starts), n))
-    own_arg = np.empty(n, dtype=np.intp)
-    row_hits = 0
-    for b, start in enumerate(starts):
-        stop = min(start + _RECALL_BLOCK, n)
-        block = np.matmul(u[start:stop], v.T, out=buf[: stop - start])
-        row_hits += int(np.sum(np.argmax(block, axis=1) == np.arange(start, stop)))
-        block.max(axis=0, out=col_max[b])
-        own_arg[start:stop] = start + np.argmax(block[:, start:stop], axis=0)
-    cols = np.arange(n)
-    first_block = np.argmax(col_max == col_max.max(axis=0), axis=0)
-    col_hits = int(np.sum((first_block == cols // _RECALL_BLOCK) & (own_arg == cols)))
-    return row_hits / n, col_hits / n
+    a, b = unit_scaled(u), unit_scaled(v)
+    # sum_k |a_ik b_jk| <= |a_i| |b_j| (Cauchy-Schwarz).
+    magnitude = math.sqrt(np.einsum("ij,ij->i", a, a).max() * np.einsum("ij,ij->i", b, b).max())
+    margin, blocks = float32_scan(a, b, magnitude)
+    diag = np.empty(n, dtype=np.float32)
+    row_max = np.empty(n, dtype=np.float32)
+    col_max = np.full(n, -np.inf, dtype=np.float32)
+    for start, sim in blocks:
+        local = np.arange(len(sim))
+        own = slice(start, start + len(sim))
+        diag[own] = sim[local, start + local]
+        sim[local, start + local] = -np.inf
+        sim.max(axis=1, out=row_max[own])
+        np.maximum(col_max, sim.max(axis=0), out=col_max)
+    recalls = []
+    for x, y, rival in ((a, b, row_max), (b, a, col_max)):
+        gap = diag.astype(np.float64) - rival
+        hits = gap > margin
+        unsure = np.flatnonzero(np.abs(gap) <= margin)
+        if len(unsure):
+            hits[unsure] = _exact_hits(x, y, unsure, magnitude)
+        recalls.append(int(np.count_nonzero(hits)) / n)
+    return recalls[0], recalls[1]
 
 
 def _unit(mat: np.ndarray, what: str, names: list[str] | None = None) -> np.ndarray:

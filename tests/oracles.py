@@ -204,21 +204,35 @@ def paired_t(a: np.ndarray, b: np.ndarray) -> TestResult:
     return TestResult(stat, df, t_sf_two_sided(stat, df), float(a.mean()), float(b.mean()), n, n)
 
 
-def knn_mean_distance(points: np.ndarray, k: int) -> np.ndarray:
-    """kNN mean distances from one n x n Gram expansion: the chunked scan's reference.
-
-    Same operations in the same order as the library scan, on the whole
-    matrix at once: (|x_i|^2 + |x_j|^2) - 2 <x_i, x_j>, clipped at zero, self
-    set to infinity, then the k smallest of each row by np.partition.
-    """
+def knn_mean_distance_direct(points: np.ndarray, k: int) -> np.ndarray:
+    """kNN mean distances from the whole float64 matrix of direct differences:
+    the library scan's bit-for-bit reference.  Row i's squared distances are
+    ||p_j - p_i||^2 by elementwise difference and einsum, self excluded; the k
+    smallest are sorted, square-rooted and averaged."""
     points = np.asarray(points, dtype=np.float64)
-    k_eff = min(k, len(points) - 1)
-    sq_norms = np.einsum("ij,ij->i", points, points)
-    block = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (points @ points.T)
-    np.maximum(block, 0.0, out=block)
-    np.fill_diagonal(block, np.inf)
-    nearest = np.partition(block, k_eff - 1, axis=1)[:, :k_eff]
-    return np.sqrt(nearest).mean(axis=1)
+    n = len(points)
+    k_eff = min(k, n - 1)
+    out = np.empty(n)
+    for i in range(n):
+        diff = points - points[i]
+        sq = np.einsum("ij,ij->i", diff, diff)
+        nearest = np.sort(np.delete(sq, i))[:k_eff]
+        out[i] = np.sqrt(nearest).mean()
+    return out
+
+
+def knn_mean_distance_longdouble(points: np.ndarray, k: int) -> np.ndarray:
+    """Brute-force kNN mean distances in long double: every pair's distance,
+    sorted per row, the k smallest averaged, each step with the extended
+    precision's roundoff (2^-64 on x86-64) instead of float64's 2^-53."""
+    points = np.asarray(points, dtype=np.longdouble)
+    n = len(points)
+    k_eff = min(k, n - 1)
+    out = np.empty(n, dtype=np.longdouble)
+    for i in range(n):
+        dist = np.sqrt(((points - points[i]) ** 2).sum(axis=1))
+        out[i] = np.sort(np.delete(dist, i))[:k_eff].sum() / k_eff
+    return out
 
 
 def run_summary(values: np.ndarray) -> tuple[float, float]:

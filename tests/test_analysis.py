@@ -11,8 +11,8 @@ import scipy.stats
 
 import oracles
 from oracles import paired_t, run_summary
+from protocurate import analysis, embedding
 from protocurate.analysis import (
-    _KNN_CHUNK,
     betainc_regularized,
     ecdf,
     knn_mean_distance,
@@ -25,7 +25,7 @@ from protocurate.analysis import (
     write_analysis_bundle,
 )
 from protocurate.config import EngineConfig
-from protocurate.embedding import unify_batch
+from protocurate.embedding import SCAN_BLOCK, normalize_rows, unify_batch
 from protocurate.errors import DegenerateVectorError, UsageError
 from protocurate.io import Corpus
 from protocurate.synth import generate_corpus
@@ -114,29 +114,74 @@ class TestKnnMeanDistance:
 
 
 class TestKnnBitIdentity:
-    """The chunked scan returns the one-shot Gram expansion's values bit for bit."""
+    """The blocked scan returns the direct-difference oracle's values bit for
+    bit, whatever the block size, and they lie within float64 roundoff of a
+    long-double brute force."""
 
     @pytest.mark.parametrize(
-        "n", [37, _KNN_CHUNK, 2 * _KNN_CHUNK + 45], ids=["below-chunk", "one-chunk", "not-a-multiple"]
+        "n",
+        [37, SCAN_BLOCK, 2 * SCAN_BLOCK + 45],
+        ids=["below-chunk", "one-chunk", "not-a-multiple"],
     )
     def test_matches_one_shot_oracle(self, n):
         points = lattice_points(n, n)
         for k in (1, 5):
-            assert np.array_equal(knn_mean_distance(points, k)[0], oracles.knn_mean_distance(points, k))
+            want = oracles.knn_mean_distance_direct(points, k)
+            assert np.array_equal(knn_mean_distance(points, k)[0], want)
 
     def test_duplicated_points_clip_at_zero(self):
-        points = lattice_points(11, 2 * _KNN_CHUNK + 45, copies=120)
+        # The Gram expansion of these points goes below zero; direct differences cannot.
+        points = lattice_points(11, 2 * SCAN_BLOCK + 45, copies=120)
         sq = np.einsum("ij,ij->i", points, points)
         expanded = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
         np.fill_diagonal(expanded, 0.0)
         assert (expanded < 0).any() and (expanded == 0).any()
         for k in (1, 3):
-            assert np.array_equal(knn_mean_distance(points, k)[0], oracles.knn_mean_distance(points, k))
+            want = oracles.knn_mean_distance_direct(points, k)
+            assert np.array_equal(knn_mean_distance(points, k)[0], want)
         assert (knn_mean_distance(points, 1)[0] == 0).any()
 
     def test_k_above_n_minus_1_is_clamped(self):
         points = lattice_points(12, 6, copies=2)
-        assert np.array_equal(knn_mean_distance(points, 50)[0], oracles.knn_mean_distance(points, 5))
+        want = oracles.knn_mean_distance_direct(points, 5)
+        assert np.array_equal(knn_mean_distance(points, 50)[0], want)
+
+    @pytest.mark.parametrize("block", [64, SCAN_BLOCK, None], ids=["64", "scan-block", "n"])
+    def test_block_size_invariance(self, block, monkeypatch):
+        n = 4 * SCAN_BLOCK + 45  # enough rows for column groups
+        monkeypatch.setattr(embedding, "SCAN_BLOCK", block or n)
+        unit = normalize_rows(np.random.default_rng(13).standard_normal((n, 16)))
+        for points in (unit, lattice_points(14, n, copies=120)):
+            for k in (1, 20):
+                want = oracles.knn_mean_distance_direct(points, k)
+                assert np.array_equal(knn_mean_distance(points, k)[0], want)
+
+    @pytest.mark.parametrize("d, k", [(64, 20), (3, 5), (2, 1)])
+    def test_within_float64_roundoff_of_long_double(self, d, k):
+        # Squared distances pass through d + 1 roundings, the square root one
+        # and the mean k + 1: (d + k + 4) 2^-53 bounds the relative error.
+        rng = np.random.default_rng(d)
+        points = rng.standard_normal((300, d)) * 10.0 ** rng.integers(-3, 4, size=(300, 1))
+        got, _ = knn_mean_distance(points, k)
+        want = oracles.knn_mean_distance_longdouble(points, k)
+        rel = np.abs(got - want) / want
+        assert float(rel.max()) <= (d + k + 4) * 2.0**-53
+
+    def test_near_tie_goes_to_the_float64_refine(self, monkeypatch):
+        # From the origin, (1, 0) and (0, 1 + 2^-40) are closer together than
+        # float32 resolves, so the filter keeps both and the refine picks 1.0.
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0 + 2.0**-40], [5.0, 5.0], [-6.0, 4.0]])
+        refined, exact_pairs = [], analysis.exact_pairs
+
+        def spy(a, b, i, j, distance):
+            refined.append(i.copy())
+            return exact_pairs(a, b, i, j, distance)
+
+        monkeypatch.setattr(analysis, "exact_pairs", spy)
+        values, _ = knn_mean_distance(points, 1)
+        assert np.count_nonzero(np.concatenate(refined) == 0) == 2
+        assert values[0] == 1.0
+        assert np.array_equal(values, oracles.knn_mean_distance_direct(points, 1))
 
 
 class TestQuantileAndBand:

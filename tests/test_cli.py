@@ -460,7 +460,8 @@ class TestMalformedInputs:
         )
         assert code == 2
         assert_one_line_error(err)
-        assert f"line {len(rows) + 1}: duplicate id {rows[1].split(',')[0]}" in err
+        line, dup = len(rows) + 1, rows[1].split(",")[0]
+        assert f"selection file {sel} line {line}: duplicate id {dup}" in err
         assert not (tmp_path / "h.bin").exists()
 
     @pytest.mark.parametrize("command", ["train", "analyze"])
@@ -549,7 +550,7 @@ class TestMalformedInputs:
         )
         assert code == 2
         assert_one_line_error(err)
-        assert f"line {len(rows) + 1}: id {bad_id}" in err
+        assert f"selection file {sel} line {len(rows) + 1}: id {bad_id}" in err
         assert [path.name for path in tmp_path.iterdir()] == ["sel.csv"]
 
     def test_prompt_class_name_with_comma(self, workspace, tmp_path):

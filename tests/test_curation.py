@@ -151,6 +151,15 @@ def naive_fps(points, ids, budget, anchor):
 
 
 class TestFpsSelect:
+    @pytest.mark.parametrize("shape", [(900, 256), (7, 3), (33, 1)], ids=["900x256", "7x3", "33x1"])
+    def test_buffered_distances_match_norm(self, shape):
+        rng = np.random.default_rng(shape[0])
+        points = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=(shape[0], 1))
+        buf = np.empty_like(points)
+        for p in (points[0], points[-1], rng.standard_normal(shape[1])):
+            want = np.linalg.norm(points - p[None, :], axis=1)
+            assert np.array_equal(curation._distances(points, p, buf), want)
+
     def test_collinear_trace(self):
         points = np.arange(10.0)[:, None]
         ids = np.arange(10, dtype=np.uint64)
@@ -446,7 +455,7 @@ class TestSelectionCsv:
     ])
     def test_field_out_of_range(self, tmp_path, line, detail):
         good = self.HEADER + "1,1,fps,0,0.5\n"
-        with pytest.raises(FormatError, match=f"^selection line 3: {detail}$"):
+        with pytest.raises(FormatError, match=f"{self.named(tmp_path)} line 3: {detail}$"):
             self.read(tmp_path, good + line + "\n")
 
     def test_empty_selection(self, tmp_path):

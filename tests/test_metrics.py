@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from oracles import midranks, recall_at_1, zero_shot_prob
-from protocurate.embedding import normalize_rows
+from protocurate import embedding, metrics
+from protocurate.embedding import SCAN_BLOCK, normalize_rows
 from protocurate.errors import DegenerateVectorError, UsageError
 from protocurate.io import commit_outputs
 from protocurate.metrics import (
-    _RECALL_BLOCK,
     ClassMetrics,
     MetricReport,
     _midranks,
@@ -305,7 +305,7 @@ class TestRecallBothBlocked:
 
     def test_crosses_block_boundary(self):
         rng = np.random.default_rng(41)
-        n = 2 * _RECALL_BLOCK + 100  # two full blocks and a partial one
+        n = 2 * SCAN_BLOCK + 100  # two full blocks and a partial one
         u = rng.standard_normal((n, 4))
         v = u + 0.5 * rng.standard_normal((n, 4))
         sim = u @ v.T
@@ -321,14 +321,14 @@ class TestRecallBothBlocked:
         # peaks at 8 on every copy of its pattern, and argmax over the full
         # matrix must pick the earliest one, even when later blocks tie it.
         rng = np.random.default_rng(42)
-        n = 3 * _RECALL_BLOCK + 37
+        n = 3 * SCAN_BLOCK + 37
         u = rng.choice([-1.0, 1.0], size=(n, 8))
         _, first_copy = np.unique(u, axis=0, return_index=True)
         v = -u
         v[first_copy] = u[first_copy]
         sim = u @ v.T
         first, tied_later = tie_structure(sim)
-        block = np.arange(n) // _RECALL_BLOCK
+        block = np.arange(n) // SCAN_BLOCK
         # a miss: the maximum is first reached in an earlier block
         assert np.any(block[first] < block)
         # a hit whose own block ties a later block
@@ -344,7 +344,7 @@ class TestRecallBothBlocked:
         # an exact integer, so the ties are exact whatever order the BLAS sums in.
         for seed in range(6):
             rng = np.random.default_rng(seed)
-            n = int(rng.integers(2 * _RECALL_BLOCK + 1, 4 * _RECALL_BLOCK))
+            n = int(rng.integers(2 * SCAN_BLOCK + 1, 4 * SCAN_BLOCK))
             x = rng.standard_normal((n, 2))
             u = np.rint(10 * x)
             v = np.rint(10 * (x + 0.3 * rng.standard_normal((n, 2))))
@@ -359,11 +359,59 @@ class TestRecallBothBlocked:
         with pytest.raises(UsageError):
             recall_both_blocked(np.ones((2, 3)), np.ones((3, 3)))
 
+    def test_near_ties_go_to_the_float64_check(self, monkeypatch):
+        # Rows and columns 0-2 of U V^T are closer than float32 resolves.  In
+        # float64, row 1's diagonal beats column 0 by about 2^-42 and row 2's
+        # loses to it by 2^-40; column 0 ties rows 0 and 2 and keeps row 0.
+        rng = np.random.default_rng(43)
+        n = SCAN_BLOCK + 30
+        u = normalize_rows(rng.standard_normal((n, 8)))
+        u[1] = normalize_rows(u[0] + 2.0**-22 * rng.standard_normal(8)[None, :])[0]
+        u[2] = u[0]
+        v = u.copy()
+        v[2] *= 1.0 - 2.0**-40
+        unsure, exact_hits = [], metrics._exact_hits
+
+        def spy(a, b, rows, magnitude):
+            unsure.append(set(rows.tolist()))
+            return exact_hits(a, b, rows, magnitude)
+
+        monkeypatch.setattr(metrics, "_exact_hits", spy)
+        sim = np.asarray(u, np.longdouble) @ np.asarray(v, np.longdouble).T
+        assert sim[1, 1] > sim[1, 0] and sim[2, 0] > sim[2, 2] and sim[0, 0] == sim[2, 0]
+        r_img, r_txt = recall_both_blocked(u, v)
+        assert len(unsure) == 2 and {0, 1, 2} <= unsure[0] and {0, 1, 2} <= unsure[1]
+        assert r_img == np.mean(np.argmax(sim, axis=1) == np.arange(n))
+        assert r_txt == np.mean(np.argmax(sim, axis=0) == np.arange(n))
+
+    @pytest.mark.parametrize("block", [64, SCAN_BLOCK, None], ids=["64", "scan-block", "n"])
+    def test_block_size_invariance(self, block, monkeypatch):
+        # Integer entries with exact ties; then rows of U in identical pairs,
+        # whose columns tie exactly, which only the float64 check can settle.
+        n = 2 * SCAN_BLOCK + 45
+        monkeypatch.setattr(embedding, "SCAN_BLOCK", block or n)
+        rng = np.random.default_rng(44)
+        x = rng.standard_normal((n, 2))
+        u = np.rint(10 * x)
+        v = np.rint(10 * (x + 0.3 * rng.standard_normal((n, 2))))
+        sim = u @ v.T
+        assert recall_both_blocked(u, v) == (
+            recall_at_1(sim, "image_to_text"), recall_at_1(sim, "text_to_image")
+        )
+        u = normalize_rows(rng.standard_normal((n, 8)))
+        v = u + 2.0**-30 * rng.standard_normal((n, 8))
+        u[1::2] = u[::2][: n // 2]
+        sim = np.asarray(u, np.longdouble) @ np.asarray(v, np.longdouble).T
+        assert recall_both_blocked(u, v) == (
+            np.mean(np.argmax(sim, axis=1) == np.arange(n)),
+            np.mean(np.argmax(sim, axis=0) == np.arange(n)),
+        )
+
 
 def tie_structure(sim):
     """First maximal row of each column, and whether a later block reaches that maximum."""
     first = np.argmax(sim, axis=0)
-    block = np.arange(len(sim)) // _RECALL_BLOCK
+    block = np.arange(len(sim)) // SCAN_BLOCK
     ties = sim == sim.max(axis=0)
     tied_later = np.any(ties & (block[:, None] > block[first][None, :]), axis=0)
     return first, tied_later
