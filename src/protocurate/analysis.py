@@ -12,14 +12,22 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .config import EngineConfig
 from .embedding import exact_pairs, float32_cut, float32_scan, unify_batch, unit_scaled
 from .errors import DegenerateVectorError, UsageError
-from .io import Corpus, commit_outputs
+from .io import Corpus, commit_outputs, table_csv
+
+# The columns and cell formats of the ECDF and label tables ``run_analysis`` returns.
+ECDF_FORMATS = {"value": "%.9g", "cum_frac": "%.9g"}
+LABEL_FORMATS = {"class": "class_%d", "count": "%d", "frac": "%.9g"}
+SUBSET_LABEL_FORMATS = {
+    "class": "class_%d", "count_full": "%d", "frac_full": "%.9g",
+    "count_subset": "%d", "frac_subset": "%.9g", "delta": "%.9g",
+}
 
 @dataclass
 class TestResult:
@@ -32,16 +40,10 @@ class TestResult:
     n_b: int
 
     def to_dict(self) -> dict:
-        stat = self.statistic if math.isfinite(self.statistic) else repr(self.statistic)
-        return {
-            "statistic": stat,
-            "df": self.df,
-            "p_value": self.p_value,
-            "mean_a": self.mean_a,
-            "mean_b": self.mean_b,
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-        }
+        doc = asdict(self)
+        if not math.isfinite(self.statistic):  # JSON has no infinity
+            doc["statistic"] = repr(self.statistic)
+        return doc
 
 
 def _k_smallest(values: np.ndarray, row: np.ndarray, rows: int, k: int) -> np.ndarray:
@@ -265,32 +267,6 @@ def ecdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniq, np.cumsum(counts) / len(values)
 
 
-def _csv(header: str, lines) -> str:
-    return header + "\n" + "".join(line + "\n" for line in lines)
-
-
-def _ecdf_csv(values: np.ndarray) -> str:
-    return _csv("value,cum_frac", (f"{value:.9g},{frac:.9g}" for value, frac in zip(*ecdf(values))))
-
-
-def _labels_csv(labels: np.ndarray, rows: np.ndarray | None) -> str:
-    """Per-class counts and sample fractions of the corpus, and with ``rows``
-    those of the subset beside them and the change in fraction (Fig.-9-style)."""
-    full = labels.sum(axis=0)
-    frac_full = full / len(labels)
-    if rows is None:
-        lines = (f"class_{c},{full[c]},{frac_full[c]:.9g}" for c in range(len(full)))
-        return _csv("class,count,frac", lines)
-    subset = labels[rows].sum(axis=0)
-    frac_subset = subset / len(rows)
-    lines = (
-        f"class_{c},{full[c]},{frac_full[c]:.9g},{subset[c]},{frac_subset[c]:.9g},"
-        f"{frac_subset[c] - frac_full[c]:.9g}"
-        for c in range(len(full))
-    )
-    return _csv("class,count_full,frac_full,count_subset,frac_subset,delta", lines)
-
-
 def run_analysis(
     corpus: Corpus, cfg: EngineConfig, rows: np.ndarray | None = None
 ) -> dict[str, str]:
@@ -309,11 +285,12 @@ def run_analysis(
     unified = unify_batch(corpus.img, corpus.txt, cfg.curation_space)
     values, k = knn_mean_distance(unified, cfg.knn_k)
     proj, explained = pca2(unified)
-    ids = [int(i) for i in corpus.ids]
+    knn = {"id": corpus.ids, "knn_mean": values}
+    pcs = {"id": corpus.ids, "pc1": proj[:, 0], "pc2": proj[:, 1]}
     files = {
-        "knn_profile.csv": _csv("id,knn_mean", (f"{i},{v:.9g}" for i, v in zip(ids, values))),
-        "pca2.csv": _csv("id,pc1,pc2", (f"{i},{p[0]:.9g},{p[1]:.9g}" for i, p in zip(ids, proj))),
-        "ecdf_full.csv": _ecdf_csv(values),
+        "knn_profile.csv": table_csv(knn, {"id": "%d", "knn_mean": "%.9g"}),
+        "pca2.csv": table_csv(pcs, {"id": "%d", "pc1": "%.9g", "pc2": "%.9g"}),
+        "ecdf_full.csv": table_csv(dict(zip(ECDF_FORMATS, ecdf(values))), ECDF_FORMATS),
     }
     tests = {
         "knn_k": k,
@@ -323,7 +300,7 @@ def run_analysis(
     }
     if rows is not None:
         subset = values[rows]
-        files["ecdf_subset.csv"] = _ecdf_csv(subset)
+        files["ecdf_subset.csv"] = table_csv(dict(zip(ECDF_FORMATS, ecdf(subset))), ECDF_FORMATS)
         test = welch_t(subset, values)
         tests.update(
             subset_mean_knn=float(subset.mean()),
@@ -333,7 +310,19 @@ def run_analysis(
             density_quantile=cfg.density_quantile,
         )
     if corpus.labels is not None:
-        files["labels.csv"] = _labels_csv(corpus.labels, rows)
+        # Per-class counts and sample fractions of the corpus, and with rows
+        # those of the subset beside them and the change in fraction (Fig.-9-style).
+        full = corpus.labels.sum(axis=0)
+        frac = full / corpus.n
+        table = {"class": np.arange(len(full)), "count": full, "frac": frac}
+        formats = LABEL_FORMATS
+        if rows is not None:
+            sub_count = corpus.labels[rows].sum(axis=0)
+            sub_frac = sub_count / len(rows)
+            table.update(count_full=full, frac_full=frac, count_subset=sub_count,
+                         frac_subset=sub_frac, delta=sub_frac - frac)
+            formats = SUBSET_LABEL_FORMATS
+        files["labels.csv"] = table_csv(table, formats)
     files["tests.json"] = json.dumps(tests, indent=2) + "\n"
     return files
 

@@ -20,11 +20,12 @@ from .analysis import run_analysis, write_analysis_bundle
 from .config import EngineConfig, load_config
 from .curation import CuratedSelection, run_curation
 from .errors import ProtocurateError, UsageError
-from .io import check_outputs, commit_outputs, encode_corpus, read_corpus, validate_corpus
+from .io import check_outputs, commit_outputs, encode_corpus, read_corpus, table_csv
+from .io import validate_corpus
 from .metrics import evaluate_zero_shot
 from .prototypes import encode_bank
 from .synth import generate_corpus, generate_prompts, manifest_json, prompts_json, read_prompts
-from .trainer import encode_head, identity_head, load_head, loss_csv, train_head, train_joint
+from .trainer import LOSS_FORMATS, encode_head, identity_head, load_head, train_head, train_joint
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,19 +132,17 @@ def _cmd_train(args) -> int:
     joint_outputs = []
     if args.selection:
         rows = CuratedSelection.read_csv(args.selection, corpus).records["row"]
-        head, loss_rows = train_head(corpus, cfg, rows=rows)
+        head, losses = train_head(corpus, cfg, rows=rows)
     else:
-        head, loss_rows, selection, bank = train_joint(corpus, cfg)
+        head, losses, selection, bank = train_joint(corpus, cfg)
         joint_outputs = [
             (args.selection_out, selection.to_csv()),
             (args.proto_out, encode_bank(bank)),
             (args.stats_out, selection.stats_json()),
         ]
-    commit_outputs([
-        (args.head_out, encode_head(head)), (args.loss_out, loss_csv(loss_rows)), *joint_outputs
-    ])
-    final = loss_rows[-1].loss if loss_rows else float("nan")
-    print(f"trained {len(loss_rows)} steps, final loss {final:.6g} -> {args.head_out}")
+    loss_csv = table_csv(losses, LOSS_FORMATS)
+    commit_outputs([(args.head_out, encode_head(head)), (args.loss_out, loss_csv), *joint_outputs])
+    print(f"trained {len(losses)} steps, final loss {losses['loss'][-1]:.6g} -> {args.head_out}")
     return 0
 
 

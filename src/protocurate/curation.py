@@ -24,7 +24,7 @@ from .config import EngineConfig
 from .embedding import pairwise_sq_distance, unify_batch
 from .errors import DegenerateVectorError, FormatError, InsufficientWarmupError
 from .errors import NumericalFailureError, UsageError
-from .io import Corpus, rows_for_ids, validate_corpus
+from .io import Corpus, rows_for_ids, table_csv, validate_corpus
 from .prototypes import PrototypeBank, init_kmeans, sinkhorn_plan, update_prototypes
 
 REASONS = ("distant", "fps")
@@ -33,8 +33,10 @@ RECORD = np.dtype([
     ("row", "<i8"), ("id", "<u8"), ("iteration", "<i8"),
     ("reason", f"U{max(map(len, REASONS))}"), ("proto", "<i8"), ("distance", "<f8"),
 ])
-COLUMNS = RECORD.names[1:]
-HEADER = ",".join(COLUMNS)
+# selection.csv: every column but ``row``; repr is the shortest exact float
+# form, so a written selection survives a read back bit for bit.
+FORMATS = {"id": "%d", "iteration": "%d", "reason": "%s", "proto": "%d", "distance": "%r"}
+HEADER = ",".join(FORMATS)
 
 
 @dataclass
@@ -49,21 +51,14 @@ class CuratedSelection:
         return len(self.records)
 
     def to_csv(self) -> str:
-        # repr is the shortest exact float form, so a written selection
-        # survives a read back bit for bit
-        columns = (self.records[name].tolist() for name in COLUMNS)
-        lines = (
-            f"{i},{iteration},{reason},{proto},{distance!r}"
-            for i, iteration, reason, proto, distance in zip(*columns)
-        )
-        return "\n".join([HEADER, *lines]) + "\n"
+        return table_csv(self.records, FORMATS)
 
     @classmethod
     def read_csv(cls, path, corpus: Corpus) -> "CuratedSelection":
         """The selection file at ``path``, its ids found among ``corpus``'s rows.
 
-        A malformed line is a format error; a file without samples, or an id
-        the corpus lacks, is a usage error.
+        A malformed line, a numeral the writer never writes included, is a format
+        error; a file without samples, or an id the corpus lacks, is a usage error.
         """
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -86,9 +81,15 @@ class CuratedSelection:
                 raise malformed("expected 5 fields")
             i, iteration, reason, proto, distance = parts
             try:
-                i, iteration, proto, distance = int(i), int(iteration), int(proto), float(distance)
+                values = int(i), int(iteration), int(proto), float(distance)
             except ValueError:
-                raise malformed("malformed field") from None
+                values = ()
+            # int() and float() also take signs, spaces, underscores, leading
+            # zeros and non-ASCII digits; a field must be the value's str, as
+            # the writer writes it.
+            if list(map(str, values)) != [i, iteration, proto, distance]:
+                raise malformed("malformed field")
+            i, iteration, proto, distance = values
             if not 0 <= i < 2**64:
                 raise malformed(f"id {i} is not a uint64")
             if reason not in REASONS:

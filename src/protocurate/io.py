@@ -14,14 +14,16 @@ decode(encode(x)) is bitwise-stable for any x.
 The prototype and head checkpoints use the same codec: a magic tag, u32
 header fields, then fixed records described by one numpy structured dtype.
 
-Every file the engine writes goes through ``commit_outputs``, which writes a
-command's outputs all or nothing.
+Every CSV the engine writes is a table: named columns and one printf format
+per column, formatted by ``table_csv``.  Every file the engine writes goes
+through ``commit_outputs``, which writes a command's outputs all or nothing.
 """
 
 from __future__ import annotations
 
 import contextlib
 import errno
+import itertools
 import math
 import os
 import stat
@@ -217,6 +219,27 @@ def rows_for_ids(haystack_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
     if not found.all():
         raise UsageError(f"sample id {int(ids[np.argmin(found)])} not present in corpus")
     return order[pos]
+
+
+def table_csv(table, formats: dict[str, str]) -> str:
+    """CSV text of ``table``: a header naming the columns of ``formats``, then
+    one line per row, each cell in its column's printf format.
+
+    ``table`` is a structured array or a dict of equal-length columns, read
+    by name.  The cells are Python values (``tolist``), so ``%r`` writes a
+    float's shortest exact repr, and all lines come from one ``%``.  A NaN
+    cell, an undefined value, is an empty field.
+    """
+    columns, line = [], []
+    for name, fmt in formats.items():
+        column = np.asarray(table[name])
+        values = column.tolist()
+        if column.dtype.kind == "f" and np.isnan(column).any():
+            values, fmt = ["" if math.isnan(v) else fmt % v for v in values], "%s"
+        columns.append(values)
+        line.append(fmt)
+    cells = tuple(itertools.chain.from_iterable(zip(*columns, strict=True)))
+    return ",".join(formats) + "\n" + ((",".join(line) + "\n") * len(columns[0])) % cells
 
 
 def _is_stream(path) -> bool:

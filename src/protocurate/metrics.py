@@ -3,9 +3,9 @@
 AUROC uses pair-count semantics (concordant plus half the ties over P*N),
 computed via midranks so it stays O(n log n) while matching the counting
 definition exactly.  AUPRC is average precision with equal scores swept as
-one group.  A metric that is undefined on a given split is None: the class
-is excluded from the macro average and reported as absent rather than
-scored zero.
+one group.  A metric that is undefined on a given split is None (NaN in the
+per-class table): the class is excluded from the macro average and reported
+as absent rather than scored zero.
 """
 
 from __future__ import annotations
@@ -18,20 +18,21 @@ import numpy as np
 
 from .embedding import exact_pairs, float32_cut, float32_scan, normalize_rows, unit_scaled
 from .errors import DegenerateVectorError, UsageError
+from .io import table_csv
 
-
-@dataclass
-class ClassMetrics:
-    name: str
-    auroc: float | None
-    auprc: float | None
-    n_pos: int
-    n_neg: int
+# One class of the report: its prompt name, its metrics (NaN where undefined)
+# and its label counts.  metrics.csv writes them all, NaN as an empty cell.
+CLASS_RECORD = np.dtype([
+    ("class", object), ("auroc", "<f8"), ("auprc", "<f8"), ("n_pos", "<i8"), ("n_neg", "<i8"),
+])
+CLASS_FORMATS = {"class": "%s", "auroc": "%.9g", "auprc": "%.9g", "n_pos": "%d", "n_neg": "%d"}
 
 
 @dataclass
 class MetricReport:
-    per_class: list[ClassMetrics]
+    """``per_class`` holds one ``CLASS_RECORD`` per prompt class."""
+
+    per_class: np.ndarray
     macro_auroc: float | None
     auroc_excluded: int
     macro_auprc: float | None
@@ -51,26 +52,15 @@ class MetricReport:
                 "image_to_text": self.recall_img_to_txt,
                 "text_to_image": self.recall_txt_to_img,
             },
-            "per_class": [
-                {
-                    "class": c.name,
-                    "auroc": c.auroc,
-                    "auprc": c.auprc,
-                    "n_pos": c.n_pos,
-                    "n_neg": c.n_neg,
-                }
-                for c in self.per_class
+            "per_class": [  # an undefined metric, NaN (v != v), is null
+                {name: None if v != v else v for name, v in zip(CLASS_RECORD.names, row)}
+                for row in self.per_class.tolist()
             ],
         }
         return json.dumps(doc, indent=2) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["class,auroc,auprc,n_pos,n_neg"]
-        for c in self.per_class:
-            auroc = "" if c.auroc is None else f"{c.auroc:.9g}"
-            auprc = "" if c.auprc is None else f"{c.auprc:.9g}"
-            lines.append(f"{c.name},{auroc},{auprc},{c.n_pos},{c.n_neg}")
-        return "\n".join(lines) + "\n"
+        return table_csv(self.per_class, CLASS_FORMATS)
 
 
 def zero_shot_scores(u: np.ndarray, pos: np.ndarray, neg: np.ndarray, tau: float) -> np.ndarray:
@@ -140,11 +130,11 @@ def auprc(scores: np.ndarray, labels: np.ndarray) -> float | None:
     return float(np.sum((recall - prev_recall) * precision))
 
 
-def _macro(values: list[float | None]) -> tuple[float | None, int]:
-    """Unweighted mean over the defined values (None if there are none), and
-    the number excluded."""
-    defined = [v for v in values if v is not None]
-    return (float(np.mean(defined)) if defined else None), len(values) - len(defined)
+def _macro(values: np.ndarray) -> tuple[float | None, int]:
+    """Unweighted mean over the defined (not NaN) values, None if there are
+    none, and the number excluded."""
+    defined = values[~np.isnan(values)]
+    return (float(defined.mean()) if len(defined) else None), len(values) - len(defined)
 
 
 def _exact_hits(a: np.ndarray, b: np.ndarray, rows: np.ndarray, magnitude: float) -> np.ndarray:
@@ -254,18 +244,19 @@ def evaluate_zero_shot(
     pos = _unit(head.project_txt(positive), "positive prompt", names)
     neg = _unit(head.project_txt(negative), "negative prompt", names)
 
-    per_class: list[ClassMetrics] = []
-    for c, name in enumerate(names):
+    per_class = np.zeros(len(names), dtype=CLASS_RECORD)
+    per_class["class"] = names
+    per_class["n_pos"] = labels.sum(axis=0)
+    per_class["n_neg"] = len(labels) - per_class["n_pos"]
+    for c in range(len(names)):
         scores = zero_shot_scores(u, pos[c], neg[c], tau)
-        y = labels[:, c]
-        n_pos = int(y.sum())
-        per_class.append(
-            ClassMetrics(name, auroc(scores, y), auprc(scores, y), n_pos, len(y) - n_pos)
-        )
+        for name, metric in (("auroc", auroc), ("auprc", auprc)):
+            value = metric(scores, labels[:, c])
+            per_class[name][c] = math.nan if value is None else value
     return MetricReport(
         per_class,
-        *_macro([c.auroc for c in per_class]),
-        *_macro([c.auprc for c in per_class]),
+        *_macro(per_class["auroc"]),
+        *_macro(per_class["auprc"]),
         *recall_both_blocked(u, v),
         n_samples=len(u),
     )

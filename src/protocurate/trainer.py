@@ -234,22 +234,13 @@ def optimizer_step(
     return lr
 
 
-@dataclass
-class LossRow:
-    step: int
-    epoch: int
-    lr: float
-    loss: float
+# One optimizer step: its number from 1, its epoch, the learning rate and the
+# loss; the loss CSV writes them all.
+LOSS_RECORD = np.dtype([("step", "<i8"), ("epoch", "<i8"), ("lr", "<f8"), ("loss", "<f8")])
+LOSS_FORMATS = {"step": "%d", "epoch": "%d", "lr": "%.9g", "loss": "%.9g"}
 
 
-def loss_csv(rows: list[LossRow]) -> str:
-    return "step,epoch,lr,loss\n" + "".join(
-        f"{row.step},{row.epoch},{row.lr:.9g},{row.loss:.9g}\n" for row in rows
-    )
-
-
-def _diverged(loss_rows: list[LossRow], epoch: int, why: str) -> NumericalFailureError:
-    step = len(loss_rows) + 1
+def _diverged(step: int, epoch: int, why: str) -> NumericalFailureError:
     return NumericalFailureError(f"training diverged at step {step} (epoch {epoch}): {why}")
 
 
@@ -260,19 +251,20 @@ def _step(
     state: OptimizerState,
     cfg: EngineConfig,
     epoch: int,
-    loss_rows: list[LossRow],
+    steps: list[tuple],
 ) -> None:
-    """One optimizer step on ``rows``, scheduled at the start of ``epoch``; a
-    projected row without a direction before it, or a non-finite loss or
-    parameter after it, raises NumericalFailureError."""
+    """One optimizer step on ``rows`` at the start of ``epoch``, appended to
+    ``steps``; a projected row without a direction before it, or a non-finite
+    loss or parameter after it, raises NumericalFailureError."""
+    step = len(steps) + 1
     try:
         loss, grad = info_nce_grad(corpus.img[rows], corpus.txt[rows], head)
     except DegenerateVectorError as exc:
-        raise _diverged(loss_rows, epoch, f"projected {exc}") from None
+        raise _diverged(step, epoch, f"projected {exc}") from None
     lr = optimizer_step(state, head.theta, _flat(grad), t=epoch - 1, horizon=cfg.epochs)
     if not (math.isfinite(loss) and np.all(np.isfinite(head.theta))):
-        raise _diverged(loss_rows, epoch, "non-finite loss or parameters")
-    loss_rows.append(LossRow(step=len(loss_rows) + 1, epoch=epoch, lr=lr, loss=loss))
+        raise _diverged(step, epoch, "non-finite loss or parameters")
+    steps.append((step, epoch, lr, loss))
 
 
 def _epoch_steps(
@@ -283,21 +275,22 @@ def _epoch_steps(
     rng: np.random.Generator,
     cfg: EngineConfig,
     epoch: int,
-    loss_rows: list[LossRow],
+    steps: list[tuple],
 ) -> None:
     perm = rng.permutation(len(rows))
     for start in range(0, len(rows), cfg.batch_size):
         batch = rows[perm[start : start + cfg.batch_size]]
-        _step(corpus, batch, head, state, cfg, epoch, loss_rows)
+        _step(corpus, batch, head, state, cfg, epoch, steps)
 
 
 def train_head(
     corpus: Corpus, cfg: EngineConfig, rows: np.ndarray | None = None
-) -> tuple[ProjectionHead, list[LossRow]]:
+) -> tuple[ProjectionHead, np.ndarray]:
     """Fixed-set training: seeded-shuffled mini-batches for cfg.epochs epochs.
 
     ``rows`` selects a subset of corpus rows (e.g. a curated selection);
-    None trains on the whole corpus.
+    None trains on the whole corpus.  Returns the head and one ``LOSS_RECORD``
+    per optimizer step.
     """
     if rows is None:
         rows = np.arange(corpus.n)
@@ -308,15 +301,15 @@ def train_head(
     rng = np.random.default_rng(cfg.seed)
     head = init_head(corpus.d_img, corpus.d_txt, cfg.proj_dim, cfg.tau_init, seed=cfg.seed)
     state = OptimizerState(base_lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
-    loss_rows: list[LossRow] = []
+    steps: list[tuple] = []
     for epoch in range(1, cfg.epochs + 1):
-        _epoch_steps(corpus, rows, head, state, rng, cfg, epoch, loss_rows)
-    return head, loss_rows
+        _epoch_steps(corpus, rows, head, state, rng, cfg, epoch, steps)
+    return head, np.array(steps, dtype=LOSS_RECORD)
 
 
 def train_joint(
     corpus: Corpus, cfg: EngineConfig
-) -> tuple[ProjectionHead, list[LossRow], CuratedSelection, PrototypeBank]:
+) -> tuple[ProjectionHead, np.ndarray, CuratedSelection, PrototypeBank]:
     """Curation epoch plus reuse epochs, one optimizer state throughout.
 
     Epoch 1 runs the online curation loop, taking one step per curated
@@ -326,23 +319,23 @@ def train_joint(
     head = init_head(corpus.d_img, corpus.d_txt, cfg.proj_dim, cfg.tau_init, seed=cfg.seed)
     state = OptimizerState(base_lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
-    loss_rows: list[LossRow] = []
+    steps: list[tuple] = []
 
     def on_minibatch(rows: np.ndarray) -> None:
-        _step(corpus, rows, head, state, cfg, 1, loss_rows)
+        _step(corpus, rows, head, state, cfg, 1, steps)
 
     try:
         selection, bank = run_curation(corpus, cfg, head=head, on_minibatch=on_minibatch)
     except DegenerateVectorError as exc:
         if exc.row is None:  # a bad corpus row, named by id; else the head lost a direction
             raise
-        raise _diverged(loss_rows, 1, f"projected {exc}") from None
+        raise _diverged(len(steps) + 1, 1, f"projected {exc}") from None
     if len(selection) == 0:
         raise UsageError("joint training curated an empty selection; corpus too small")
 
     for epoch in range(2, cfg.epochs + 1):
-        _epoch_steps(corpus, selection.records["row"], head, state, rng, cfg, epoch, loss_rows)
-    return head, loss_rows, selection, bank
+        _epoch_steps(corpus, selection.records["row"], head, state, rng, cfg, epoch, steps)
+    return head, np.array(steps, dtype=LOSS_RECORD), selection, bank
 
 
 def encode_head(head: ProjectionHead) -> bytes:

@@ -250,3 +250,70 @@ def run_summary(values: np.ndarray) -> tuple[float, float]:
 
 def record_size(d_img: int, d_txt: int, n_labels: int) -> int:
     return _layout_size(_corpus_layout(VERSION, 1, d_img, d_txt, n_labels)[1])
+
+
+# --- CSV tables --------------------------------------------------------------
+# One f-string per line: the formulation ``io.table_csv``'s single ``%``
+# replaced, kept to pin every table's text.
+
+
+def _csv(header: str, lines) -> str:
+    return header + "\n" + "".join(line + "\n" for line in lines)
+
+
+def selection_csv(records: np.ndarray) -> str:
+    return _csv("id,iteration,reason,proto,distance", (
+        f"{int(r['id'])},{int(r['iteration'])},{r['reason']},{int(r['proto'])},"
+        f"{float(r['distance'])!r}"
+        for r in records
+    ))
+
+
+def loss_csv(records: np.ndarray) -> str:
+    return _csv("step,epoch,lr,loss", (
+        f"{int(r['step'])},{int(r['epoch'])},{r['lr']:.9g},{r['loss']:.9g}" for r in records
+    ))
+
+
+def metrics_csv(per_class: np.ndarray) -> str:
+    def cell(value):
+        return "" if math.isnan(value) else f"{value:.9g}"
+
+    return _csv("class,auroc,auprc,n_pos,n_neg", (
+        f"{r['class']},{cell(r['auroc'])},{cell(r['auprc'])},{int(r['n_pos'])},{int(r['n_neg'])}"
+        for r in per_class
+    ))
+
+
+def knn_profile_csv(ids: np.ndarray, values: np.ndarray) -> str:
+    return _csv("id,knn_mean", (f"{int(i)},{v:.9g}" for i, v in zip(ids, values)))
+
+
+def pca2_csv(ids: np.ndarray, proj: np.ndarray) -> str:
+    return _csv("id,pc1,pc2", (f"{int(i)},{p[0]:.9g},{p[1]:.9g}" for i, p in zip(ids, proj)))
+
+
+def ecdf_csv(values: np.ndarray) -> str:
+    """Each distinct value and the share of values at or below it."""
+    ordered = np.sort(values)
+    lines = []
+    for value in np.unique(ordered):
+        share = np.searchsorted(ordered, value, side="right") / len(ordered)
+        lines.append(f"{value:.9g},{share:.9g}")
+    return _csv("value,cum_frac", lines)
+
+
+def labels_csv(labels: np.ndarray, rows: np.ndarray | None) -> str:
+    full = labels.sum(axis=0)
+    frac_full = full / len(labels)
+    if rows is None:
+        return _csv("class,count,frac", (
+            f"class_{c},{full[c]},{frac_full[c]:.9g}" for c in range(len(full))
+        ))
+    subset = labels[rows].sum(axis=0)
+    frac_subset = subset / len(rows)
+    return _csv("class,count_full,frac_full,count_subset,frac_subset,delta", (
+        f"class_{c},{full[c]},{frac_full[c]:.9g},{subset[c]},{frac_subset[c]:.9g},"
+        f"{frac_subset[c] - frac_full[c]:.9g}"
+        for c in range(len(full))
+    ))

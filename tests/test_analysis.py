@@ -545,6 +545,27 @@ class TestRunAnalysis:
         assert labels[0] == "class,count_full,frac_full,count_subset,frac_subset,delta"
         assert len(labels) == 4  # 3 classes
 
+    @pytest.mark.parametrize("with_selection", [False, True], ids=["corpus", "selection"])
+    def test_tables_match_per_line_oracle(self, with_selection):
+        corpus = analysis_corpus(n=300, seed=21)
+        corpus.ids = np.uint64(2**64 - 1) - 3 * corpus.ids  # ids past int64
+        rows = np.arange(0, 300, 7) if with_selection else None
+        files = run_analysis(corpus, EngineConfig(knn_k=4), rows)
+        unified = unify_batch(corpus.img, corpus.txt)
+        values, _ = knn_mean_distance(unified, 4)
+        proj, _ = pca2(unified)
+        expected = {
+            "knn_profile.csv": oracles.knn_profile_csv(corpus.ids, values),
+            "pca2.csv": oracles.pca2_csv(corpus.ids, proj),
+            "ecdf_full.csv": oracles.ecdf_csv(values),
+            "labels.csv": oracles.labels_csv(corpus.labels, rows),
+        }
+        if with_selection:
+            expected["ecdf_subset.csv"] = oracles.ecdf_csv(values[rows])
+        assert files.keys() == expected.keys() | {"tests.json"}
+        for name, text in expected.items():
+            assert files[name] == text, name
+
     def test_written_bundle_without_selection_plain_labels(self, tmp_path):
         corpus = analysis_corpus(seed=20)
         out = tmp_path / "bundle"

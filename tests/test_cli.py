@@ -464,6 +464,26 @@ class TestMalformedInputs:
         assert f"selection file {sel} line {line}: duplicate id {dup}" in err
         assert not (tmp_path / "h.bin").exists()
 
+    # int() and float() read each of these lines as a valid sample (id 10 at
+    # distance 0.5, or id 10 at distance 5.0); the writer never writes them.
+    @pytest.mark.parametrize("bad", [
+        "1_0,1,fps,0,0.5", "10,1,fps,0,0_5", " 10,1,fps,0,0.5", "+10,1,fps,0,0.5",
+        "\u0661\u0660,1,fps,0,0.5", "10,1,fps,0, 0.5",
+    ], ids=["id-underscore", "distance-underscore", "id-space", "id-plus", "id-arabic-indic",
+            "distance-space"])
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    def test_numeral_the_writer_never_writes(self, workspace, tmp_path, command, bad):
+        sel = tmp_path / "sel.csv"
+        sel.write_text(f"id,iteration,reason,proto,distance\n3,1,fps,0,0.5\n{bad}\n")
+        code, err = run_cli(
+            command, "--config", workspace["cfg"], "--corpus", workspace["corpus"],
+            "--selection", sel, *SELECTION_OUTPUTS[command](tmp_path),
+        )
+        assert code == 2
+        assert_one_line_error(err)
+        assert f"selection file {sel} line 3: malformed field" in err
+        assert [path.name for path in tmp_path.iterdir()] == ["sel.csv"]
+
     @pytest.mark.parametrize("command", ["train", "analyze"])
     def test_selection_id_not_in_corpus(self, workspace, tmp_path, command):
         rows = open(workspace["selection"]).read().splitlines()

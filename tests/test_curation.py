@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import oracles
 from protocurate import curation
 from protocurate.config import EngineConfig
 from protocurate.curation import (
@@ -421,6 +422,11 @@ class TestSelectionCsv:
         assert np.array_equal(back.records, selection.records)  # row included
         assert back.to_csv() == text
 
+    def test_matches_per_line_oracle(self):
+        corpus = small_corpus(128 + 2 * 64, seed=14)
+        selection, _ = run_curation(corpus, small_cfg())
+        assert selection.to_csv() == oracles.selection_csv(selection.records)
+
     def test_file_round_trip(self, tmp_path):
         corpus = small_corpus(128 + 64, seed=12)
         selection, _ = run_curation(corpus, small_cfg())
@@ -441,6 +447,39 @@ class TestSelectionCsv:
     def test_malformed_field(self, tmp_path):
         with pytest.raises(FormatError, match="line 2"):
             self.read(tmp_path, self.HEADER + "x,1,fps,0,0.5\n")
+
+    # Numerals int() and float() read but the writer never writes.
+    @pytest.mark.parametrize("line", [
+        "1_0,1,fps,0,0.5",
+        "10,1,fps,0,0_5",
+        " 10,1,fps,0,0.5",
+        "+10,1,fps,0,0.5",
+        "\u0661\u0660,1,fps,0,0.5",
+        "10,1,fps,0, 0.5",
+        "10,1,fps,0,+0.5",
+        "10,1,fps,0,0.5 ",
+        "10,\u0661,fps,0,0.5",
+        "10,1,fps,\uff10,0.5",
+        "010,1,fps,0,0.5",
+        "-0,1,fps,0,0.5",
+        "10,1,fps,0,5e-1",
+        "10,1,fps,0,0.50",
+        "10,1,fps,0,1E-05",
+    ], ids=["id-underscore", "distance-underscore", "id-space", "id-plus", "id-arabic-indic",
+            "distance-space", "distance-plus", "distance-trailing-space", "iteration-arabic-indic",
+            "proto-fullwidth", "id-leading-zero", "id-minus-zero", "distance-exponent",
+            "distance-trailing-zero", "distance-capital-exponent"])
+    def test_numeral_the_writer_never_writes(self, tmp_path, line):
+        good = self.HEADER + "1,1,fps,0,0.5\n"
+        with pytest.raises(FormatError, match=f"{self.named(tmp_path)} line 3: malformed field$"):
+            self.read(tmp_path, good + line + "\n")
+
+    def test_crlf_line_ends_accepted(self, tmp_path):
+        corpus = small_corpus(16)
+        text = self.HEADER + f"{corpus.ids[3]},1,fps,0,0.5\n{corpus.ids[5]},2,distant,1,1e-05\n"
+        back = self.read(tmp_path, text.replace("\n", "\r\n"), corpus)
+        assert back.records["row"].tolist() == [3, 5]
+        assert back.records["distance"].tolist() == [0.5, 1e-05]
 
     @pytest.mark.parametrize("line, detail", [
         ("5,0,fps,0,0.5", "iteration 0 out of range"),

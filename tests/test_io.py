@@ -26,8 +26,10 @@ from protocurate.io import (
     encode_corpus,
     read_corpus,
     rows_for_ids,
+    table_csv,
     validate_corpus,
 )
+from protocurate.curation import RECORD, CuratedSelection
 from protocurate.prototypes import PROTO_MAGIC, PrototypeBank, decode_bank, encode_bank
 from protocurate.synth import generate_corpus
 from protocurate.trainer import HEAD_MAGIC, decode_head, encode_head, init_head
@@ -459,6 +461,56 @@ class TestCommitOutputs:
         assert received == [b""]
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert self.listing(tmp_path) == ["fifo"]
+
+
+class TestTableCsv:
+    def test_largest_uint64_id(self):
+        ids = np.array([0, 2**64 - 1], dtype=np.uint64)
+        assert table_csv({"id": ids}, {"id": "%d"}) == "id\n0\n18446744073709551615\n"
+
+    def test_repr_is_pythons(self):
+        values = np.array([5e-324, 0.1, 1e16])
+        text = table_csv({"x": values}, {"x": "%r"})
+        assert text == "x\n5e-324\n0.1\n1e+16\n"
+        assert text.splitlines()[1:] == [repr(v) for v in values.tolist()]
+
+    def test_nine_significant_digits(self):
+        text = table_csv({"x": np.array([1e-05, 1 / 3, 2.0])}, {"x": "%.9g"})
+        assert text == "x\n1e-05\n0.333333333\n2\n"
+
+    def test_zero_rows_is_the_header_only(self):
+        empty = np.zeros(0, dtype=RECORD)
+        assert table_csv(empty, {"id": "%d", "distance": "%r"}) == "id,distance\n"
+
+    def test_text_cell_holding_percent(self):
+        table = {"name": ["100%", "%d%s%%"], "n": np.array([1, 2])}
+        assert table_csv(table, {"name": "%s", "n": "%d"}) == "name,n\n100%,1\n%d%s%%,2\n"
+
+    def test_nan_is_an_empty_cell(self):
+        table = {"a": np.array([0.5, np.nan]), "b": np.array([np.nan, 0.25])}
+        assert table_csv(table, {"a": "%.9g", "b": "%.9g"}) == "a,b\n0.5,\n,0.25\n"
+
+    def test_literal_text_in_a_format(self):
+        assert table_csv({"c": np.arange(2)}, {"c": "class_%d"}) == "c\nclass_0\nclass_1\n"
+
+    def test_structured_columns_in_format_order(self):
+        records = np.zeros(2, dtype=RECORD)
+        records["id"], records["proto"] = [7, 8], [1, 0]
+        assert table_csv(records, {"proto": "%d", "id": "%d"}) == "proto,id\n1,7\n0,8\n"
+
+    def test_selection_edge_values_read_back_bit_for_bit(self, tmp_path):
+        ids = np.array([2**64 - 1, 1, 2, 3], dtype=np.uint64)
+        corpus = Corpus(ids=ids, img=np.eye(4), txt=np.eye(4))
+        records = np.zeros(4, dtype=RECORD)
+        records["row"] = [3, 0, 2, 1]
+        records["id"] = ids[records["row"]]
+        records["iteration"] = 1
+        records["reason"] = "fps"
+        records["distance"] = [5e-324, 0.1, 1e16, 1e-05]
+        path = tmp_path / "sel.csv"
+        commit_outputs([(path, CuratedSelection(records).to_csv())])
+        back = CuratedSelection.read_csv(path, corpus).records
+        assert back.tobytes() == records.tobytes()
 
 
 def test_only_io_opens_files_for_writing():

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import midranks, recall_at_1, zero_shot_prob
 from protocurate import embedding, metrics
 from protocurate.embedding import SCAN_BLOCK, normalize_rows
 from protocurate.errors import DegenerateVectorError, UsageError
 from protocurate.io import commit_outputs
 from protocurate.metrics import (
-    ClassMetrics,
+    CLASS_RECORD,
     MetricReport,
     _midranks,
     auprc,
@@ -226,7 +227,9 @@ def scored_batch():
 class TestMacroAverage:
     def test_excludes_undefined(self):
         report = evaluate_identity(*scored_batch(), tau=1.0)
-        assert [c.auroc for c in report.per_class] == [1.0, 0.75, None]
+        assert report.per_class.dtype == CLASS_RECORD
+        assert report.per_class["auroc"].tolist()[:2] == [1.0, 0.75]
+        assert math.isnan(report.per_class["auroc"][2])
         assert report.macro_auroc == pytest.approx(0.875, abs=1e-15)
         assert report.auroc_excluded == 1
         assert report.macro_auprc == pytest.approx((1.0 + 5.0 / 6.0) / 2.0, abs=1e-15)
@@ -444,9 +447,8 @@ class TestEvaluateZeroShot:
         assert report.macro_auprc == 1.0
         assert report.auroc_excluded == 0
         assert report.n_samples == 40
-        for c in report.per_class:
-            assert c.auroc == 1.0
-            assert c.n_pos == 20
+        assert report.per_class["auroc"].tolist() == [1.0, 1.0]
+        assert report.per_class["n_pos"].tolist() == [20, 20]
 
     def test_empty_class_excluded_not_zeroed(self):
         images, texts, labels, names, pos, neg = separated_batch()
@@ -458,7 +460,9 @@ class TestEvaluateZeroShot:
         assert report.auprc_excluded == 1
         assert report.macro_auroc == 1.0  # mean over defined classes only
         gamma = report.per_class[-1]
-        assert gamma.auroc is None and gamma.auprc is None and gamma.n_pos == 0
+        assert math.isnan(gamma["auroc"]) and math.isnan(gamma["auprc"]) and gamma["n_pos"] == 0
+        doc = json.loads(report.to_json())["per_class"][-1]
+        assert doc == {"class": "gamma", "auroc": None, "auprc": None, "n_pos": 0, "n_neg": 40}
 
     def test_labels_shape_checked(self):
         images, texts, labels, names, pos, neg = separated_batch()
@@ -503,10 +507,9 @@ class TestEvaluateZeroShot:
 
     def test_report_csv_layout(self):
         report = MetricReport(
-            per_class=[
-                ClassMetrics("a", 0.75, 0.5, 3, 5),
-                ClassMetrics("b", None, None, 0, 8),
-            ],
+            per_class=np.array(
+                [("a", 0.75, 0.5, 3, 5), ("b", math.nan, math.nan, 0, 8)], dtype=CLASS_RECORD
+            ),
             macro_auroc=0.75,
             macro_auprc=0.5,
             auroc_excluded=1,
@@ -519,6 +522,13 @@ class TestEvaluateZeroShot:
         assert lines[0] == "class,auroc,auprc,n_pos,n_neg"
         assert lines[1] == "a,0.75,0.5,3,5"
         assert lines[2] == "b,,,0,8"
+
+    def test_report_csv_matches_per_line_oracle(self):
+        # the third class has no positives: both of its metrics are empty cells
+        report = evaluate_identity(*scored_batch(), tau=1.0)
+        text = report.to_csv()
+        assert text == oracles.metrics_csv(report.per_class)
+        assert text.splitlines()[1:] == ["a,1,1,2,2", "b,0.75,0.833333333,2,2", "c,,,0,4"]
 
     def test_write_files(self, tmp_path):
         report = evaluate_identity(*separated_batch())

@@ -6,14 +6,17 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import info_nce
 from protocurate.config import EngineConfig
 from protocurate.errors import FormatError, NumericalFailureError, UsageError
-from protocurate.io import commit_outputs
+from protocurate.io import commit_outputs, table_csv
 from protocurate.synth import generate_corpus
 from protocurate.trainer import (
     LOG_TAU_MAX,
     LOG_TAU_MIN,
+    LOSS_FORMATS,
+    LOSS_RECORD,
     PARAM_NAMES,
     OptimizerState,
     ProjectionHead,
@@ -24,7 +27,6 @@ from protocurate.trainer import (
     info_nce_grad,
     init_head,
     load_head,
-    loss_csv,
     optimizer_step,
     train_head,
     train_joint,
@@ -291,23 +293,21 @@ class TestTrainHead:
     def test_loss_decreases(self):
         corpus = paired_corpus(256, seed=20)
         head, rows = train_head(corpus, EngineConfig(**self.CFG))
-        per_epoch = {}
-        for r in rows:
-            per_epoch.setdefault(r.epoch, []).append(r.loss)
-        first = float(np.mean(per_epoch[1]))
-        last = float(np.mean(per_epoch[max(per_epoch)]))
+        assert rows.dtype == LOSS_RECORD
+        first = float(np.mean(rows["loss"][rows["epoch"] == 1]))
+        last = float(np.mean(rows["loss"][rows["epoch"] == rows["epoch"].max()]))
         assert last < first * 0.5
 
     def test_step_and_epoch_bookkeeping(self):
         corpus = paired_corpus(100, seed=21)
         cfg = EngineConfig(**{**self.CFG, "epochs": 3})
         head, rows = train_head(corpus, cfg)
-        assert [r.step for r in rows] == list(range(1, len(rows) + 1))
+        assert rows["step"].tolist() == list(range(1, len(rows) + 1))
         steps_per_epoch = math.ceil(100 / cfg.batch_size)
         assert len(rows) == 3 * steps_per_epoch
-        for r in rows:
-            assert r.lr == pytest.approx(
-                cosine_lr(cfg.learning_rate, r.epoch - 1, cfg.epochs), abs=1e-15
+        for epoch, lr in zip(rows["epoch"].tolist(), rows["lr"].tolist()):
+            assert lr == pytest.approx(
+                cosine_lr(cfg.learning_rate, epoch - 1, cfg.epochs), abs=1e-15
             )
 
     def test_deterministic(self):
@@ -316,7 +316,7 @@ class TestTrainHead:
         h1, r1 = train_head(corpus, cfg)
         h2, r2 = train_head(corpus, cfg)
         assert encode_head(h1) == encode_head(h2)
-        assert r1 == r2
+        assert r1.tobytes() == r2.tobytes()
 
     def test_subset_rows(self):
         corpus = paired_corpus(128, seed=23)
@@ -360,9 +360,11 @@ class TestTrainJoint:
         head, rows, selection, bank = train_joint(corpus, EngineConfig(**self.CFG))
         assert len(selection) > 0
         assert bank.update_count == 2  # one EMA update per curation iteration
-        epoch1 = [r for r in rows if r.epoch == 1]
+        assert rows.dtype == LOSS_RECORD
+        assert rows["step"].tolist() == list(range(1, len(rows) + 1))
+        epoch1 = rows[rows["epoch"] == 1]
         assert len(epoch1) == 2  # one optimizer step per curated mini-batch
-        later = [r.epoch for r in rows if r.epoch > 1]
+        later = rows["epoch"][rows["epoch"] > 1].tolist()
         assert sorted(set(later)) == [2, 3]
         n_sel = len(selection)
         per_epoch = math.ceil(n_sel / 16)
@@ -518,14 +520,16 @@ class TestIdentityHead:
 
 class TestLossCsv:
     def test_format(self):
-        from protocurate.trainer import LossRow
-
-        rows = [
-            LossRow(step=1, epoch=1, lr=0.01, loss=2.5),
-            LossRow(step=2, epoch=1, lr=0.01, loss=1.25),
-        ]
-        text = loss_csv(rows)
+        rows = np.array([(1, 1, 0.01, 2.5), (2, 1, 0.01, 1.25)], dtype=LOSS_RECORD)
+        text = table_csv(rows, LOSS_FORMATS)
         lines = text.strip().split("\n")
         assert lines[0] == "step,epoch,lr,loss"
         assert lines[1] == "1,1,0.01,2.5"
         assert len(lines) == 3
+
+    def test_matches_per_line_oracle(self):
+        corpus = paired_corpus(128 + 2 * 64, seed=31)
+        _, fixed = train_head(corpus, EngineConfig(**{**TestTrainHead.CFG, "epochs": 2}))
+        _, joint, _, _ = train_joint(corpus, EngineConfig(**TestTrainJoint.CFG))
+        for losses in (fixed, joint):
+            assert table_csv(losses, LOSS_FORMATS) == oracles.loss_csv(losses)
