@@ -41,8 +41,10 @@ class TestResult:
 
     def to_dict(self) -> dict:
         doc = asdict(self)
-        if not math.isfinite(self.statistic):  # JSON has no infinity
-            doc["statistic"] = repr(self.statistic)
+        # JSON has no infinity: an infinite statistic is null, as an undefined
+        # metric is in metrics.json; its sign is that of mean_a - mean_b.
+        if not math.isfinite(self.statistic):
+            doc["statistic"] = None
         return doc
 
 
@@ -83,7 +85,7 @@ def knn_mean_distance(points: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     # the last layer, so every group minimum is a real entry of another point.
     per = 32 if n >= 32 * max(k_eff + 1, 32) else 1
     groups = -(-n // per)
-    q = unit_scaled(points)
+    q, _ = unit_scaled(points)
     sq = np.einsum("ij,ij->i", q, q)[:, None]
     ones = np.ones_like(sq)
     # A padding column [0, ..., 0, max] gives entries of exactly float32's

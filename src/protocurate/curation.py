@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import EngineConfig
-from .embedding import pairwise_sq_distance, unify_batch
+from .embedding import _U64, pairwise_sq_distance, unify_batch, unit_scaled
 from .errors import DegenerateVectorError, FormatError, InsufficientWarmupError
 from .errors import NumericalFailureError, UsageError
 from .io import Corpus, rows_for_ids, table_csv, validate_corpus
@@ -165,11 +165,27 @@ def select_distant(
 
 
 def _distances(points: np.ndarray, p: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(points - p, axis=1)``, bit for bit, with the differences
-    in ``buf`` (shaped like ``points``) instead of a new array."""
+    """``np.linalg.norm(points - p, axis=-1)``, bit for bit, with the differences
+    in ``buf`` (the broadcast shape of ``points - p``) instead of a new array."""
     np.subtract(points, p, out=buf)
     np.multiply(buf, buf, out=buf)
-    return np.sqrt(np.add.reduce(buf, axis=1))
+    return np.sqrt(np.add.reduce(buf, axis=-1))
+
+
+_MAX = float(np.finfo(np.float64).max)
+
+
+def _fps_margin(m: int, peak_sq: float, shift: int) -> float:
+    """The filter margin of ``fps_select`` (derived there) for rows of length
+    ``m`` whose scaled squared norms are at most ``peak_sq``, scaled by 2^-shift."""
+    g_m, g_m2 = (k * _U64 / (1.0 - k * _U64) for k in (m, m + 2))
+    with np.errstate(over="ignore"):
+        overflow = not np.isfinite(np.ldexp(8.0 * peak_sq, 2 * shift))
+        spill = np.ldexp(float(m), -1074 - 2 * shift)
+    e_gram = (4.0 * g_m + 7.0 * _U64) * peak_sq
+    e_exact = 4.0 * g_m2 * peak_sq + spill
+    margin = 2.0 * (2.0 * e_gram + 2.0 * e_exact + 5.0 * _U64 * (4.0 * peak_sq + e_exact))
+    return _MAX if overflow else min(margin, _MAX)
 
 
 def fps_select(
@@ -178,33 +194,99 @@ def fps_select(
     """Greedy max-min subset of one cluster, anchored at its prototype.
 
     The first pick is the point farthest from the anchor; each later pick
-    maximizes the minimum distance to the points already picked.  All ties
-    go to the smallest id.  Returns positions into ``points`` in pick
-    order; if the cluster fits the budget, everything is returned in input
-    order.
+    maximizes the minimum distance to the points already picked.  Distances are
+    those of ``np.linalg.norm`` and all ties go to the smallest id.  Returns
+    positions into ``points`` in pick order; if the cluster fits the budget,
+    everything is returned in input order.
+
+    Filter and refine.  Each pick is filtered by Gram squared distances
+    G = |x|^2 + |p|^2 - 2 x.p to its target p (the anchor, then the last pick):
+    one matrix-vector product over copies of the points and the anchor that
+    ``unit_scaled`` brings to one scale 2^-s (the larger of their two), with
+    the squared norms taken once.  F_i, the min of G over the targets so far,
+    keeps every row whose F_i >= max F - margin; only those rows get the exact
+    distances, sqrt(np.add.reduce((x - p)^2)) on the original rows, to every
+    target, and the max and the smallest id among its ties decide.  A single
+    such row is the pick with no refine at all.
+
+    The margin.  Work in scaled units: every |entry| < 1, X is the largest
+    computed squared norm of a scaled row or the anchor (X >= 1/4, as the peak
+    entry is in [1/2, 1), unless all are 0 and every G and S is 0), m the row
+    length, u = 2^-53, g_k = k u / (1 - k u).  Let D be a real distance, T_i
+    the min of D^2 over the targets and S_i the min of the exact sums, which
+    the original rows give times 2^2s, a power of two; D^2 <= 4X.
+      - The filter: the norms and the dot product each err by g_m X at most,
+        in any order, with or without FMA (Higham, Accuracy and Stability, 2nd
+        ed., sec. 3.1); the two additions round results below 3X and 4X.  So
+        |G - D^2| <= E_g := (4 g_m + 7u) X, and |F_i - T_i| <= E_g.
+      - The exact sum: the difference, its square and m - 1 additions give
+        |S - D^2| <= g_(m+2) D^2 <= 4 g_(m+2) X in normal range.  Gradual
+        underflow of the original rows adds at most 2^-1075 per square (a
+        difference or sum in subnormal range is exact), m 2^-1074 with the sum's
+        growth; in scaled units A := m 2^(-1074 - 2s).  So |S_i - T_i| <= E_s :=
+        4 g_(m+2) X + A.
+      - The square root: a refined value is fl(sqrt(S)), and two sums an ulp
+        apart may share one, so a tie is only seen after the sqrt; that is where
+        the refine compares, as the direct loop does.  If S_i < S_t (1 - 5u) then
+        fl(sqrt(S_i)) <= sqrt(S_i)(1 + u) < sqrt(S_t)(1 - u) <= fl(sqrt(S_t)),
+        since (1 - 5u)(1 + u)^2 < (1 - u)^2; with S_t <= 4X + E_s, a gap of
+        d := 5u (4X + E_s) is enough.
+    Let t be the row of max F.  A row with F_i < F_t - margin, margin >=
+    2 E_g + 2 E_s + d, has S_i <= F_i + E_g + E_s < S_t + 2 E_g + 2 E_s - margin
+    <= S_t - d, so its distance is below row t's: the max and all its ties are
+    refined.  ``margin`` is that bound doubled.  The doubling covers second-order
+    terms, X standing for the exact largest norm, the float64 evaluation of the
+    margin and of F_t - margin, and subnormal rounding in the scaled copies and
+    the filter (at most 8 m 2^-1074 in all, while E_g >= g_m / 4).  When the
+    original sums could reach float64's overflow threshold (8 X 2^2s >= 2^1024),
+    or A overflows, the margin is float64's largest value: every row but the
+    picked ones (F = -inf) is refined, which is exact again.
     """
     if budget < 1:
         raise UsageError("FPS budget must be >= 1")
     points = np.asarray(points, dtype=np.float64)
     ids = np.asarray(ids, dtype=np.uint64)
-    n = len(points)
+    anchor = np.asarray(anchor, dtype=np.float64)
+    n, m = points.shape
     if n <= budget:
         return np.arange(n)
 
+    (rows, rows_shift), (far, far_shift) = unit_scaled(points), unit_scaled(anchor)
+    # One scale for both, the larger, so that every scaled |entry| is below 1.
+    shift = max(rows_shift, far_shift)
+    if rows_shift < shift:
+        rows = np.ldexp(rows, rows_shift - shift)
+    far = np.ldexp(far, far_shift - shift)
+    rows_sq, far_sq = np.einsum("ij,ij->i", rows, rows), float(np.dot(far, far))
+    margin = _fps_margin(m, max(float(rows_sq.max()), far_sq), shift)
+    gram = np.empty(n)
+
+    def gram_to(p: np.ndarray, p_sq: float) -> np.ndarray:
+        """G of every point to the scaled target ``p``."""
+        np.matmul(rows, -2.0 * p, out=gram)
+        np.add(gram, rows_sq, out=gram)
+        return np.add(gram, p_sq, out=gram)
+
+    chosen: list[int] = []
+
     def pick(score: np.ndarray) -> int:
-        cands = np.flatnonzero(score == score.max())
+        cands = np.flatnonzero(score >= score.max() - margin)
+        if len(cands) > 1:
+            targets = points[chosen] if chosen else anchor[None, :]
+            buf = np.empty((len(cands), len(targets), m))
+            exact = _distances(points[cands, None, :], targets, buf).min(axis=1)
+            cands = cands[exact == exact.max()]
         return int(cands[np.argmin(ids[cands])])
 
-    buf = np.empty_like(points)
-    chosen = [pick(_distances(points, np.asarray(anchor, dtype=np.float64), buf))]
+    chosen.append(pick(gram_to(far, far_sq)))
     # After the first pick the anchor drops out; max-min runs over picks only.
-    # A picked point's min distance is 0, and -inf keeps it from a tie at 0.
-    min_dist = np.full(n, np.inf)
+    # A picked point's min is about 0, and -inf keeps it out of every pick.
+    min_sq = np.full(n, np.inf)
     for _ in range(budget - 1):
         last = chosen[-1]
-        np.minimum(min_dist, _distances(points, points[last], buf), out=min_dist)
-        min_dist[last] = -np.inf
-        chosen.append(pick(min_dist))
+        np.minimum(min_sq, gram_to(rows[last], rows_sq[last]), out=min_sq)
+        min_sq[last] = -np.inf
+        chosen.append(pick(min_sq))
     return np.asarray(chosen, dtype=np.int64)
 
 

@@ -51,25 +51,61 @@ def check_directions(mat: np.ndarray, norms: np.ndarray) -> None:
     raise DegenerateVectorError(f"row {row} {NO_DIRECTION[kind]}", int(row), kind)
 
 
+# Rows per block of the normaliser's squares: a block's scratch stays in cache.
+_NORM_ROWS = 256
+
+
+def _normalize_into(out: np.ndarray, mat: np.ndarray) -> None:
+    """Write the rows of ``mat`` scaled to unit norm into ``out``, a float64 array
+    (or view) of the same shape, with no copy of ``mat`` and no array of squares.
+
+    Each block of rows is cast into ``out``, squared into one small scratch and
+    summed by ``np.add.reduce``, then divided by its norm in place: the norms and
+    quotients of ``np.linalg.norm`` and ``/``, bit for bit.  ``check_directions``
+    then sees every norm, so a row without a direction raises as before; its
+    inf/nan quotients are never returned."""
+    n = len(mat)
+    norms = np.empty(n)
+    sq = np.empty((min(_NORM_ROWS, n), mat.shape[1]))
+    with np.errstate(all="ignore"):
+        for start in range(0, n, _NORM_ROWS):
+            stop = min(start + _NORM_ROWS, n)
+            block, part = out[start:stop], norms[start:stop]
+            block[...] = mat[start:stop]
+            np.add.reduce(np.multiply(block, block, out=sq[: stop - start]), axis=1, out=part)
+            np.sqrt(part, out=part)
+            np.divide(block, part[:, None], out=block)
+    check_directions(mat, norms)
+
+
 def normalize_rows(mat: np.ndarray) -> np.ndarray:
     """Each row of a 2-D batch scaled to unit norm; ``check_directions`` names a
     row without a direction, which the curation geometry cannot use."""
-    mat = np.asarray(mat, dtype=np.float64)
-    norms = np.linalg.norm(mat, axis=1)
-    check_directions(mat, norms)
-    return mat / norms[:, None]
+    mat = np.asarray(mat)
+    out = np.empty(mat.shape)
+    _normalize_into(out, mat)
+    return out
 
 
 def unify_batch(img: np.ndarray, txt: np.ndarray, mode: str = "concat") -> np.ndarray:
     """Curation-space rows of (n, d_img) and (n, d_txt) batches: ``concat`` joins the
-    normalized halves (norm sqrt(2)), ``image_only`` / ``text_only`` keep one (norm 1)."""
+    normalized halves (norm sqrt(2)), ``image_only`` / ``text_only`` keep one (norm 1).
+    ``concat`` normalises each half straight into its columns of one new array,
+    the image half first."""
     if mode not in CURATION_SPACES:
         raise UsageError(f"unknown curation space {mode!r}; expected one of {CURATION_SPACES}")
     if mode == "image_only":
         return normalize_rows(img)
     if mode == "text_only":
         return normalize_rows(txt)
-    return np.hstack([normalize_rows(img), normalize_rows(txt)])
+    img, txt = np.asarray(img), np.asarray(txt)
+    if len(img) != len(txt):
+        raise UsageError(f"image and text batches differ in rows: {len(img)} vs {len(txt)}")
+    d_img = img.shape[1]
+    out = np.empty((len(img), d_img + txt.shape[1]))
+    _normalize_into(out[:, :d_img], img)
+    _normalize_into(out[:, d_img:], txt)
+    return out
 
 
 def pairwise_sq_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -95,13 +131,15 @@ SCAN_BLOCK = 256
 _U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoffs of float32 and float64
 
 
-def unit_scaled(x: np.ndarray) -> np.ndarray:
-    """``x`` times the power of two that puts its largest |entry| in [1/2, 1)
-    (x itself when all zero): exact, and safe from float32 range limits."""
-    peak = float(np.max(np.abs(x), initial=0.0))
+def unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(x 2^-s, s)`` for the s that puts the largest |entry| of x 2^-s in
+    [1/2, 1) (s = 0 when x is all zero): exact for every entry that stays
+    normal, and safe from float32 range limits."""
+    peak = max(float(np.max(x, initial=0.0)), -float(np.min(x, initial=0.0)))
     if not np.isfinite(peak):
         raise UsageError("an exact scan needs finite values")
-    return np.ldexp(x, -np.frexp(peak)[1])
+    shift = int(np.frexp(peak)[1])
+    return np.ldexp(x, -shift), shift
 
 
 def float32_scan(a: np.ndarray, b: np.ndarray, magnitude: float):

@@ -185,17 +185,18 @@ def read_corpus(path) -> Corpus:
 
 
 def validate_corpus(corpus: Corpus) -> None:
-    """Ingest-time checks beyond format validity: duplicate ids, and embedding
-    halves without a direction, named by sample id as ``check_directions``
-    picks them (the codec round-trips such records, but no stage accepts them).
+    """Ingest-time checks beyond format validity: duplicate ids, the smallest
+    named, and embedding halves without a direction, named by sample id as
+    ``check_directions`` picks them (the codec round-trips such records, but no
+    stage accepts them).
 
     Squared norms are taken on rows widened to float64 a block at a time, so
     a float32 row whose float32 norm underflows still counts as nonzero.
     """
-    if len(np.unique(corpus.ids)) != corpus.n:
-        ids, counts = np.unique(corpus.ids, return_counts=True)
-        dup = int(ids[counts > 1][0])
-        raise UsageError(f"duplicate sample id {dup} in corpus")
+    ids = np.sort(corpus.ids)
+    same = ids[1:] == ids[:-1]
+    if same.any():
+        raise UsageError(f"duplicate sample id {int(ids[np.argmax(same)])} in corpus")
     for name, mat in (("img", corpus.img), ("txt", corpus.txt)):
         sq = np.empty(corpus.n)
         for start in range(0, corpus.n, _VALIDATE_ROWS):

@@ -176,7 +176,7 @@ def recall_both_blocked(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     if n == 0:
         raise UsageError("retrieval needs a nonempty batch")
 
-    a, b = unit_scaled(u), unit_scaled(v)
+    (a, _), (b, _) = unit_scaled(u), unit_scaled(v)
     # sum_k |a_ik b_jk| <= |a_i| |b_j| (Cauchy-Schwarz).
     magnitude = math.sqrt(np.einsum("ij,ij->i", a, a).max() * np.einsum("ij,ij->i", b, b).max())
     margin, blocks = float32_scan(a, b, magnitude)

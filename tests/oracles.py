@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from protocurate.analysis import TestResult, t_sf_two_sided
-from protocurate.embedding import normalize_rows, pairwise_sq_distance, unify_batch
+from protocurate.embedding import check_directions, normalize_rows, pairwise_sq_distance
+from protocurate.embedding import unify_batch
 from protocurate.errors import UsageError
 from protocurate.io import VERSION, _corpus_layout, _layout_size
 from protocurate.metrics import zero_shot_scores
@@ -88,6 +89,56 @@ def first_without_direction(mat: np.ndarray) -> tuple[int, str] | None:
                     kind = "underflowing" if any(row) else "all-zero"
                 return index, kind
     return None
+
+
+def normalize_rows_direct(mat: np.ndarray) -> np.ndarray:
+    """``embedding.normalize_rows`` as a float64 copy, its ``np.linalg.norm``
+    norms and one division: the normaliser the one-buffer form must match."""
+    mat = np.asarray(mat, dtype=np.float64)
+    norms = np.linalg.norm(mat, axis=1)
+    check_directions(mat, norms)
+    return mat / norms[:, None]
+
+
+def unify_batch_direct(img: np.ndarray, txt: np.ndarray, mode: str = "concat") -> np.ndarray:
+    """``embedding.unify_batch`` by normalising each half on its own and
+    ``np.hstack``-ing the two copies."""
+    if mode == "image_only":
+        return normalize_rows_direct(img)
+    if mode == "text_only":
+        return normalize_rows_direct(txt)
+    return np.hstack([normalize_rows_direct(img), normalize_rows_direct(txt)])
+
+
+# --- curation ----------------------------------------------------------------
+
+
+def fps_select_direct(
+    points: np.ndarray, ids: np.ndarray, budget: int, anchor: np.ndarray
+) -> np.ndarray:
+    """``curation.fps_select`` by three full passes over the cluster per pick
+    (subtract, square, reduce) into ``np.linalg.norm`` distances: the max-min
+    loop the filter and refine must match pick for pick, ties to the smallest id."""
+    if budget < 1:
+        raise UsageError("FPS budget must be >= 1")
+    points = np.asarray(points, dtype=np.float64)
+    ids = np.asarray(ids, dtype=np.uint64)
+    n = len(points)
+    if n <= budget:
+        return np.arange(n)
+
+    def pick(score: np.ndarray) -> int:
+        cands = np.flatnonzero(score == score.max())
+        return int(cands[np.argmin(ids[cands])])
+
+    chosen = [pick(np.linalg.norm(points - np.asarray(anchor, dtype=np.float64), axis=1))]
+    min_dist = np.full(n, np.inf)
+    for _ in range(budget - 1):
+        last = chosen[-1]
+        np.minimum(min_dist, np.linalg.norm(points - points[last], axis=1), out=min_dist)
+        min_dist[last] = -np.inf
+        chosen.append(pick(min_dist))
+    return np.asarray(chosen, dtype=np.int64)
 
 
 # --- prototypes --------------------------------------------------------------

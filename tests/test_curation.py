@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from protocurate import curation
@@ -160,6 +162,12 @@ class TestFpsSelect:
         for p in (points[0], points[-1], rng.standard_normal(shape[1])):
             want = np.linalg.norm(points - p[None, :], axis=1)
             assert np.array_equal(curation._distances(points, p, buf), want)
+        # The refine's layout: rows against several targets at once, same bits.
+        targets = points[[0, -1]]
+        buf = np.empty((shape[0], 2, shape[1]))
+        got = curation._distances(points[:, None, :], targets, buf)
+        for j, p in enumerate(targets):
+            assert np.array_equal(got[:, j], np.linalg.norm(points - p, axis=1))
 
     def test_collinear_trace(self):
         points = np.arange(10.0)[:, None]
@@ -196,6 +204,83 @@ class TestFpsSelect:
     def test_bad_budget(self):
         with pytest.raises(UsageError):
             fps_select(np.zeros((3, 2)), np.arange(3, dtype=np.uint64), 0, np.zeros(2))
+
+
+def unit_rows(rng, n, d):
+    rows = rng.standard_normal((n, d))
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+def assert_direct_picks(points, ids, budget, anchor):
+    """``fps_select`` picks what the three-pass loop picks, in the same order."""
+    got = fps_select(points, ids, budget, anchor)
+    want = oracles.fps_select_direct(points, ids, budget, anchor)
+    assert got.tolist() == want.tolist()
+
+
+class TestFpsFilterAndRefine:
+    """The Gram filter decides nothing the direct loop would decide otherwise."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unit_clusters(self, seed):
+        rng = np.random.default_rng(seed)
+        points = unit_rows(rng, 900, 256)
+        ids = rng.permutation(10**6)[:900].astype(np.uint64)
+        anchor = points[:50].mean(axis=0)  # a prototype sits inside its cluster
+        for budget in (10, 40):
+            assert_direct_picks(points, ids, budget, anchor)
+
+    def test_distances_a_few_ulps_apart(self):
+        # Nine scalings of each of 8 unit directions, 2^-53 apart: from the
+        # anchor at 0, and from any pick, a group's distances differ by 1-4
+        # ulps, some equal after the sqrt; the filter's error is far larger.
+        rng = np.random.default_rng(5)
+        steps = 1.0 + np.arange(9) * 2.0**-53
+        groups = unit_rows(rng, 8, 256)[:, None, :] * steps[None, :, None]
+        for group in groups:
+            dist = np.linalg.norm(group, axis=1)
+            assert 1 <= (dist.max() - dist.min()) / np.spacing(dist.max()) <= 4
+        points = np.vstack([groups.reshape(-1, 256), 0.5 * unit_rows(rng, 300, 256)])
+        order = rng.permutation(len(points))
+        ids = rng.permutation(10**6)[: len(points)].astype(np.uint64)
+        for budget in (8, 20):
+            assert_direct_picks(points[order], ids, budget, np.zeros(256))
+
+    def test_duplicates_tie_by_id(self):
+        # 20 distinct rows, 400 copies: after the 20th pick every min distance
+        # is 0 exactly, and the picks walk the remaining ids in order.
+        rng = np.random.default_rng(6)
+        base = unit_rows(rng, 20, 64)
+        points = base[rng.integers(0, 20, size=400)]
+        ids = rng.permutation(10**6)[:400].astype(np.uint64)
+        for anchor in (base.mean(axis=0), points[0]):
+            assert_direct_picks(points, ids, 30, anchor)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-150, 1e150, 1e160])
+    def test_scaled_rows(self, scale):
+        # 10^+-150 keeps the direct sums in range; 10^160 overflows them and
+        # 10^-170 underflows them, where the margin refines every row.
+        rng = np.random.default_rng(7)
+        base = unit_rows(rng, 200, 64)
+        points = np.vstack([base, base[:40] * (1.0 + 2.0**-52)]) * scale
+        ids = rng.permutation(10**6)[: len(points)].astype(np.uint64)
+        with np.errstate(over="ignore"):
+            assert_direct_picks(points, ids, 12, base.mean(axis=0) * scale)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 24),
+        d=st.integers(1, 4),
+        scale=st.sampled_from([1.0, 0.1, 1.0 / 3.0, 7.25, 1e-3]),
+        data=st.data(),
+    )
+    def test_small_lattices(self, n, d, scale, data):
+        coords = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+        points = np.array(data.draw(st.lists(coords, min_size=n, max_size=n))) * scale
+        anchor = np.array(data.draw(coords)) * scale
+        ids = np.array(data.draw(st.permutations(range(n))), dtype=np.uint64) * 3 + 1
+        budget = data.draw(st.integers(1, n + 1))
+        assert_direct_picks(points, ids, budget, anchor)
 
 
 class TestCurateSuperbatch:
@@ -350,6 +435,19 @@ class TestRunCuration:
         assert [len(rows) for rows in seen] == [first, 3]
         assert np.array_equal(np.concatenate(seen), capped.records["row"])
         assert np.array_equal(capped.records, selection.records[: first + 3])
+
+    def test_bytes_of_the_direct_forms(self, monkeypatch):
+        # A 128+128 corpus at epsilon 0.5: the filtered FPS and the one-buffer
+        # unify_batch curate the bytes of the three-pass loop and the hstack.
+        corpus = small_corpus(3000, seed=3, d=128)
+        cfg = small_cfg(superbatch_size=512, warmup_samples=512, K=6, epsilon=0.5)
+        selection, bank = run_curation(corpus, cfg)
+        monkeypatch.setattr(curation, "fps_select", oracles.fps_select_direct)
+        monkeypatch.setattr(curation, "unify_batch", oracles.unify_batch_direct)
+        direct, direct_bank = run_curation(corpus, cfg)
+        assert len(selection.stats) == 5 and selection.stats == direct.stats
+        assert selection.records.tobytes() == direct.records.tobytes()
+        assert bank.protos.tobytes() == direct_bank.protos.tobytes()
 
     def test_frozen_embeds_one_superbatch_at_a_time(self, monkeypatch):
         corpus = small_corpus(128 + 3 * 64 + 20, seed=12)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import EmbeddingPair, first_without_direction, pairwise_distance, unify
+from oracles import EmbeddingPair, first_without_direction, normalize_rows_direct
+from oracles import pairwise_distance, unify, unify_batch_direct
 from protocurate.embedding import (
     CURATION_SPACES,
     normalize_rows,
@@ -148,6 +149,60 @@ class TestUnify:
         for i in range(6):
             single = unify(EmbeddingPair(id=i, img=img[i], txt=txt[i]))
             np.testing.assert_array_equal(batch[i], single)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestUnifyOneBuffer:
+    """``unify_batch`` normalises into one array: the bits of the hstack it replaced."""
+
+    @pytest.mark.parametrize("space", CURATION_SPACES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_of_hstack(self, dtype, space):
+        rng = np.random.default_rng(8)
+        n = 700  # two full blocks of the normaliser and a ragged third
+        img = (rng.standard_normal((n, 48)) * rng.uniform(1e-3, 1e3, (n, 1))).astype(dtype)
+        txt = (rng.standard_normal((n, 20)) * rng.uniform(1e-3, 1e3, (n, 1))).astype(dtype)
+        got = unify_batch(img, txt, space)
+        want = {
+            "concat": np.hstack([normalize_rows(img), normalize_rows(txt)]),
+            "image_only": normalize_rows(img),
+            "text_only": normalize_rows(txt),
+        }[space]
+        assert same_bits(got, want)
+        assert same_bits(got, unify_batch_direct(img, txt, space))
+        assert got.flags.c_contiguous and got.flags.writeable
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_normalize_rows_bits(self, dtype):
+        rng = np.random.default_rng(9)
+        mat = rng.standard_normal((300, 33)) * 10.0 ** rng.integers(-30, 30, (300, 1))
+        mat = mat.astype(dtype)
+        assert same_bits(normalize_rows(mat), normalize_rows_direct(mat))
+
+    @pytest.mark.parametrize("defect", DEFECTS, ids=repr)
+    @pytest.mark.parametrize("where", ["img", "txt", "both"])
+    def test_degenerate_row_raises_as_before(self, defect, where):
+        # Same message, row and kind as the hstack form; with defects in both
+        # halves the image half is checked first, though its row comes later.
+        img, txt = np.ones((300, 2)), np.ones((300, 2))
+        if where != "txt":
+            img[270] = defect
+        if where != "img":
+            txt[3] = defect
+        with np.errstate(over="ignore"), pytest.raises(DegenerateVectorError) as want:
+            unify_batch_direct(img, txt)
+        with np.errstate(over="ignore"), pytest.raises(DegenerateVectorError) as got:
+            unify_batch(img, txt)
+        assert (str(got.value), got.value.row, got.value.kind) == (
+            str(want.value), want.value.row, want.value.kind)
+        assert got.value.row == (3 if where == "txt" else 270)
+
+    def test_row_counts_must_match(self):
+        with pytest.raises(UsageError, match="differ in rows: 3 vs 1"):
+            unify_batch(np.ones((3, 2)), np.ones((1, 2)))
 
 
 class TestPairwiseDistance:

@@ -171,6 +171,13 @@ class TestValidation:
         with pytest.raises(UsageError, match="duplicate"):
             validate_corpus(corpus)
 
+    def test_duplicate_message_names_the_smallest(self):
+        # Unsorted ids with 90, 55 and 7 each held twice: the message names 7.
+        corpus = make_corpus(9, 2, 2)
+        corpus.ids[:] = [90, 55, 2**64 - 1, 7, 90, 12, 55, 7, 3]
+        with pytest.raises(UsageError, match="^duplicate sample id 7 in corpus$"):
+            validate_corpus(corpus)
+
     def test_zero_vector_rejected_by_id(self):
         corpus = make_corpus(4, 2, 2)
         corpus.img[1] = 0.0
