@@ -86,17 +86,21 @@ def knn_mean_distance(points: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     per = 32 if n >= 32 * max(k_eff + 1, 32) else 1
     groups = -(-n // per)
     q, _ = unit_scaled(points)
-    sq = np.einsum("ij,ij->i", q, q)[:, None]
-    ones = np.ones_like(sq)
-    # A padding column [0, ..., 0, max] gives entries of exactly float32's
-    # largest value (1 * max plus zeros), which no cut reaches.
-    pad = np.zeros((groups * per - n, q.shape[1] + 2))
-    pad[:, -1] = np.finfo(np.float32).max
+    sq = np.einsum("ij,ij->i", q, q)
+    d = q.shape[1]
+    # The augmented rows, written straight into float32: [q, |q|^2, 1] and
+    # [-2q, 1, |q|^2], each value rounded once from its float64 value.  A
+    # padding row [0, ..., 0, max] gives entries of exactly float32's largest
+    # value (1 * max plus zeros), which no cut reaches.
+    left = np.empty((n, d + 2), dtype=np.float32)
+    left[:, :d], left[:, d], left[:, d + 1] = q, sq, 1.0
+    right = np.zeros((groups * per, d + 2), dtype=np.float32)
+    np.multiply(q, -2.0, out=right[:n, :d], casting="same_kind")
+    right[:n, d], right[:n, d + 1] = 1.0, sq
+    right[n:, -1] = np.finfo(np.float32).max
     # sum_k |x_ik y_jk| <= (|q_i| + |q_j|)^2 for the augmented rows, whose |q|^2
     # column is within a relative d 2^-53 < 2^-24 of its exact value.
-    margin, blocks = float32_scan(
-        np.hstack([q, sq, ones]), np.vstack([np.hstack([-2.0 * q, ones, sq]), pad]), 4.0 * sq.max()
-    )
+    margin, blocks = float32_scan(left, right, 4.0 * sq.max())
     values = np.empty(n, dtype=np.float64)
     for start, approx in blocks:
         rows = len(approx)

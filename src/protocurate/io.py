@@ -100,18 +100,23 @@ def _layout_size(layout) -> int:
     return sum(np.dtype(base).itemsize * math.prod(shape) for _, base, shape in layout)
 
 
-def encode_records(magic: bytes, header: tuple[int, ...], layout_of, values: dict) -> bytes:
-    """``magic``, the u32 ``header`` fields, then the records ``layout_of`` gives.
+def encode_records(magic: bytes, header: tuple[int, ...], layout_of, values: dict) -> bytearray:
+    """``magic``, the u32 ``header`` fields, then the records ``layout_of`` gives,
+    built in one zeroed buffer, which is returned: a bytes-like object.
 
     ``layout_of`` maps the header values to (record count, record layout).
     ``values`` maps field names to arrays broadcast into the records and
     cast to the field dtype; fields it leaves out are zero.
     """
     count, layout = layout_of(*header)
-    records = np.zeros(count, dtype=np.dtype(layout))
+    dtype = np.dtype(layout)
+    head = magic + struct.pack(f"<{len(header)}I", *header)
+    out = bytearray(len(head) + count * dtype.itemsize)
+    out[: len(head)] = head
+    records = np.frombuffer(out, dtype=dtype, count=count, offset=len(head))
     for name, value in values.items():
         records[name] = value
-    return magic + struct.pack(f"<{len(header)}I", *header) + records.tobytes()
+    return out
 
 
 def decode_records(
@@ -159,8 +164,8 @@ def _corpus_layout(version: int, n: int, d_img: int, d_txt: int, n_labels: int):
     return n, [("id", "<u8", ()), ("img", "<f4", (d_img,)), ("txt", "<f4", (d_txt,)), labels]
 
 
-def encode_corpus(corpus: Corpus) -> bytes:
-    """Serialize a corpus to the binary format."""
+def encode_corpus(corpus: Corpus) -> bytearray:
+    """Serialize a corpus to the binary format, as a bytes-like buffer."""
     values = {"id": corpus.ids, "img": corpus.img, "txt": corpus.txt}
     if corpus.labels is not None:
         values["labels"] = np.packbits(corpus.labels, axis=1, bitorder="little")

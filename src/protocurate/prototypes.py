@@ -242,7 +242,7 @@ def _bank_layout(k: int, dim: int) -> tuple[int, list]:
     return 1, [("protos", "<f8", (k, dim)), ("ema_alpha", "<f8", ()), ("update_count", "<u8", ())]
 
 
-def encode_bank(bank: PrototypeBank) -> bytes:
+def encode_bank(bank: PrototypeBank) -> bytearray:
     values = dict(protos=bank.protos, ema_alpha=bank.ema_alpha, update_count=bank.update_count)
     return encode_records(PROTO_MAGIC, (bank.k, bank.dim), _bank_layout, values)
 

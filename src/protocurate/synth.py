@@ -19,6 +19,10 @@ from .embedding import NO_DIRECTION, check_directions, normalize_rows
 from .errors import DegenerateVectorError, FormatError
 from .io import Corpus
 
+# Rows per block of generate_corpus's draws and arithmetic: a block's float64
+# scratch stays small, 1 MB at 128 dims.
+GEN_ROWS = 1024
+
 
 def manifest_json(cfg: EngineConfig) -> str:
     """The corpus sidecar: every config value `generate_corpus` reads, as JSON text."""
@@ -63,28 +67,46 @@ def generate_corpus(cfg: EngineConfig) -> tuple[Corpus, np.ndarray]:
     The vectors are float32, as ``io.decode_corpus`` returns them, so the
     returned corpus equals a round trip through the binary format in value
     and dtype, and in-memory use and file use agree exactly.
+
+    The draws are those of one (n, d_img) image-noise array, then one
+    (n, d_txt) text-noise array, made GEN_ROWS rows at a time: a block of
+    ``standard_normal`` draws is the next stretch of the one big draw, so the
+    values and the generator's end state are the same.  Besides the float32
+    halves, only the float64 image side (the text side is computed from it)
+    and one block of each kind of scratch are held.  When d_img == d_txt the
+    alignment map is the identity and its product is skipped: x 1 plus exact
+    zeros is x, up to the sign of a zero, which the added noise term absorbs.
     """
     rng = np.random.default_rng(cfg.seed)
     means = _cluster_means(cfg, rng)
     amap = _alignment_map(cfg, rng)
 
+    n = cfg.n_samples
     weights = np.asarray(cfg.resolved_weights())
-    assign = rng.choice(cfg.clusters, size=cfg.n_samples, p=weights)
-    img = means[assign] + cfg.noise_scale * rng.standard_normal(
-        (cfg.n_samples, cfg.d_img)
-    )
-    txt_noise = rng.standard_normal((cfg.n_samples, cfg.d_txt))
-    txt = cfg.rho * (img @ amap.T) + (1.0 - cfg.rho) * txt_noise
+    assign = rng.choice(cfg.clusters, size=n, p=weights)
+    img64 = np.empty((n, cfg.d_img))
+    img = np.empty((n, cfg.d_img), dtype=np.float32)
+    txt = np.empty((n, cfg.d_txt), dtype=np.float32)
+    for start in range(0, n, GEN_ROWS):
+        rows = slice(start, min(start + GEN_ROWS, n))
+        noise = rng.standard_normal((rows.stop - start, cfg.d_img))
+        # means[assign] + noise_scale * noise, the products first
+        np.multiply(noise, cfg.noise_scale, out=noise)
+        np.add(means[assign[rows]], noise, out=img64[rows])
+        img[rows] = img64[rows]
+    for start in range(0, n, GEN_ROWS):
+        rows = slice(start, min(start + GEN_ROWS, n))
+        noise = rng.standard_normal((rows.stop - start, cfg.d_txt))
+        # rho * (img @ amap.T) + (1 - rho) * noise, the products first
+        aligned = img64[rows] if cfg.d_img == cfg.d_txt else img64[rows] @ amap.T
+        aligned = np.multiply(aligned, cfg.rho)
+        np.multiply(noise, 1.0 - cfg.rho, out=noise)
+        txt[rows] = np.add(aligned, noise, out=aligned)
 
-    labels = np.zeros((cfg.n_samples, cfg.clusters), dtype=bool)
-    labels[np.arange(cfg.n_samples), assign] = True
+    labels = np.zeros((n, cfg.clusters), dtype=bool)
+    labels[np.arange(n), assign] = True
 
-    corpus = Corpus(
-        ids=np.arange(cfg.n_samples, dtype=np.uint64),
-        img=img.astype(np.float32),
-        txt=txt.astype(np.float32),
-        labels=labels,
-    )
+    corpus = Corpus(ids=np.arange(n, dtype=np.uint64), img=img, txt=txt, labels=labels)
     return corpus, assign
 
 

@@ -338,7 +338,7 @@ def train_joint(
     return head, np.array(steps, dtype=LOSS_RECORD), selection, bank
 
 
-def encode_head(head: ProjectionHead) -> bytes:
+def encode_head(head: ProjectionHead) -> bytearray:
     dims = (head.W_img.shape[0], head.W_txt.shape[0], head.d_shared)
     return encode_records(
         HEAD_MAGIC, dims, _head_layout, {name: head.record[name] for name in PARAM_NAMES}

@@ -8,17 +8,20 @@ the pipeline; each test module imports what it checks against from here.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from protocurate.analysis import TestResult, t_sf_two_sided
+from protocurate.config import EngineConfig
 from protocurate.embedding import check_directions, normalize_rows, pairwise_sq_distance
 from protocurate.embedding import unify_batch
 from protocurate.errors import UsageError
-from protocurate.io import VERSION, _corpus_layout, _layout_size
+from protocurate.io import VERSION, Corpus, _corpus_layout, _layout_size
 from protocurate.metrics import zero_shot_scores
 from protocurate.prototypes import PrototypeBank, decode_bank
+from protocurate.synth import _alignment_map, _cluster_means
 from protocurate.trainer import _logsumexp
 
 
@@ -301,6 +304,44 @@ def run_summary(values: np.ndarray) -> tuple[float, float]:
 
 def record_size(d_img: int, d_txt: int, n_labels: int) -> int:
     return _layout_size(_corpus_layout(VERSION, 1, d_img, d_txt, n_labels)[1])
+
+
+def encode_records_direct(magic: bytes, header: tuple[int, ...], layout_of, values: dict) -> bytes:
+    """``io.encode_records`` as zeroed records, their fields, and the file joined
+    from the magic, the header and ``tobytes()``."""
+    count, layout = layout_of(*header)
+    records = np.zeros(count, dtype=np.dtype(layout))
+    for name, value in values.items():
+        records[name] = value
+    return magic + struct.pack(f"<{len(header)}I", *header) + records.tobytes()
+
+
+# --- synth -------------------------------------------------------------------
+
+
+def generate_corpus_direct(cfg: EngineConfig) -> tuple[Corpus, np.ndarray]:
+    """``synth.generate_corpus`` as one draw of each noise array and one
+    float64 expression per half, the alignment product always taken."""
+    rng = np.random.default_rng(cfg.seed)
+    means = _cluster_means(cfg, rng)
+    amap = _alignment_map(cfg, rng)
+
+    weights = np.asarray(cfg.resolved_weights())
+    assign = rng.choice(cfg.clusters, size=cfg.n_samples, p=weights)
+    img = means[assign] + cfg.noise_scale * rng.standard_normal((cfg.n_samples, cfg.d_img))
+    txt_noise = rng.standard_normal((cfg.n_samples, cfg.d_txt))
+    txt = cfg.rho * (img @ amap.T) + (1.0 - cfg.rho) * txt_noise
+
+    labels = np.zeros((cfg.n_samples, cfg.clusters), dtype=bool)
+    labels[np.arange(cfg.n_samples), assign] = True
+
+    corpus = Corpus(
+        ids=np.arange(cfg.n_samples, dtype=np.uint64),
+        img=img.astype(np.float32),
+        txt=txt.astype(np.float32),
+        labels=labels,
+    )
+    return corpus, assign
 
 
 # --- CSV tables --------------------------------------------------------------

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import record_size
+from oracles import encode_records_direct, record_size
 from protocurate.config import EngineConfig
 from protocurate.errors import DegenerateVectorError, FormatError, UsageError
 import protocurate
-from protocurate import io
+from protocurate import io, prototypes, trainer
 from protocurate.io import (
     MAGIC,
     Corpus,
@@ -129,6 +129,28 @@ class TestRoundTrip:
             assert np.array_equal(back.labels, corpus.labels)
         else:
             assert back.labels is None
+
+
+ENCODINGS = {
+    "corpus-9-labels": lambda: encode_corpus(make_corpus(5, 3, 4, n_labels=9)),
+    "corpus-no-labels": lambda: encode_corpus(make_corpus(4, 2, 6)),
+    "corpus-empty": lambda: encode_corpus(make_corpus(0, 3, 2, n_labels=2)),
+    "corpus-float32": lambda: encode_corpus(generate_corpus(EngineConfig(n_samples=300))[0]),
+    "bank": lambda: encode_bank(PrototypeBank(np.arange(12.0).reshape(3, 4), 0.3, 17)),
+    "head": lambda: encode_head(init_head(7, 5, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENCODINGS))
+def test_encoders_match_the_direct_encoder(name, monkeypatch):
+    """Every encoder's one-buffer file equals the joined-copies oracle's, byte for byte."""
+    encoded = ENCODINGS[name]()
+    for module in (io, prototypes, trainer):
+        monkeypatch.setattr(module, "encode_records", encode_records_direct)
+    direct = ENCODINGS[name]()
+    assert isinstance(direct, bytes)
+    assert isinstance(encoded, bytearray)
+    assert encoded == direct
 
 
 class TestFormatErrors:

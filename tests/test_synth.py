@@ -1,6 +1,7 @@
 """Synthetic long-tailed corpus generator and prompt embeddings."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from protocurate.errors import ConfigError, FormatError
 from protocurate.io import commit_outputs, encode_corpus, read_corpus
 from protocurate.metrics import evaluate_zero_shot
 from protocurate.synth import (
+    GEN_ROWS,
     generate_corpus,
     generate_prompts,
     manifest_json,
@@ -18,6 +20,8 @@ from protocurate.synth import (
     read_prompts,
 )
 from protocurate.trainer import identity_head
+
+from oracles import generate_corpus_direct
 
 
 def small_cfg(**kw):
@@ -108,6 +112,59 @@ class TestGeneration:
             small_cfg(rho=1.5)
         with pytest.raises(ConfigError, match="n_samples"):
             small_cfg(n_samples=0)
+
+
+def _generated_with_next_draw(generate, cfg, monkeypatch):
+    """``generate(cfg)`` and the next draw of the generator it made."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", recording)
+        corpus, assign = generate(cfg)
+    (rng,) = made
+    return corpus, assign, rng.standard_normal(4)
+
+
+class TestBlockedGeneration:
+    """The row-blocked generator against the one-shot oracle, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 700, GEN_ROWS, 2 * GEN_ROWS + 1])
+    @pytest.mark.parametrize("dims", [(8, 8), (12, 5), (3, 10)], ids=["square", "wide-img", "wide-txt"])
+    @pytest.mark.parametrize("clusters", [1, 9])
+    def test_matches_one_shot_oracle(self, n, dims, clusters, monkeypatch):
+        cfg = small_cfg(
+            n_samples=n, d_img=dims[0], d_txt=dims[1], clusters=clusters,
+            cluster_weights=None, seed=n + clusters,
+        )
+        got = _generated_with_next_draw(generate_corpus, cfg, monkeypatch)
+        want = _generated_with_next_draw(generate_corpus_direct, cfg, monkeypatch)
+        for side in ("img", "txt"):
+            arr, ref = getattr(got[0], side), getattr(want[0], side)
+            assert arr.dtype == ref.dtype == np.float32
+            assert arr.tobytes() == ref.tobytes()
+        assert np.array_equal(got[0].ids, want[0].ids)
+        assert np.array_equal(got[0].labels, want[0].labels)
+        assert np.array_equal(got[1], want[1])
+        assert got[2].tobytes() == want[2].tobytes()
+        assert encode_corpus(got[0]) == encode_corpus(want[0])
+
+    def test_traced_peak_is_the_halves_and_one_float64_side(self):
+        cfg = small_cfg(n_samples=50_000, d_img=64, d_txt=64)
+        bound = 1.25 * (8 * cfg.d_img + 4 * (cfg.d_img + cfg.d_txt)) * cfg.n_samples
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            corpus, _ = generate_corpus(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.n == 50_000
+        assert peak - base < bound
 
 
 class TestPrompts:
