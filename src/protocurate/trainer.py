@@ -42,12 +42,6 @@ def _head_layout(d_img: int, d_txt: int, d_shared: int) -> tuple[int, list]:
     return 1, [(name, "<f8", shape) for name, shape in zip(PARAM_NAMES, shapes)]
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    peak = np.max(a, axis=axis, keepdims=True)
-    out = peak + np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
-
-
 def _flat(record: np.ndarray) -> np.ndarray:
     """A parameter record's memory as one float64 vector, in PARAM_NAMES order."""
     return record.reshape(1).view(np.float64)
@@ -160,32 +154,41 @@ def info_nce_grad(
     v = r_v / nv[:, None]
 
     tau = head.tau
-    s = (u @ v.T) / tau
+    s = u @ v.T
+    s /= tau
 
-    lse_row = _logsumexp(s, axis=1)
-    lse_col = _logsumexp(s, axis=0)
-    diag = np.diag(s)
+    # Each logsumexp is one max, exp and sum along its own axis.
+    peak = s.max(axis=1)
+    lse_row = peak + np.log(np.exp(s - peak[:, None]).sum(axis=1))
+    peak = s.max(axis=0)
+    lse_col = peak + np.log(np.exp(s - peak).sum(axis=0))
+    diag = s.diagonal()
     loss = float(0.5 * ((lse_row - diag).mean() + (lse_col - diag).mean()))
 
     # dL/dS: softmax over rows and columns minus twice the matched diagonal.
-    p_row = np.exp(s - lse_row[:, None])
-    p_col = np.exp(s - lse_col[None, :])
-    g = (p_row + p_col - 2.0 * np.eye(b)) / (2.0 * b)
+    g = np.exp(s - lse_row[:, None])
+    g += np.exp(s - lse_col)
+    g.flat[:: b + 1] -= 2.0
+    g /= 2.0 * b
 
-    du = (g @ v) / tau
-    dv = (g.T @ u) / tau
+    du = g @ v
+    du /= tau
+    dv = g.T @ u
+    dv /= tau
     # s depends on tau as 1/exp(log_tau): d s_ij / d log_tau = -s_ij.
     d_log_tau = float(-(g * s).sum())
 
     # Through u = r/||r||: project out the radial component, scale by 1/||r||.
-    dr_u = (du - (du * u).sum(axis=1, keepdims=True) * u) / nu[:, None]
-    dr_v = (dv - (dv * v).sum(axis=1, keepdims=True) * v) / nv[:, None]
+    du -= (du * u).sum(axis=1, keepdims=True) * u
+    du /= nu[:, None]
+    dv -= (dv * v).sum(axis=1, keepdims=True) * v
+    dv /= nv[:, None]
 
-    grad = np.zeros((), dtype=head.record.dtype)
-    grad["W_img"] = x_img.T @ dr_u
-    grad["b_img"] = dr_u.sum(axis=0)
-    grad["W_txt"] = x_txt.T @ dr_v
-    grad["b_txt"] = dr_v.sum(axis=0)
+    grad = np.empty((), dtype=head.record.dtype)
+    np.matmul(x_img.T, du, out=grad["W_img"])
+    np.sum(du, axis=0, out=grad["b_img"])
+    np.matmul(x_txt.T, dv, out=grad["W_txt"])
+    np.sum(dv, axis=0, out=grad["b_txt"])
     grad["log_tau"] = d_log_tau
     return loss, grad
 
@@ -201,15 +204,15 @@ class OptimizerState:
 
     Weight decay applies to every parameter uniformly, scaled by the
     scheduled learning rate.  The temperature is clamped after each step.
-    The moments ``m`` and ``v`` are vectors like the stepped ``theta``, and
-    0.0 before the first step.
+    The moments ``m`` and ``v`` are vectors like the stepped ``theta``, made
+    at the first step and updated in place.
     """
 
     base_lr: float
     weight_decay: float
     step_count: int = 0
-    m: np.ndarray | float = 0.0
-    v: np.ndarray | float = 0.0
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def optimizer_step(
@@ -225,11 +228,22 @@ def optimizer_step(
     lr = cosine_lr(state.base_lr, t, horizon)
     bc1 = 1.0 - BETA1**state.step_count
     bc2 = 1.0 - BETA2**state.step_count
-    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
-    state.v = BETA2 * state.v + (1.0 - BETA2) * grad**2
-    m_hat = state.m / bc1
-    v_hat = state.v / bc2
-    theta -= lr * (m_hat / (np.sqrt(v_hat) + EPS) + state.weight_decay * theta)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
+    m, v = state.m, state.v
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    v += (1.0 - BETA2) * grad**2
+    # theta -= lr * (m_hat / (sqrt(v_hat) + EPS) + weight_decay * theta)
+    denom = v / bc2
+    np.sqrt(denom, out=denom)
+    denom += EPS
+    step = m / bc1
+    step /= denom
+    step += np.multiply(state.weight_decay, theta, out=denom)
+    step *= lr
+    theta -= step
     theta[-1] = min(max(theta[-1], LOG_TAU_MIN), LOG_TAU_MAX)
     return lr
 

@@ -20,9 +20,11 @@ from protocurate.embedding import unify_batch
 from protocurate.errors import UsageError
 from protocurate.io import VERSION, Corpus, _corpus_layout, _layout_size
 from protocurate.metrics import zero_shot_scores
-from protocurate.prototypes import PrototypeBank, decode_bank
+from protocurate.prototypes import _SCALING_MAX, _SCALING_MIN
+from protocurate.prototypes import PrototypeBank, TransportPlan, decode_bank
 from protocurate.synth import _alignment_map, _cluster_means
-from protocurate.trainer import _logsumexp
+from protocurate.trainer import BETA1, BETA2, EPS, LOG_TAU_MAX, LOG_TAU_MIN
+from protocurate.trainer import OptimizerState, ProjectionHead, cosine_lr
 
 
 # --- embedding ---------------------------------------------------------------
@@ -162,6 +164,58 @@ def load_bank(path) -> PrototypeBank:
         return decode_bank(fh.read())
 
 
+def sinkhorn_from_cost_direct(
+    cost: np.ndarray, epsilon: float = 0.05, max_iters: int = 50000, tol: float = 1e-6
+) -> TransportPlan:
+    """``prototypes.sinkhorn_from_cost`` one sweep at a time: each sweep is
+    checked for convergence, then for a scaling outside [1e-100, 1e100],
+    before the next one runs, and the potentials start from whole-array row
+    and column minima.  The blocked solver must match its plan bytes, count,
+    residual and flag."""
+    cost = np.asarray(cost, dtype=np.float64)
+    n, k = cost.shape
+    r = 1.0 / n
+    c = 1.0 / k
+    f = cost.min(axis=1)
+    g = (cost - f[:, None]).min(axis=0)
+
+    def kernel() -> np.ndarray:
+        return np.exp((g[:, None] + f[None, :] - cost.T) / epsilon)
+
+    kern = kernel()
+    scalings = np.ones(n + k)
+    u, v = scalings[:n], scalings[n:]
+    kv = v @ kern
+    converged = False
+    iterations = 0
+    for it in range(1, max_iters + 1):
+        iterations = it
+        np.divide(r, kv, out=u)
+        np.divide(c, kern @ u, out=v)
+        kv = v @ kern
+        rows = u * kv
+        if rows.max() - r < tol and r - rows.min() < tol:
+            converged = True
+            break
+        if scalings.min() < _SCALING_MIN or scalings.max() > _SCALING_MAX:
+            f += epsilon * np.log(u)
+            g += epsilon * np.log(v)
+            kern = kernel()
+            scalings[:] = 1.0
+            kv = v @ kern
+
+    plan = u[:, None] * kern.T * v[None, :]
+    row_err = np.max(np.abs(plan.sum(axis=1) - r))
+    col_err = np.max(np.abs(plan.sum(axis=0) - c))
+    residual = float(max(row_err, col_err))
+    return TransportPlan(
+        plan=plan,
+        residual=residual,
+        converged=converged and residual < tol,
+        iterations=iterations,
+    )
+
+
 # --- metrics -----------------------------------------------------------------
 
 
@@ -211,6 +265,75 @@ def recall_at_1(sim: np.ndarray, direction: str = "image_to_text") -> float:
 # --- trainer -----------------------------------------------------------------
 
 
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis``, shifted by the max, keepdims round trip."""
+    peak = np.max(a, axis=axis, keepdims=True)
+    out = peak + np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis)
+
+
+def info_nce_grad_direct(
+    raw_img: np.ndarray, raw_txt: np.ndarray, head: ProjectionHead
+) -> tuple[float, np.ndarray]:
+    """``trainer.info_nce_grad`` with keepdims logsumexps, an ``np.eye``
+    diagonal and a zeroed gradient record filled field by field."""
+    x_img = np.asarray(raw_img, dtype=np.float64)
+    x_txt = np.asarray(raw_txt, dtype=np.float64)
+    b = x_img.shape[0]
+    r_u = head.project_img(x_img)
+    r_v = head.project_txt(x_txt)
+    nu = np.linalg.norm(r_u, axis=1)
+    nv = np.linalg.norm(r_v, axis=1)
+    check_directions(r_u, nu)
+    check_directions(r_v, nv)
+    u = r_u / nu[:, None]
+    v = r_v / nv[:, None]
+
+    tau = head.tau
+    s = (u @ v.T) / tau
+    lse_row = logsumexp(s, axis=1)
+    lse_col = logsumexp(s, axis=0)
+    diag = np.diag(s)
+    loss = float(0.5 * ((lse_row - diag).mean() + (lse_col - diag).mean()))
+
+    p_row = np.exp(s - lse_row[:, None])
+    p_col = np.exp(s - lse_col[None, :])
+    g = (p_row + p_col - 2.0 * np.eye(b)) / (2.0 * b)
+    du = (g @ v) / tau
+    dv = (g.T @ u) / tau
+    d_log_tau = float(-(g * s).sum())
+    dr_u = (du - (du * u).sum(axis=1, keepdims=True) * u) / nu[:, None]
+    dr_v = (dv - (dv * v).sum(axis=1, keepdims=True) * v) / nv[:, None]
+
+    grad = np.zeros((), dtype=head.record.dtype)
+    grad["W_img"] = x_img.T @ dr_u
+    grad["b_img"] = dr_u.sum(axis=0)
+    grad["W_txt"] = x_txt.T @ dr_v
+    grad["b_txt"] = dr_v.sum(axis=0)
+    grad["log_tau"] = d_log_tau
+    return loss, grad
+
+
+def optimizer_step_direct(
+    state: OptimizerState, theta: np.ndarray, grad: np.ndarray, t: float, horizon: float
+) -> float:
+    """``trainer.optimizer_step`` with fresh moment arrays each step, from the
+    scalar 0.0 before the first."""
+    state.step_count += 1
+    lr = cosine_lr(state.base_lr, t, horizon)
+    bc1 = 1.0 - BETA1**state.step_count
+    bc2 = 1.0 - BETA2**state.step_count
+    m = 0.0 if state.m is None else state.m
+    v = 0.0 if state.v is None else state.v
+    state.m = BETA1 * m + (1.0 - BETA1) * grad
+    state.v = BETA2 * v + (1.0 - BETA2) * grad**2
+    m_hat = state.m / bc1
+    v_hat = state.v / bc2
+    theta -= lr * (m_hat / (np.sqrt(v_hat) + EPS) + state.weight_decay * theta)
+    theta[-1] = min(max(theta[-1], LOG_TAU_MIN), LOG_TAU_MAX)
+    return lr
+
+
 def info_nce(u: np.ndarray, v: np.ndarray, tau: float) -> float:
     """Symmetric InfoNCE over matched unit-row batches.
 
@@ -228,8 +351,8 @@ def info_nce(u: np.ndarray, v: np.ndarray, tau: float) -> float:
         raise UsageError("batch must be nonempty")
     s = (u @ v.T) / tau
     diag = np.diag(s)
-    row_ce = _logsumexp(s, axis=1) - diag
-    col_ce = _logsumexp(s, axis=0) - diag
+    row_ce = logsumexp(s, axis=1) - diag
+    col_ce = logsumexp(s, axis=0) - diag
     return float(0.5 * (row_ce.mean() + col_ce.mean()))
 
 

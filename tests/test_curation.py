@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from protocurate import curation
+from protocurate import curation, prototypes
 from protocurate.config import EngineConfig
 from protocurate.curation import (
     RECORD,
@@ -437,13 +437,16 @@ class TestRunCuration:
         assert np.array_equal(capped.records, selection.records[: first + 3])
 
     def test_bytes_of_the_direct_forms(self, monkeypatch):
-        # A 128+128 corpus at epsilon 0.5: the filtered FPS and the one-buffer
-        # unify_batch curate the bytes of the three-pass loop and the hstack.
+        # A 128+128 corpus at epsilon 0.5: the filtered FPS, the one-buffer
+        # unify_batch and the blocked Sinkhorn sweeps curate the bytes, and
+        # count the sweeps, of the three-pass loop, the hstack and the
+        # one-sweep loop.
         corpus = small_corpus(3000, seed=3, d=128)
         cfg = small_cfg(superbatch_size=512, warmup_samples=512, K=6, epsilon=0.5)
         selection, bank = run_curation(corpus, cfg)
         monkeypatch.setattr(curation, "fps_select", oracles.fps_select_direct)
         monkeypatch.setattr(curation, "unify_batch", oracles.unify_batch_direct)
+        monkeypatch.setattr(prototypes, "sinkhorn_from_cost", oracles.sinkhorn_from_cost_direct)
         direct, direct_bank = run_curation(corpus, cfg)
         assert len(selection.stats) == 5 and selection.stats == direct.stats
         assert selection.records.tobytes() == direct.records.tobytes()

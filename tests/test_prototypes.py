@@ -1,11 +1,13 @@
 """Prototype bank: k-means warm-up, Sinkhorn transport, EMA updates."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import load_bank, nearest_prototype
+from oracles import load_bank, logsumexp, nearest_prototype, sinkhorn_from_cost_direct
+from protocurate import prototypes
 from protocurate.curation import score_superbatch
 from protocurate.errors import FormatError, InsufficientWarmupError, UsageError
 from protocurate.io import commit_outputs
@@ -35,20 +37,14 @@ def brute_force_best_2partition_sse(points):
     return best
 
 
-def _logsumexp(a, axis):
-    peak = np.max(a, axis=axis, keepdims=True)
-    out = peak + np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
-
-
 def _log_domain_sinkhorn(cost, epsilon, max_iters, tol):
     """Log-domain Sinkhorn oracle: (plan, converged), residual checked every sweep."""
     n, k = cost.shape
     log_kernel = -cost / epsilon
     g = np.zeros(k)
     for _ in range(max_iters):
-        f = -np.log(n) - _logsumexp(log_kernel + g[None, :], axis=1)
-        g = -np.log(k) - _logsumexp(log_kernel + f[:, None], axis=0)
+        f = -np.log(n) - logsumexp(log_kernel + g[None, :], axis=1)
+        g = -np.log(k) - logsumexp(log_kernel + f[:, None], axis=0)
         plan = np.exp(log_kernel + f[:, None] + g[None, :])
         row_err = np.max(np.abs(plan.sum(axis=1) - 1.0 / n))
         col_err = np.max(np.abs(plan.sum(axis=0) - 1.0 / k))
@@ -203,6 +199,121 @@ class TestSinkhorn:
             iterations=1,
         )
         np.testing.assert_array_equal(plan.hard_assignment(), [2, 0])
+
+
+def assert_same_solve(cost, epsilon, max_iters, tol):
+    """The blocked solver returns the one-sweep loop's plan bytes, sweep count,
+    residual and flag; returns the plan."""
+    plan = sinkhorn_from_cost(cost, epsilon=epsilon, max_iters=max_iters, tol=tol)
+    want = sinkhorn_from_cost_direct(cost, epsilon=epsilon, max_iters=max_iters, tol=tol)
+    assert type(plan.iterations) is int
+    assert plan.plan.tobytes() == want.plan.tobytes()
+    assert (plan.iterations, plan.residual, plan.converged) == (
+        want.iterations,
+        want.residual,
+        want.converged,
+    )
+    return plan
+
+
+class TestBlockedSweeps:
+    """Sweeps run in checked blocks; every solve must be the one-sweep loop's."""
+
+    CAP = prototypes._BLOCK_SWEEPS
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.05, 1.0, 1e3])
+    def test_bytes_of_the_one_sweep_loop(self, epsilon, monkeypatch):
+        rng = np.random.default_rng(21)
+        # Count absorptions: the solver takes a log only to absorb scalings.
+        logs = []
+        log = np.log
+        monkeypatch.setattr(prototypes.np, "log", lambda x: logs.append(1) or log(x))
+        sweeps = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 300))
+            k = int(rng.integers(1, 9))
+            cost = rng.random((n, k)) * rng.choice([0.1, 1.0, 10.0])
+            sweeps += assert_same_solve(cost, epsilon, max_iters=2000, tol=1e-6).iterations
+        monkeypatch.undo()
+        # At epsilon 1e-3 the scalings leave [1e-100, 1e100] mid-solve and are
+        # absorbed; the solve then restarts its block from the new kernel.
+        assert (len(logs) > 0) == (epsilon == 1e-3)
+        # The small epsilons take many sweeps, so they run full blocks.
+        assert sweeps > 60 * self.CAP or epsilon > 0.05
+
+    @pytest.mark.parametrize("offset", [1, 2, 3, CAP - 1, CAP, CAP + 1, 2 * CAP + 1])
+    def test_max_iters_ends_a_block(self, offset):
+        # The budget cuts a block short: the count is max_iters and the plan
+        # is built from the last sweep run, converged or not.
+        rng = np.random.default_rng(22)
+        converged = set()
+        for epsilon in (1e-3, 0.05, 0.5):
+            cost = rng.random((40, 5))
+            for max_iters in {offset, offset + 7, offset + 2 * self.CAP}:
+                plan = assert_same_solve(cost, epsilon, max_iters, tol=1e-6)
+                assert plan.iterations <= max_iters
+                converged.add(plan.converged)
+        assert converged == {True, False} or offset > self.CAP
+
+    def test_stop_at_every_position_of_a_block(self):
+        # A solve that converges after T sweeps, cut at every budget around T.
+        cost = np.random.default_rng(23).random((30, 4))
+        full = assert_same_solve(cost, 0.01, max_iters=50000, tol=1e-9)
+        assert full.converged and full.iterations > 2 * self.CAP
+        for max_iters in range(full.iterations - self.CAP - 1, full.iterations + 3):
+            plan = assert_same_solve(cost, 0.01, max_iters, tol=1e-9)
+            assert plan.converged == (max_iters >= full.iterations)
+
+    def test_absorption_at_every_position_of_a_block(self):
+        # The one-sweep loop absorbs this solve's scalings after sweeps 137
+        # and 648, both inside a block; a budget that ends on the absorbing
+        # sweep returns the rebuilt kernel's plan at unit scalings.
+        rng = np.random.default_rng(17)
+        cost = rng.random((16, 3))
+        cost[:, 1:] += 5.0
+        for max_iters in [*range(130, 145), *range(645, 652), 20000]:
+            assert_same_solve(cost, 1e-3, max_iters, tol=1e-8)
+
+    def test_tied_costs_and_signed_zeros(self):
+        # The potentials start from row minima taken one column at a time;
+        # with ties and zeros of both signs the plans must still match.
+        rng = np.random.default_rng(27)
+        for _ in range(100):
+            n, k = int(rng.integers(1, 40)), int(rng.integers(1, 7))
+            cost = rng.choice([0.0, -0.0, 0.5, 1.0, 2.0], size=(n, k))
+            for epsilon in (1e-3, 0.05, 1.0):
+                assert_same_solve(cost, epsilon, max_iters=300, tol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (7, 1), (1, 300)])
+    def test_single_row_or_column(self, shape):
+        cost = np.random.default_rng(24).random(shape)
+        for epsilon in (1e-3, 0.05, 1.0):
+            plan = assert_same_solve(cost, epsilon, max_iters=500, tol=1e-8)
+            assert plan.converged
+
+    def test_rows_past_the_history_bound_run_one_sweep_a_block(self):
+        # One history row holds more than _BLOCK_ENTRIES floats, so every
+        # block is a single sweep.
+        n, k = prototypes._BLOCK_ENTRIES + 1, 3
+        cost = np.random.default_rng(25).random((n, k))
+        for max_iters in (1, 2, 5):
+            assert_same_solve(cost, 0.05, max_iters, tol=1e-6)
+        assert assert_same_solve(cost, 1.0, max_iters=200, tol=1e-6).converged
+
+    def test_traced_peak_stays_small(self):
+        # A 6400-row pool: the history is capped at _BLOCK_ENTRIES floats per
+        # buffer, so the solve's buffers stay within a few copies of the cost.
+        # The one-sweep loop traces 1.08 MB here, and 64-row buffers without
+        # the cap 9.9 MB.
+        cost = np.random.default_rng(26).random((6400, 6)) * 2.0
+        tracemalloc.start()
+        try:
+            plan = sinkhorn_from_cost(cost, epsilon=0.05, tol=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.converged
+        assert peak < 2 * 1024 * 1024
 
 
 class TestUpdatePrototypes:

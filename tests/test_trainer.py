@@ -20,6 +20,7 @@ from protocurate.trainer import (
     PARAM_NAMES,
     OptimizerState,
     ProjectionHead,
+    _flat,
     cosine_lr,
     decode_head,
     encode_head,
@@ -277,6 +278,32 @@ class TestOptimizer:
             theta = np.array([start])
             optimizer_step(state, theta, np.zeros(1), t=0, horizon=1)
             assert theta[0] == expect
+
+
+class TestDirectForms:
+    @pytest.mark.parametrize("d", [32, 128])
+    def test_500_steps_match_bit_for_bit(self, d):
+        # The in-place step and its direct form, each on its own head and
+        # state, over 500 steps of a learning run at the default batch size.
+        rng = np.random.default_rng(d)
+        head = init_head(d, d, 32, tau_init=0.01, seed=d)
+        direct = copy.deepcopy(head)
+        state = OptimizerState(base_lr=1e-3, weight_decay=1e-4)
+        direct_state = OptimizerState(base_lr=1e-3, weight_decay=1e-4)
+        for step in range(500):
+            x_img = rng.standard_normal((64, d))
+            x_txt = x_img + 0.3 * rng.standard_normal((64, d))
+            loss, grad = info_nce_grad(x_img, x_txt, head)
+            want_loss, want_grad = oracles.info_nce_grad_direct(x_img, x_txt, direct)
+            assert loss == want_loss, step
+            assert grad.tobytes() == want_grad.tobytes(), step
+            lr = optimizer_step(state, head.theta, _flat(grad), step / 100, 5)
+            assert lr == oracles.optimizer_step_direct(
+                direct_state, direct.theta, _flat(want_grad), step / 100, 5
+            )
+            assert head.record.tobytes() == direct.record.tobytes(), step
+        assert state.m.tobytes() == direct_state.m.tobytes()
+        assert state.v.tobytes() == direct_state.v.tobytes()
 
 
 class TestTrainHead:
