@@ -24,7 +24,7 @@ from .io import check_outputs, commit_outputs, encode_corpus, read_corpus, table
 from .io import validate_corpus
 from .metrics import evaluate_zero_shot
 from .prototypes import encode_bank
-from .synth import generate_corpus, generate_prompts, manifest_json, prompts_json, read_prompts
+from .synth import generate_corpus, manifest_json, prompts_json, read_prompts
 from .trainer import LOSS_FORMATS, encode_head, identity_head, load_head, train_head, train_joint
 
 
@@ -97,12 +97,11 @@ def _read_corpus_checked(path):
 
 def _cmd_generate(args) -> int:
     cfg = _load_cfg(args)
-    corpus, _ = generate_corpus(cfg)
-    prompts = None if args.prompts_out is None else prompts_json(*generate_prompts(cfg))
+    corpus, prompts = generate_corpus(cfg)
     commit_outputs([
         (args.out, encode_corpus(corpus)),
         (f"{args.out}.manifest.json", manifest_json(cfg)),
-        (args.prompts_out, prompts),
+        (args.prompts_out, prompts_json(*prompts)),
     ])
     print(f"generated {corpus.n} samples ({cfg.clusters} classes) -> {args.out}")
     return 0

@@ -45,8 +45,8 @@ class EngineConfig:
     # Equipartition transport on long-tailed pools converges slowly: forcing
     # 1/K of the mass onto far prototypes needs thousands of scaling sweeps
     # at epsilon 0.05 (worst observed ~9k on the default corpus).  A sweep of
-    # a ~550x6 pool costs about 8.5 us on a 2-core x86_64 host, so the cap
-    # stops a solve that cannot converge after about 0.4 s; it only exists to
+    # a ~550x6 pool costs 6.3-6.9 us on a 2-core x86_64 host, so the cap
+    # stops a solve that cannot converge after about 0.35 s; it only exists to
     # turn a hang into a clean failure.
     max_iters: int = 50000
     tol: float = 1e-6

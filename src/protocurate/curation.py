@@ -137,8 +137,6 @@ def trim_outliers(
     """
     m = len(ids)
     t = int(np.floor(outlier_frac * m))
-    if t == 0:
-        return np.arange(m), np.zeros(0, dtype=np.int64)
     order = np.lexsort((ids, dist))  # ascending distance, ties ascending id
     trimmed = order[m - t :]
     kept = np.sort(order[: m - t])
@@ -156,8 +154,6 @@ def select_distant(
     """
     m = len(ids)
     nd = int(np.floor(keep_frac * m))
-    if nd == 0:
-        return np.zeros(0, dtype=np.int64), np.arange(m)
     order = np.lexsort((ids, -dist))  # descending distance, ties ascending id
     distant = order[:nd]
     pool = np.sort(order[nd:])
@@ -383,10 +379,10 @@ def run_curation(
     degenerate input row is named by sample id, as ``validate_corpus``
     names it, when the rows holding it are embedded.
     """
-    if corpus.n < cfg.warmup_samples:
+    if corpus.n <= cfg.warmup_samples:
         raise InsufficientWarmupError(
             f"corpus has {corpus.n} samples but warmup_samples={cfg.warmup_samples}; "
-            "curation needs at least the warm-up count"
+            "curation needs more samples than the warm-up"
         )
 
     rng = np.random.default_rng(cfg.seed)
@@ -413,7 +409,7 @@ def run_curation(
         ema_alpha=cfg.ema_alpha,
     )
 
-    chunks = [np.zeros(0, dtype=RECORD)]
+    chunks = []
     all_stats = []
     emitted = 0
     for iteration, start in enumerate(range(0, len(stream), cfg.superbatch_size), start=1):

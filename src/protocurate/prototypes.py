@@ -119,9 +119,9 @@ def init_kmeans(
 def sinkhorn_plan(
     embeddings: np.ndarray,
     bank: PrototypeBank,
-    epsilon: float = 0.05,
-    max_iters: int = 50000,
-    tol: float = 1e-6,
+    epsilon: float,
+    max_iters: int,
+    tol: float,
 ) -> TransportPlan:
     """Equipartition transport of n samples onto K prototypes.
 
@@ -144,7 +144,7 @@ _BLOCK_SWEEPS, _BLOCK_ENTRIES = 64, 2**15
 
 
 def sinkhorn_from_cost(
-    cost: np.ndarray, epsilon: float = 0.05, max_iters: int = 50000, tol: float = 1e-6
+    cost: np.ndarray, epsilon: float, max_iters: int, tol: float
 ) -> TransportPlan:
     """Sinkhorn on an explicit cost matrix (uniform marginals 1/n and 1/K).
 

@@ -40,11 +40,6 @@ def manifest_json(cfg: EngineConfig) -> str:
     return json.dumps(manifest, indent=2) + "\n"
 
 
-def _cluster_means(cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
-    means = rng.standard_normal((cfg.clusters, cfg.d_img))
-    return means * cfg.mean_scale
-
-
 def _alignment_map(cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
     """Text-side linear map A (d_txt x d_img).
 
@@ -61,8 +56,8 @@ def _alignment_map(cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
     return q[: cfg.d_txt, : cfg.d_img]
 
 
-def generate_corpus(cfg: EngineConfig) -> tuple[Corpus, np.ndarray]:
-    """Draw the corpus; returns (corpus, assignment vector of cluster indices).
+def generate_corpus(cfg: EngineConfig) -> tuple[Corpus, tuple[np.ndarray, np.ndarray]]:
+    """Draw the corpus; returns (corpus, (positive, negative) prompt embeddings).
 
     The vectors are float32, as ``io.decode_corpus`` returns them, so the
     returned corpus equals a round trip through the binary format in value
@@ -76,9 +71,14 @@ def generate_corpus(cfg: EngineConfig) -> tuple[Corpus, np.ndarray]:
     and one block of each kind of scratch are held.  When d_img == d_txt the
     alignment map is the identity and its product is skipped: x 1 plus exact
     zeros is x, up to the sign of a zero, which the added noise term absorbs.
+
+    The prompts come from the same class means and alignment map and draw
+    nothing: positive[c] is the normalized text image of class c's mean and
+    negative[c] the normalized mean of the other classes' positives (the
+    negated positive when there is one class).  Both are (C, d_txt), unit rows.
     """
     rng = np.random.default_rng(cfg.seed)
-    means = _cluster_means(cfg, rng)
+    means = rng.standard_normal((cfg.clusters, cfg.d_img)) * cfg.mean_scale
     amap = _alignment_map(cfg, rng)
 
     n = cfg.n_samples
@@ -105,29 +105,14 @@ def generate_corpus(cfg: EngineConfig) -> tuple[Corpus, np.ndarray]:
 
     labels = np.zeros((n, cfg.clusters), dtype=bool)
     labels[np.arange(n), assign] = True
-
     corpus = Corpus(ids=np.arange(n, dtype=np.uint64), img=img, txt=txt, labels=labels)
-    return corpus, assign
-
-
-def generate_prompts(cfg: EngineConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class prompt embeddings on the text side.
-
-    positive[c] = normalized text image of cluster c's mean; negative[c] =
-    normalized mean of the other classes' positives.  Both (C, d_txt), unit
-    rows.  Uses the same seed stream as generate_corpus so prompts match the
-    corpus geometry.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    means = _cluster_means(cfg, rng)
-    amap = _alignment_map(cfg, rng)
 
     positive = normalize_rows(means @ amap.T)
     if cfg.clusters == 1:
         negative = -positive
     else:
         negative = normalize_rows((positive.sum(axis=0) - positive) / (cfg.clusters - 1))
-    return positive, negative
+    return corpus, (positive, negative)
 
 
 def prompts_json(positive: np.ndarray, negative: np.ndarray) -> str:

@@ -344,8 +344,6 @@ def train_joint(
         if exc.row is None:  # a bad corpus row, named by id; else the head lost a direction
             raise
         raise _diverged(len(steps) + 1, 1, f"projected {exc}") from None
-    if len(selection) == 0:
-        raise UsageError("joint training curated an empty selection; corpus too small")
 
     for epoch in range(2, cfg.epochs + 1):
         _epoch_steps(corpus, selection.records["row"], head, state, rng, cfg, epoch, steps)

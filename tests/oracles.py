@@ -22,7 +22,7 @@ from protocurate.io import VERSION, Corpus, _corpus_layout, _layout_size
 from protocurate.metrics import zero_shot_scores
 from protocurate.prototypes import _SCALING_MAX, _SCALING_MIN
 from protocurate.prototypes import PrototypeBank, TransportPlan, decode_bank
-from protocurate.synth import _alignment_map, _cluster_means
+from protocurate.synth import _alignment_map
 from protocurate.trainer import BETA1, BETA2, EPS, LOG_TAU_MAX, LOG_TAU_MIN
 from protocurate.trainer import OptimizerState, ProjectionHead, cosine_lr
 
@@ -165,7 +165,7 @@ def load_bank(path) -> PrototypeBank:
 
 
 def sinkhorn_from_cost_direct(
-    cost: np.ndarray, epsilon: float = 0.05, max_iters: int = 50000, tol: float = 1e-6
+    cost: np.ndarray, epsilon: float, max_iters: int, tol: float
 ) -> TransportPlan:
     """``prototypes.sinkhorn_from_cost`` one sweep at a time: each sweep is
     checked for convergence, then for a scaling outside [1e-100, 1e100],
@@ -442,11 +442,11 @@ def encode_records_direct(magic: bytes, header: tuple[int, ...], layout_of, valu
 # --- synth -------------------------------------------------------------------
 
 
-def generate_corpus_direct(cfg: EngineConfig) -> tuple[Corpus, np.ndarray]:
+def generate_corpus_direct(cfg: EngineConfig) -> tuple[Corpus, tuple[np.ndarray, np.ndarray]]:
     """``synth.generate_corpus`` as one draw of each noise array and one
     float64 expression per half, the alignment product always taken."""
     rng = np.random.default_rng(cfg.seed)
-    means = _cluster_means(cfg, rng)
+    means = cfg.mean_scale * rng.standard_normal((cfg.clusters, cfg.d_img))
     amap = _alignment_map(cfg, rng)
 
     weights = np.asarray(cfg.resolved_weights())
@@ -464,7 +464,12 @@ def generate_corpus_direct(cfg: EngineConfig) -> tuple[Corpus, np.ndarray]:
         txt=txt.astype(np.float32),
         labels=labels,
     )
-    return corpus, assign
+    positive = normalize_rows_direct(means @ amap.T)
+    if cfg.clusters == 1:
+        negative = -positive
+    else:
+        negative = normalize_rows_direct((positive.sum(axis=0) - positive) / (cfg.clusters - 1))
+    return corpus, (positive, negative)
 
 
 # --- CSV tables --------------------------------------------------------------

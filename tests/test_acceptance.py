@@ -29,7 +29,7 @@ from protocurate.curation import fps_select, run_curation
 from protocurate.io import Corpus
 from protocurate.metrics import auprc, auroc, evaluate_zero_shot
 from protocurate.prototypes import PrototypeBank, sinkhorn_from_cost
-from protocurate.synth import generate_corpus, generate_prompts
+from protocurate.synth import generate_corpus
 from protocurate.trainer import (
     info_nce_grad,
     init_head,
@@ -48,13 +48,13 @@ def default_runs():
     runs = []
     for seed in range(5):
         cfg = EngineConfig(seed=seed)
-        corpus, _ = generate_corpus(cfg)
+        corpus, prompts = generate_corpus(cfg)
         selection, _ = run_curation(corpus, cfg)
         files = run_analysis(corpus, cfg, selection.records["row"])
         runs.append(
             {
-                "cfg": cfg,
                 "corpus": corpus,
+                "prompts": prompts,
                 "selection": selection,
                 "files": files,
             }
@@ -258,7 +258,7 @@ def test_02_transport_marginals_and_lp():
         k = int(rng.integers(1, 9))
         scale = float(rng.choice([0.1, 1.0, 10.0]))
         cost = rng.random((n, k)) * scale
-        plan = sinkhorn_from_cost(cost, epsilon=0.05 * scale, tol=1e-6)
+        plan = sinkhorn_from_cost(cost, epsilon=0.05 * scale, max_iters=50000, tol=1e-6)
         assert plan.converged, f"instance {i} (n={n}, k={k}) did not converge"
         p = plan.plan
         dev = max(
@@ -499,7 +499,7 @@ def test_07_curated_beats_random(default_runs):
         head_cur, _ = train_head(pool, tcfg, rows=rows_cur)
         head_rnd, _ = train_head(pool, tcfg, rows=rows_rnd)
 
-        pos, neg = generate_prompts(run["cfg"])
+        pos, neg = run["prompts"]
         raw = ([f"class_{i}" for i in range(len(pos))], pos, neg)
         a_c, r_c = zero_shot_numbers(head_cur, held, raw)
         a_r, r_r = zero_shot_numbers(head_rnd, held, raw)

@@ -14,8 +14,10 @@ import pytest
 import protocurate
 from oracles import load_bank
 from protocurate.cli import main
+from protocurate.config import load_config
 from protocurate.curation import CuratedSelection
 from protocurate.io import Corpus, commit_outputs, encode_corpus, read_corpus
+from protocurate.synth import generate_corpus, prompts_json
 from protocurate.trainer import encode_head, init_head, load_head
 
 SMALL_CONFIG = """\
@@ -160,6 +162,10 @@ class TestHappyPath:
         assert manifest["n_samples"] == 320
         prompts = json.loads((root / "prompts.json").read_text())
         assert len(prompts["classes"]) == 4
+
+    def test_generate_prompts_are_the_corpus_draw(self, workspace):
+        _, prompts = generate_corpus(load_config(workspace["cfg"]))
+        assert (workspace["root"] / "prompts.json").read_text() == prompts_json(*prompts)
 
     def test_curate_artifacts(self, workspace):
         corpus = read_corpus(workspace["corpus"])
@@ -350,6 +356,33 @@ class TestFailureModes:
         )
         assert code == 1
         assert "warmup" in capsys.readouterr().err
+
+    def test_corpus_of_only_the_warmup_is_refused_alike(self, tmp_path, capsys):
+        """An empty stream: frozen curate and joint train exit 1 with one same
+        line and write nothing."""
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("n_samples = 320", "n_samples = 128"))
+        corpus = tmp_path / "corpus.bin"
+        assert main(["generate", "--config", str(cfg), "--out", str(corpus)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        out.mkdir()
+        curation_outputs = ["--proto-out", out / "p.bin", "--stats-out", out / "st.json"]
+        errors = []
+        for command, *outputs in (
+            ["curate", "--out", out / "s.csv", *curation_outputs],
+            ["train", "--head-out", out / "h.bin", "--loss-out", out / "l.csv",
+             "--selection-out", out / "s.csv", *curation_outputs],
+        ):
+            argv = [command, "--config", cfg, "--corpus", corpus, *outputs]
+            assert main(list(map(str, argv))) == 1
+            errors.append(capsys.readouterr().err)
+            assert_one_line_error(errors[-1])
+        assert errors == 2 * [
+            "error: corpus has 128 samples but warmup_samples=128; "
+            "curation needs more samples than the warm-up\n"
+        ]
+        assert list(out.iterdir()) == []
 
     def test_nonconvergence_is_numerical_failure(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "strangled.cfg"

@@ -82,6 +82,7 @@ class TestTrimOutliers:
         kept, trimmed = trim_outliers(ids, np.random.default_rng(1).random(19), 0.05)
         assert len(trimmed) == 0
         assert np.array_equal(kept, np.arange(19))
+        assert kept.dtype == trimmed.dtype == np.int64
 
     def test_tie_trims_larger_id_first(self):
         ids = np.array([10, 3, 7], dtype=np.uint64)
@@ -124,6 +125,7 @@ class TestSelectDistant:
         distant, pool = select_distant(ids, np.ones(9), 0.10)
         assert len(distant) == 0
         assert np.array_equal(pool, np.arange(9))
+        assert distant.dtype == pool.dtype == np.int64
 
 
 def naive_fps(points, ids, budget, anchor):
@@ -406,9 +408,10 @@ class TestRunCuration:
         assert np.array_equal(capped.records, full.records[:20])
 
     def test_warmup_shortfall_raises(self):
-        corpus = small_corpus(100)
-        with pytest.raises(InsufficientWarmupError, match="warmup"):
-            run_curation(corpus, small_cfg())
+        # A corpus of exactly the warm-up leaves an empty stream: refused alike.
+        for n in (100, small_cfg().warmup_samples):
+            with pytest.raises(InsufficientWarmupError, match="more samples than the warm-up"):
+                run_curation(small_corpus(n), small_cfg())
 
     def test_warmup_rows_never_selected(self):
         corpus = small_corpus(128 + 2 * 64, seed=9)

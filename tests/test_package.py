@@ -97,6 +97,20 @@ def test_one_id_to_row_lookup():
     assert refs[("io", "rows_for_ids")] == {("curation", "CuratedSelection")}
 
 
+def test_synth_seeds_one_generator():
+    """The corpus and its prompts come from one draw: the one generator the
+    synth module makes is seeded in ``generate_corpus``."""
+    tree = ast.parse((PACKAGE / "synth.py").read_text())
+    seeded = [
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, (ast.Attribute, ast.Name))
+        and "default_rng" in (getattr(node, "attr", None), getattr(node, "id", None))
+    ]
+    assert seeded == ["generate_corpus"]
+
+
 def test_scan_follows_imports_and_dead_callers(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()

@@ -99,7 +99,7 @@ class TestInitKmeans:
 class TestSinkhorn:
     def test_equal_costs_give_uniform_plan(self):
         cost = np.full((4, 3), 2.5)
-        plan = sinkhorn_from_cost(cost, epsilon=0.05, tol=1e-10)
+        plan = sinkhorn_from_cost(cost, epsilon=0.05, max_iters=50000, tol=1e-10)
         assert plan.converged
         np.testing.assert_allclose(plan.plan, 1.0 / 12.0, atol=1e-12)
 
@@ -118,7 +118,7 @@ class TestSinkhorn:
             n = int(rng.integers(1, 65))
             k = int(rng.integers(1, 9))
             cost = rng.random((n, k)) * rng.choice([0.1, 1.0, 10.0])
-            plan = sinkhorn_from_cost(cost, epsilon=0.05, tol=1e-6)
+            plan = sinkhorn_from_cost(cost, epsilon=0.05, max_iters=50000, tol=1e-6)
             assert plan.converged, (n, k)
             p = plan.plan
             assert np.all(p >= 0.0)
@@ -128,7 +128,7 @@ class TestSinkhorn:
     def test_large_epsilon_approaches_uniform(self):
         rng = np.random.default_rng(4)
         cost = rng.random((12, 5))
-        plan = sinkhorn_from_cost(cost, epsilon=1e3, tol=1e-10)
+        plan = sinkhorn_from_cost(cost, epsilon=1e3, max_iters=50000, tol=1e-10)
         assert np.max(np.abs(plan.plan - 1.0 / 60.0)) < 1e-3
 
     def test_underflow_regime_stays_finite(self):
@@ -183,13 +183,13 @@ class TestSinkhorn:
         rng = np.random.default_rng(6)
         bank = init_kmeans(rng.standard_normal((30, 4)), 3, seed=0)
         z = rng.standard_normal((10, 4))
-        plan = sinkhorn_plan(z, bank, epsilon=0.5)
+        plan = sinkhorn_plan(z, bank, epsilon=0.5, max_iters=50000, tol=1e-6)
         assert plan.plan.shape == (10, 3)
         assert plan.converged
 
     def test_invalid_epsilon(self):
         with pytest.raises(UsageError):
-            sinkhorn_from_cost(np.ones((2, 2)), epsilon=0.0)
+            sinkhorn_from_cost(np.ones((2, 2)), epsilon=0.0, max_iters=50000, tol=1e-6)
 
     def test_hard_assignment_tie_smallest_column(self):
         plan = TransportPlan(
@@ -308,7 +308,7 @@ class TestBlockedSweeps:
         cost = np.random.default_rng(26).random((6400, 6)) * 2.0
         tracemalloc.start()
         try:
-            plan = sinkhorn_from_cost(cost, epsilon=0.05, tol=1e-6)
+            plan = sinkhorn_from_cost(cost, epsilon=0.05, max_iters=50000, tol=1e-6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -325,7 +325,7 @@ class TestUpdatePrototypes:
         bank = self._bank(rng.standard_normal((3, 2)), 0.0)
         before = bank.protos.copy()
         z = rng.standard_normal((6, 2))
-        plan = sinkhorn_plan(z, bank, epsilon=1.0)
+        plan = sinkhorn_plan(z, bank, epsilon=1.0, max_iters=50000, tol=1e-6)
         update_prototypes(plan, z, bank)
         np.testing.assert_array_equal(bank.protos, before)
         assert bank.update_count == 1
@@ -344,7 +344,7 @@ class TestUpdatePrototypes:
         bank = self._bank(rng.standard_normal((4, 3)), alpha)
         before = bank.protos.copy()
         z = rng.standard_normal((20, 3))
-        plan = sinkhorn_plan(z, bank, epsilon=0.5)
+        plan = sinkhorn_plan(z, bank, epsilon=0.5, max_iters=50000, tol=1e-6)
         candidates = (plan.plan / plan.plan.sum(axis=0)[None, :]).T @ z
         update_prototypes(plan, z, bank)
         np.testing.assert_allclose(
@@ -368,7 +368,7 @@ class TestUpdatePrototypes:
         bank = self._bank(rng.standard_normal((2, 2)), 0.2)
         z = rng.standard_normal((5, 2))
         for expected in (1, 2, 3):
-            plan = sinkhorn_plan(z, bank, epsilon=1.0)
+            plan = sinkhorn_plan(z, bank, epsilon=1.0, max_iters=50000, tol=1e-6)
             update_prototypes(plan, z, bank)
             assert bank.update_count == expected
 

@@ -14,7 +14,6 @@ from protocurate.metrics import evaluate_zero_shot
 from protocurate.synth import (
     GEN_ROWS,
     generate_corpus,
-    generate_prompts,
     manifest_json,
     prompts_json,
     read_prompts,
@@ -42,12 +41,12 @@ def small_cfg(**kw):
 
 class TestGeneration:
     def test_shapes_and_labels(self):
-        corpus, assign = generate_corpus(small_cfg())
+        corpus, _ = generate_corpus(small_cfg())
         assert corpus.n == 2000
         assert corpus.d_img == 8 and corpus.d_txt == 8
         assert corpus.n_labels == 6
-        # one-hot labels matching the assignment vector
-        assert np.array_equal(np.argmax(corpus.labels, axis=1), assign)
+        # one-hot labels: each sample is in exactly one class
+        assert corpus.labels.dtype == bool
         assert np.all(corpus.labels.sum(axis=1) == 1)
 
     def test_determinism_same_seed(self):
@@ -86,22 +85,22 @@ class TestGeneration:
     def test_uniform_weights_multinomial_bounds(self):
         n = 6000
         cfg = small_cfg(n_samples=n, cluster_weights=(1 / 6,) * 6)
-        _, assign = generate_corpus(cfg)
-        fracs = np.bincount(assign, minlength=6) / n
+        corpus, _ = generate_corpus(cfg)
+        fracs = corpus.labels.sum(axis=0) / n
         w = 1 / 6
         bound = 3 * np.sqrt(w * (1 - w) / n)
         assert np.all(np.abs(fracs - w) < bound)
 
     def test_long_tail_frequencies_track_weights(self):
         cfg = small_cfg(n_samples=20000)
-        _, assign = generate_corpus(cfg)
-        fracs = np.bincount(assign, minlength=6) / 20000
+        corpus, _ = generate_corpus(cfg)
+        fracs = corpus.labels.sum(axis=0) / 20000
         for frac, w in zip(fracs, cfg.cluster_weights):
             assert abs(frac - w) < 3 * np.sqrt(w * (1 - w) / 20000)
 
     def test_rho_one_no_noise_pairs_deterministic(self):
         cfg = small_cfg(rho=1.0, noise_scale=0.0, d_img=6, d_txt=6)
-        corpus, assign = generate_corpus(cfg)
+        corpus, _ = generate_corpus(cfg)
         # with the identity alignment map, txt equals img exactly (f32 grid)
         assert np.array_equal(corpus.txt, corpus.img)
 
@@ -115,7 +114,7 @@ class TestGeneration:
 
 
 def _generated_with_next_draw(generate, cfg, monkeypatch):
-    """``generate(cfg)`` and the next draw of the generator it made."""
+    """``generate(cfg)`` and the next draw of the one generator it made."""
     made = []
     default_rng = np.random.default_rng
 
@@ -125,9 +124,9 @@ def _generated_with_next_draw(generate, cfg, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(np.random, "default_rng", recording)
-        corpus, assign = generate(cfg)
+        corpus, prompts = generate(cfg)
     (rng,) = made
-    return corpus, assign, rng.standard_normal(4)
+    return corpus, prompts, rng.standard_normal(4)
 
 
 class TestBlockedGeneration:
@@ -149,7 +148,8 @@ class TestBlockedGeneration:
             assert arr.tobytes() == ref.tobytes()
         assert np.array_equal(got[0].ids, want[0].ids)
         assert np.array_equal(got[0].labels, want[0].labels)
-        assert np.array_equal(got[1], want[1])
+        for got_prompt, want_prompt in zip(got[1], want[1]):
+            assert got_prompt.tobytes() == want_prompt.tobytes()
         assert got[2].tobytes() == want[2].tobytes()
         assert encode_corpus(got[0]) == encode_corpus(want[0])
 
@@ -169,18 +169,18 @@ class TestBlockedGeneration:
 
 class TestPrompts:
     def test_unit_norm(self):
-        pos, neg = generate_prompts(small_cfg())
+        _, (pos, neg) = generate_corpus(small_cfg())
         np.testing.assert_allclose(np.linalg.norm(pos, axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(neg, axis=1), 1.0, atol=1e-12)
 
     def test_two_class_complement(self):
         cfg = small_cfg(clusters=2, cluster_weights=(0.8, 0.2))
-        pos, neg = generate_prompts(cfg)
+        _, (pos, neg) = generate_corpus(cfg)
         np.testing.assert_allclose(neg[0], pos[1], atol=1e-12)
         np.testing.assert_allclose(neg[1], pos[0], atol=1e-12)
 
     def test_json_round_trip(self, tmp_path):
-        pos, neg = generate_prompts(small_cfg())
+        _, (pos, neg) = generate_corpus(small_cfg())
         commit_outputs([(tmp_path / "p.json", prompts_json(pos, neg))])
         names, rpos, rneg = read_prompts(tmp_path / "p.json")
         assert names == [f"class_{i}" for i in range(6)]
@@ -235,8 +235,7 @@ class TestPrompts:
         cfg = small_cfg(
             n_samples=600, rho=1.0, noise_scale=0.05, mean_scale=4.0, seed=3
         )
-        corpus, _ = generate_corpus(cfg)
-        pos, neg = generate_prompts(cfg)
+        corpus, (pos, neg) = generate_corpus(cfg)
         names = [f"c{i}" for i in range(6)]
         head = identity_head(corpus.d_img)
         report = evaluate_zero_shot(head, corpus.img, corpus.txt, corpus.labels, names, pos, neg, 1.0)
