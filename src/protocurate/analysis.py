@@ -130,7 +130,7 @@ def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
     return float(np.sort(values)[rank - 1])
 
 
-def low_density_proportion(subset: np.ndarray, full: np.ndarray, quantile: float = 0.25) -> float:
+def low_density_proportion(subset: np.ndarray, full: np.ndarray, quantile: float) -> float:
     """Fraction of the subset's kNN values inside the full set's lowest-density band.
 
     The band holds the ``quantile`` fraction of the full set with the

@@ -160,14 +160,6 @@ def select_distant(
     return distant, pool
 
 
-def _distances(points: np.ndarray, p: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(points - p, axis=-1)``, bit for bit, with the differences
-    in ``buf`` (the broadcast shape of ``points - p``) instead of a new array."""
-    np.subtract(points, p, out=buf)
-    np.multiply(buf, buf, out=buf)
-    return np.sqrt(np.add.reduce(buf, axis=-1))
-
-
 _MAX = float(np.finfo(np.float64).max)
 
 
@@ -269,8 +261,7 @@ def fps_select(
         cands = np.flatnonzero(score >= score.max() - margin)
         if len(cands) > 1:
             targets = points[chosen] if chosen else anchor[None, :]
-            buf = np.empty((len(cands), len(targets), m))
-            exact = _distances(points[cands, None, :], targets, buf).min(axis=1)
+            exact = np.linalg.norm(points[cands, None, :] - targets, axis=-1).min(axis=1)
             cands = cands[exact == exact.max()]
         return int(cands[np.argmin(ids[cands])])
 

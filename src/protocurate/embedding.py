@@ -87,7 +87,7 @@ def normalize_rows(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def unify_batch(img: np.ndarray, txt: np.ndarray, mode: str = "concat") -> np.ndarray:
+def unify_batch(img: np.ndarray, txt: np.ndarray, mode: str) -> np.ndarray:
     """Curation-space rows of (n, d_img) and (n, d_txt) batches: ``concat`` joins the
     normalized halves (norm sqrt(2)), ``image_only`` / ``text_only`` keep one (norm 1).
     ``concat`` normalises each half straight into its columns of one new array,

@@ -43,7 +43,7 @@ class TransportPlan:
 @dataclass
 class PrototypeBank:
     protos: np.ndarray
-    ema_alpha: float = 0.1
+    ema_alpha: float
     update_count: int = 0
 
     def __post_init__(self) -> None:
@@ -65,7 +65,7 @@ class PrototypeBank:
 
 
 def init_kmeans(
-    samples: np.ndarray, k: int, max_iters: int = 100, seed: int = 0, ema_alpha: float = 0.1
+    samples: np.ndarray, k: int, max_iters: int, seed: int, ema_alpha: float
 ) -> PrototypeBank:
     """Lloyd's k-means from K distinct seeded starting samples.
 

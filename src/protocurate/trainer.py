@@ -18,6 +18,7 @@ curated selection.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,13 +103,13 @@ class ProjectionHead:
     def project_txt(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=np.float64) @ self.W_txt + self.b_txt
 
-    def unified(self, img: np.ndarray, txt: np.ndarray, space: str = "concat") -> np.ndarray:
+    def unified(self, img: np.ndarray, txt: np.ndarray, space: str) -> np.ndarray:
         """Curation-space embedding through the head: normalized projected halves."""
         return unify_batch(self.project_img(img), self.project_txt(txt), space)
 
 
 def init_head(
-    d_img: int, d_txt: int, d_shared: int, tau_init: float = 0.01, seed: int = 0
+    d_img: int, d_txt: int, d_shared: int, tau_init: float, seed: int
 ) -> ProjectionHead:
     """Seeded Gaussian init scaled by 1/sqrt(fan_in); biases zero."""
     if not (0.0 < tau_init):
@@ -258,66 +259,53 @@ def _diverged(step: int, epoch: int, why: str) -> NumericalFailureError:
     return NumericalFailureError(f"training diverged at step {step} (epoch {epoch}): {why}")
 
 
-def _step(
-    corpus: Corpus,
-    rows: np.ndarray,
-    head: ProjectionHead,
-    state: OptimizerState,
-    cfg: EngineConfig,
-    epoch: int,
-    steps: list[tuple],
-) -> None:
-    """One optimizer step on ``rows`` at the start of ``epoch``, appended to
-    ``steps``; a projected row without a direction before it, or a non-finite
-    loss or parameter after it, raises NumericalFailureError."""
-    step = len(steps) + 1
-    try:
-        loss, grad = info_nce_grad(corpus.img[rows], corpus.txt[rows], head)
-    except DegenerateVectorError as exc:
-        raise _diverged(step, epoch, f"projected {exc}") from None
-    lr = optimizer_step(state, head.theta, _flat(grad), t=epoch - 1, horizon=cfg.epochs)
-    if not (math.isfinite(loss) and np.all(np.isfinite(head.theta))):
-        raise _diverged(step, epoch, "non-finite loss or parameters")
-    steps.append((step, epoch, lr, loss))
+def _trainer(corpus: Corpus, cfg: EngineConfig) -> tuple[ProjectionHead, list[tuple], Callable]:
+    """The seeded head, its list of ``LOSS_RECORD`` tuples and ``step(rows,
+    epoch)``, which takes one optimizer step on ``rows`` at the start of
+    ``epoch`` and appends it; a projected row without a direction before it,
+    or a non-finite loss or parameter after it, raises NumericalFailureError."""
+    head = init_head(corpus.d_img, corpus.d_txt, cfg.proj_dim, cfg.tau_init, cfg.seed)
+    state = OptimizerState(base_lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+    steps: list[tuple] = []
+
+    def step(rows: np.ndarray, epoch: int) -> None:
+        number = len(steps) + 1
+        try:
+            loss, grad = info_nce_grad(corpus.img[rows], corpus.txt[rows], head)
+        except DegenerateVectorError as exc:
+            raise _diverged(number, epoch, f"projected {exc}") from None
+        lr = optimizer_step(state, head.theta, _flat(grad), t=epoch - 1, horizon=cfg.epochs)
+        if not (math.isfinite(loss) and np.all(np.isfinite(head.theta))):
+            raise _diverged(number, epoch, "non-finite loss or parameters")
+        steps.append((number, epoch, lr, loss))
+
+    return head, steps, step
 
 
-def _epoch_steps(
-    corpus: Corpus,
-    rows: np.ndarray,
-    head: ProjectionHead,
-    state: OptimizerState,
-    rng: np.random.Generator,
-    cfg: EngineConfig,
-    epoch: int,
-    steps: list[tuple],
-) -> None:
-    perm = rng.permutation(len(rows))
-    for start in range(0, len(rows), cfg.batch_size):
-        batch = rows[perm[start : start + cfg.batch_size]]
-        _step(corpus, batch, head, state, cfg, epoch, steps)
+def _epochs(step: Callable, rows: np.ndarray, cfg: EngineConfig, first: int) -> None:
+    """Epochs ``first``..cfg.epochs over ``rows``, each in seeded-shuffled
+    mini-batches; the shuffles start from a fresh ``default_rng(cfg.seed)``."""
+    rng = np.random.default_rng(cfg.seed)
+    for epoch in range(first, cfg.epochs + 1):
+        perm = rng.permutation(len(rows))
+        for start in range(0, len(rows), cfg.batch_size):
+            step(rows[perm[start : start + cfg.batch_size]], epoch)
 
 
 def train_head(
-    corpus: Corpus, cfg: EngineConfig, rows: np.ndarray | None = None
+    corpus: Corpus, cfg: EngineConfig, rows: np.ndarray
 ) -> tuple[ProjectionHead, np.ndarray]:
     """Fixed-set training: seeded-shuffled mini-batches for cfg.epochs epochs.
 
-    ``rows`` selects a subset of corpus rows (e.g. a curated selection);
-    None trains on the whole corpus.  Returns the head and one ``LOSS_RECORD``
-    per optimizer step.
+    ``rows`` selects the corpus rows to train on (e.g. a curated selection;
+    ``np.arange(corpus.n)`` for all).  Returns the head and one
+    ``LOSS_RECORD`` per optimizer step.
     """
-    if rows is None:
-        rows = np.arange(corpus.n)
     rows = np.asarray(rows, dtype=np.int64)
     if len(rows) == 0:
         raise UsageError("cannot train on an empty selection")
-
-    rng = np.random.default_rng(cfg.seed)
-    head = init_head(corpus.d_img, corpus.d_txt, cfg.proj_dim, cfg.tau_init, seed=cfg.seed)
-    state = OptimizerState(base_lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
-    steps: list[tuple] = []
-    for epoch in range(1, cfg.epochs + 1):
-        _epoch_steps(corpus, rows, head, state, rng, cfg, epoch, steps)
+    head, steps, step = _trainer(corpus, cfg)
+    _epochs(step, rows, cfg, 1)
     return head, np.array(steps, dtype=LOSS_RECORD)
 
 
@@ -330,23 +318,16 @@ def train_joint(
     mini-batch with embeddings recomputed through the evolving head.
     Epochs 2..cfg.epochs iterate the curated selection like train_head.
     """
-    head = init_head(corpus.d_img, corpus.d_txt, cfg.proj_dim, cfg.tau_init, seed=cfg.seed)
-    state = OptimizerState(base_lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng(cfg.seed)
-    steps: list[tuple] = []
-
-    def on_minibatch(rows: np.ndarray) -> None:
-        _step(corpus, rows, head, state, cfg, 1, steps)
-
+    head, steps, step = _trainer(corpus, cfg)
     try:
-        selection, bank = run_curation(corpus, cfg, head=head, on_minibatch=on_minibatch)
+        selection, bank = run_curation(
+            corpus, cfg, head=head, on_minibatch=lambda rows: step(rows, 1)
+        )
     except DegenerateVectorError as exc:
         if exc.row is None:  # a bad corpus row, named by id; else the head lost a direction
             raise
         raise _diverged(len(steps) + 1, 1, f"projected {exc}") from None
-
-    for epoch in range(2, cfg.epochs + 1):
-        _epoch_steps(corpus, selection.records["row"], head, state, rng, cfg, epoch, steps)
+    _epochs(step, selection.records["row"], cfg, 2)
     return head, np.array(steps, dtype=LOSS_RECORD), selection, bank
 
 

@@ -184,7 +184,7 @@ def test_01_oracle_equivalences():
         d = int(rng.integers(1, 6))
         protos = rng.integers(0, 3, size=(k, d)).astype(np.float64)
         z = rng.integers(0, 3, size=d).astype(np.float64)
-        bank = PrototypeBank(protos=protos)
+        bank = PrototypeBank(protos=protos, ema_alpha=0.1)
         idx, dist = nearest_prototype(z, bank)
         want = min(
             ((float(np.linalg.norm(protos[j] - z)), j) for j in range(k)),

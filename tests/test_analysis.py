@@ -507,7 +507,7 @@ class TestRunAnalysis:
         rows = np.arange(0, 400, 7)
         files = run_analysis(corpus, cfg, rows)
         # the subset's values are the full-corpus density field at its rows
-        values, _ = knn_mean_distance(unify_batch(corpus.img, corpus.txt), 5)
+        values, _ = knn_mean_distance(unify_batch(corpus.img, corpus.txt, "concat"), 5)
         subset = values[rows]
         tests = json.loads(files["tests.json"])
         assert tests["subset_mean_knn"] == float(subset.mean())
@@ -553,7 +553,7 @@ class TestRunAnalysis:
         corpus.ids = np.uint64(2**64 - 1) - 3 * corpus.ids  # ids past int64
         rows = np.arange(0, 300, 7) if with_selection else None
         files = run_analysis(corpus, EngineConfig(knn_k=4), rows)
-        unified = unify_batch(corpus.img, corpus.txt)
+        unified = unify_batch(corpus.img, corpus.txt, "concat")
         values, _ = knn_mean_distance(unified, 4)
         proj, _ = pca2(unified)
         expected = {

@@ -622,7 +622,7 @@ class TestMalformedInputs:
 
     def test_head_dims_mismatch_corpus(self, workspace, tmp_path):
         head = tmp_path / "h.bin"
-        commit_outputs([(head, encode_head(init_head(5, 8, 8)))])
+        commit_outputs([(head, encode_head(init_head(5, 8, 8, tau_init=0.01, seed=0)))])
         code, err = run_cli(
             "eval", "--config", workspace["cfg"], "--corpus", workspace["corpus"],
             "--prompts", workspace["prompts"], "--head", head, "--out", tmp_path / "m.json",

@@ -196,14 +196,44 @@ class TestConfigFuzz:
         np.random.default_rng(cfg.seed)
 
 
+def readme_config_rows() -> list[tuple[list[str], list[str]]]:
+    """Each row of README's config table: its keys and its default cells."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return [
+        (re.findall(r"`([A-Za-z_]+)`", cells[1]), cells[2].strip().split(", "))
+        for line in section.splitlines()
+        if line.startswith("| `")
+        for cells in [line.split("|")]
+    ]
+
+
+def readme_default(cell: str):
+    """A default cell as the value it names: ``none`` and the built-in long tail
+    are None, a numeral its int or float, anything else a string."""
+    if cell in ("none", "built-in long tail"):
+        return None
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return cell
+
+
 class TestReadme:
     def test_every_key_in_config_table(self):
-        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-        section = readme.read_text(encoding="utf-8").split("## Configuration", 1)[1]
-        section = section.split("\n## ", 1)[0]
-        documented = set()
-        for line in section.splitlines():
-            if line.startswith("| `"):
-                documented.update(re.findall(r"`([A-Za-z_]+)`", line.split("|")[1]))
+        documented = {key for keys, _ in readme_config_rows() for key in keys}
         missing = [f.name for f in dataclasses.fields(EngineConfig) if f.name not in documented]
         assert not missing, f"README config table lacks {missing}"
+
+    def test_config_table_defaults_are_engine_config(self):
+        """The table is the one documented restatement of the defaults."""
+        cfg = EngineConfig()
+        table = {}
+        for keys, cells in readme_config_rows():
+            assert len(keys) == len(cells), keys
+            table.update(zip(keys, map(readme_default, cells)))
+        assert table == {key: getattr(cfg, key) for key in table}
+        assert len(table) == len(dataclasses.fields(EngineConfig))

@@ -145,7 +145,7 @@ class TestUnify:
         rng = np.random.default_rng(0)
         img = rng.standard_normal((6, 3))
         txt = rng.standard_normal((6, 5))
-        batch = unify_batch(img, txt)
+        batch = unify_batch(img, txt, "concat")
         for i in range(6):
             single = unify(EmbeddingPair(id=i, img=img[i], txt=txt[i]))
             np.testing.assert_array_equal(batch[i], single)
@@ -195,14 +195,14 @@ class TestUnifyOneBuffer:
         with np.errstate(over="ignore"), pytest.raises(DegenerateVectorError) as want:
             unify_batch_direct(img, txt)
         with np.errstate(over="ignore"), pytest.raises(DegenerateVectorError) as got:
-            unify_batch(img, txt)
+            unify_batch(img, txt, "concat")
         assert (str(got.value), got.value.row, got.value.kind) == (
             str(want.value), want.value.row, want.value.kind)
         assert got.value.row == (3 if where == "txt" else 270)
 
     def test_row_counts_must_match(self):
         with pytest.raises(UsageError, match="differ in rows: 3 vs 1"):
-            unify_batch(np.ones((3, 2)), np.ones((1, 2)))
+            unify_batch(np.ones((3, 2)), np.ones((1, 2)), "concat")
 
 
 class TestPairwiseDistance:

@@ -137,7 +137,7 @@ ENCODINGS = {
     "corpus-empty": lambda: encode_corpus(make_corpus(0, 3, 2, n_labels=2)),
     "corpus-float32": lambda: encode_corpus(generate_corpus(EngineConfig(n_samples=300))[0]),
     "bank": lambda: encode_bank(PrototypeBank(np.arange(12.0).reshape(3, 4), 0.3, 17)),
-    "head": lambda: encode_head(init_head(7, 5, 3)),
+    "head": lambda: encode_head(init_head(7, 5, 3, tau_init=0.01, seed=0)),
 }
 
 
@@ -304,8 +304,8 @@ def test_read_and_validate_hold_one_copy_of_the_file(tmp_path):
 # decoder -> (magic, number of u32 header fields, a valid encoding)
 DECODERS = {
     "corpus": (decode_corpus, MAGIC, 5, encode_corpus(make_corpus(2, 2, 3, n_labels=9))),
-    "bank": (decode_bank, PROTO_MAGIC, 2, encode_bank(PrototypeBank(protos=np.eye(3)[:2]))),
-    "head": (decode_head, HEAD_MAGIC, 3, encode_head(init_head(2, 3, 2))),
+    "bank": (decode_bank, PROTO_MAGIC, 2, encode_bank(PrototypeBank(np.eye(3)[:2], ema_alpha=0.1))),
+    "head": (decode_head, HEAD_MAGIC, 3, encode_head(init_head(2, 3, 2, tau_init=0.01, seed=0))),
 }
 
 

@@ -20,6 +20,17 @@ def library_use_names() -> set[str]:
     return {name for span in code for name in re.findall(r"[A-Za-z_]\w*", span)}
 
 
+def _uses(node: ast.AST):
+    """``node`` and everything under it, like ``ast.walk``, but no annotation:
+    every module defers them, so a name in one is never evaluated."""
+    yield node
+    for field, value in ast.iter_fields(node):
+        if field not in ("annotation", "returns"):
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    yield from _uses(child)
+
+
 def scan_package(package: pathlib.Path):
     """Top-level functions and classes of each module, and where each is used.
 
@@ -27,7 +38,8 @@ def scan_package(package: pathlib.Path):
     pairs, and ``refs[d]`` the set of places that use ``d``: the top-level
     definition whose body holds the use, or ``(module, None)`` for module
     level code.  A name counts wherever it resolves to ``d``, through
-    ``from .module import name`` or ``module.name``; the import alone does not.
+    ``from .module import name`` or ``module.name``; the import alone does not,
+    nor does an annotation.
     """
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     defs = {
@@ -56,7 +68,7 @@ def scan_package(package: pathlib.Path):
         for top in tree.body:
             place = (module, getattr(top, "name", None))
             place = place if place in defs else (module, None)
-            for node in ast.walk(top):
+            for node in _uses(top):
                 if isinstance(node, ast.Name):
                     target = names.get(node.id)
                 elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
@@ -97,6 +109,28 @@ def test_one_id_to_row_lookup():
     assert refs[("io", "rows_for_ids")] == {("curation", "CuratedSelection")}
 
 
+def test_one_trainer_setup():
+    """The head and its optimizer are built in one place, for both training modes."""
+    _, refs = scan_package(PACKAGE)
+    assert refs[("trainer", "init_head")] == {("trainer", "_trainer")}
+    assert refs[("trainer", "OptimizerState")] == {("trainer", "_trainer")}
+
+
+def test_no_parameter_default_but_none():
+    """``EngineConfig`` states every setting once: no library parameter has a
+    default of its own, only ``None`` for "not given"."""
+    defaulted = [
+        f"{path.stem}.{getattr(node, 'name', 'lambda')}: {ast.unparse(default)}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for default in node.args.defaults + node.args.kw_defaults
+        if default is not None
+        and not (isinstance(default, ast.Constant) and default.value is None)
+    ]
+    assert defaulted == []
+
+
 def test_synth_seeds_one_generator():
     """The corpus and its prompts come from one draw: the one generator the
     synth module makes is seeded in ``generate_corpus``."""
@@ -118,15 +152,17 @@ def test_scan_follows_imports_and_dead_callers(tmp_path):
         "def used():\n    return 1\n\n\n"
         "def only_dead():\n    return 2\n\n\n"
         "def dead():\n    return only_dead()\n\n\n"
-        "def recursive():\n    return recursive()\n"
+        "def recursive():\n    return recursive()\n\n\n"
+        "class Hint:\n    pass\n"
     )
     (package / "b.py").write_text(
         "from . import a\nfrom .a import used as alias, recursive\n\n\n"
-        "def main():\n    return alias() + a.used()\n\n\n"
-        "VALUE = main()\n"
+        "def main(x: a.Hint) -> a.Hint:\n    return alias() + a.used()\n\n\n"
+        "VALUE = main(None)\n"
     )
-    assert unused_definitions(package, set()) == ["a.dead", "a.only_dead", "a.recursive"]
-    assert unused_definitions(package, {"dead"}) == ["a.recursive"]
+    dead = ["a.Hint", "a.dead", "a.only_dead", "a.recursive"]
+    assert unused_definitions(package, set()) == dead
+    assert unused_definitions(package, {"dead", "Hint"}) == ["a.recursive"]
 
 
 def test_benchmark_span_names_resolve():

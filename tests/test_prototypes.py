@@ -65,7 +65,7 @@ class TestInitKmeans:
         points = np.repeat(locations, 5, axis=0)
         for seed in range(8):
             order = rng.permutation(len(points))
-            bank = init_kmeans(points[order], 3, seed=seed)
+            bank = init_kmeans(points[order], 3, max_iters=100, seed=seed, ema_alpha=0.1)
             got = sorted(map(tuple, bank.protos.round(9)))
             want = sorted(map(tuple, locations))
             assert got == want
@@ -73,7 +73,7 @@ class TestInitKmeans:
     def test_k1_gives_mean(self):
         rng = np.random.default_rng(1)
         points = rng.standard_normal((20, 3))
-        bank = init_kmeans(points, 1, seed=0)
+        bank = init_kmeans(points, 1, max_iters=100, seed=0, ema_alpha=0.1)
         np.testing.assert_allclose(bank.protos[0], points.mean(axis=0), atol=1e-12)
 
     def test_two_blobs_match_exhaustive_partition(self):
@@ -82,17 +82,18 @@ class TestInitKmeans:
             a = rng.standard_normal((6, 2)) * 0.3 + [5.0, 0.0]
             b = rng.standard_normal((6, 2)) * 0.3 - [5.0, 0.0]
             points = np.vstack([a, b])
-            bank = init_kmeans(points, 2, seed=trial)
+            bank = init_kmeans(points, 2, max_iters=100, seed=trial, ema_alpha=0.1)
             got = kmeans_sse(points, bank.protos)
             want = brute_force_best_2partition_sse(points)
             np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientWarmupError):
-            init_kmeans(np.zeros((3, 2)), 4)
+            init_kmeans(np.zeros((3, 2)), 4, max_iters=100, seed=0, ema_alpha=0.1)
 
     def test_warmup_flag_set(self):
-        bank = init_kmeans(np.random.default_rng(0).standard_normal((10, 2)), 2)
+        points = np.random.default_rng(0).standard_normal((10, 2))
+        bank = init_kmeans(points, 2, max_iters=100, seed=0, ema_alpha=0.1)
         assert bank.update_count == 0
 
 
@@ -181,7 +182,7 @@ class TestSinkhorn:
 
     def test_plan_from_bank_embeddings(self):
         rng = np.random.default_rng(6)
-        bank = init_kmeans(rng.standard_normal((30, 4)), 3, seed=0)
+        bank = init_kmeans(rng.standard_normal((30, 4)), 3, max_iters=100, seed=0, ema_alpha=0.1)
         z = rng.standard_normal((10, 4))
         plan = sinkhorn_plan(z, bank, epsilon=0.5, max_iters=50000, tol=1e-6)
         assert plan.plan.shape == (10, 3)
@@ -381,20 +382,21 @@ class TestUpdatePrototypes:
 
 class TestNearestPrototype:
     def test_exact_match(self):
-        bank = PrototypeBank(protos=np.eye(4))
+        bank = PrototypeBank(protos=np.eye(4), ema_alpha=0.1)
         idx, d = nearest_prototype(np.eye(4)[3], bank)
         assert idx == 3
         assert d == 0.0
 
     def test_equidistant_tie_smallest_index(self):
         protos = np.array([[9.0, 9.0], [1.0, 0.0], [9.0, -9.0], [8.0, 8.0], [-1.0, 0.0]])
-        idx, d = nearest_prototype(np.array([0.0, 0.0]), bank := PrototypeBank(protos=protos))
+        bank = PrototypeBank(protos=protos, ema_alpha=0.1)
+        idx, d = nearest_prototype(np.array([0.0, 0.0]), bank)
         assert idx == 1
         assert d == 1.0
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(10)
-        bank = PrototypeBank(protos=rng.standard_normal((6, 5)))
+        bank = PrototypeBank(protos=rng.standard_normal((6, 5)), ema_alpha=0.1)
         for _ in range(50):
             z = rng.standard_normal(5)
             idx, d = nearest_prototype(z, bank)
@@ -404,7 +406,7 @@ class TestNearestPrototype:
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(11)
-        bank = PrototypeBank(protos=rng.standard_normal((4, 3)))
+        bank = PrototypeBank(protos=rng.standard_normal((4, 3)), ema_alpha=0.1)
         z = rng.standard_normal((25, 3))
         idx, d = score_superbatch(z, bank)
         for i in range(len(z)):
@@ -436,6 +438,6 @@ class TestCheckpoint:
             decode_bank(b"WRONGMAG" + b"\x00" * 24)
 
     def test_truncation(self):
-        bank = PrototypeBank(protos=np.zeros((2, 2)))
+        bank = PrototypeBank(protos=np.zeros((2, 2)), ema_alpha=0.1)
         with pytest.raises(FormatError):
             decode_bank(encode_bank(bank)[:-3])

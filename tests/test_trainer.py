@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from oracles import info_nce
+from protocurate import trainer
 from protocurate.config import EngineConfig
 from protocurate.errors import FormatError, NumericalFailureError, UsageError
 from protocurate.io import commit_outputs, table_csv
@@ -319,7 +320,7 @@ class TestTrainHead:
 
     def test_loss_decreases(self):
         corpus = paired_corpus(256, seed=20)
-        head, rows = train_head(corpus, EngineConfig(**self.CFG))
+        head, rows = train_head(corpus, EngineConfig(**self.CFG), np.arange(corpus.n))
         assert rows.dtype == LOSS_RECORD
         first = float(np.mean(rows["loss"][rows["epoch"] == 1]))
         last = float(np.mean(rows["loss"][rows["epoch"] == rows["epoch"].max()]))
@@ -328,7 +329,7 @@ class TestTrainHead:
     def test_step_and_epoch_bookkeeping(self):
         corpus = paired_corpus(100, seed=21)
         cfg = EngineConfig(**{**self.CFG, "epochs": 3})
-        head, rows = train_head(corpus, cfg)
+        head, rows = train_head(corpus, cfg, np.arange(corpus.n))
         assert rows["step"].tolist() == list(range(1, len(rows) + 1))
         steps_per_epoch = math.ceil(100 / cfg.batch_size)
         assert len(rows) == 3 * steps_per_epoch
@@ -340,8 +341,8 @@ class TestTrainHead:
     def test_deterministic(self):
         corpus = paired_corpus(128, seed=22)
         cfg = EngineConfig(**self.CFG)
-        h1, r1 = train_head(corpus, cfg)
-        h2, r2 = train_head(corpus, cfg)
+        h1, r1 = train_head(corpus, cfg, np.arange(corpus.n))
+        h2, r2 = train_head(corpus, cfg, np.arange(corpus.n))
         assert encode_head(h1) == encode_head(h2)
         assert r1.tobytes() == r2.tobytes()
 
@@ -353,7 +354,7 @@ class TestTrainHead:
 
     def test_tau_stays_clamped(self):
         corpus = paired_corpus(128, seed=24)
-        head, _ = train_head(corpus, EngineConfig(**self.CFG))
+        head, _ = train_head(corpus, EngineConfig(**self.CFG), np.arange(corpus.n))
         assert 1e-3 - 1e-12 <= head.tau <= 0.5 + 1e-12
 
     def test_empty_selection_rejected(self):
@@ -366,7 +367,7 @@ class TestTrainHead:
         cfg = EngineConfig(**{**self.CFG, "learning_rate": 1e300})
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalFailureError, match=r"diverged at step \d+ \(epoch 1\)"):
-                train_head(corpus, cfg)
+                train_head(corpus, cfg, np.arange(corpus.n))
 
 
 class TestTrainJoint:
@@ -404,6 +405,27 @@ class TestTrainJoint:
         b = train_joint(corpus, cfg)
         assert encode_head(a[0]) == encode_head(b[0])
         assert a[2].to_csv() == b[2].to_csv()
+
+    def test_reuse_epochs_take_train_heads_batches(self, monkeypatch):
+        """Epochs 2..E of the joint loop take the batches, in order, that
+        train_head takes in E - 1 epochs over the joint selection's rows."""
+        corpus = paired_corpus(1500, seed=3)
+        cfg = EngineConfig(**{**self.CFG, "seed": 3})
+        batches = []
+        grad = trainer.info_nce_grad
+
+        def recording(raw_img, raw_txt, head):
+            batches.append(raw_img.copy())
+            return grad(raw_img, raw_txt, head)
+
+        monkeypatch.setattr(trainer, "info_nce_grad", recording)
+        _, joint, selection, _ = train_joint(corpus, cfg)
+        reuse = batches[np.count_nonzero(joint["epoch"] == 1) :]
+        batches.clear()
+        fixed = EngineConfig(**{**self.CFG, "seed": 3, "epochs": cfg.epochs - 1})
+        train_head(corpus, fixed, selection.records["row"])
+        assert len(reuse) == len(batches) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(reuse, batches))
 
     def test_head_moves_from_init(self):
         corpus = paired_corpus(128 + 64, seed=30)
@@ -500,7 +522,7 @@ class TestHeadCheckpoint:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["W_img", "b_img", "W_txt", "b_txt"])
     def test_non_finite_parameter_rejected(self, name, bad):
-        head = init_head(3, 4, 2, seed=34)
+        head = init_head(3, 4, 2, tau_init=0.01, seed=34)
         getattr(head, name).flat[-1] = bad
         with pytest.raises(FormatError, match=f"invalid head checkpoint: {name} has non-finite"):
             decode_head(encode_head(head))
@@ -512,14 +534,14 @@ class TestHeadCheckpoint:
         ids=["inf", "-inf", "nan", "1000", "above-max", "below-min"],
     )
     def test_log_tau_outside_clamp_rejected(self, log_tau):
-        head = init_head(3, 4, 2, seed=35)
+        head = init_head(3, 4, 2, tau_init=0.01, seed=35)
         head.log_tau = float(log_tau)
         with pytest.raises(FormatError, match="invalid head checkpoint: log_tau .* outside"):
             decode_head(encode_head(head))
 
     @pytest.mark.parametrize("log_tau", [LOG_TAU_MIN, LOG_TAU_MAX], ids=["min", "max"])
     def test_log_tau_at_clamp_accepted(self, log_tau):
-        head = init_head(3, 4, 2, seed=36)
+        head = init_head(3, 4, 2, tau_init=0.01, seed=36)
         head.log_tau = log_tau
         assert decode_head(encode_head(head)).log_tau == log_tau
 
@@ -556,7 +578,9 @@ class TestLossCsv:
 
     def test_matches_per_line_oracle(self):
         corpus = paired_corpus(128 + 2 * 64, seed=31)
-        _, fixed = train_head(corpus, EngineConfig(**{**TestTrainHead.CFG, "epochs": 2}))
+        _, fixed = train_head(
+            corpus, EngineConfig(**{**TestTrainHead.CFG, "epochs": 2}), np.arange(corpus.n)
+        )
         _, joint, _, _ = train_joint(corpus, EngineConfig(**TestTrainJoint.CFG))
         for losses in (fixed, joint):
             assert table_csv(losses, LOSS_FORMATS) == oracles.loss_csv(losses)
