@@ -21,7 +21,6 @@ from .config import EngineConfig, load_config
 from .curation import CuratedSelection, run_curation
 from .errors import ProtocurateError, UsageError
 from .io import check_outputs, commit_outputs, encode_corpus, read_corpus, table_csv
-from .io import validate_corpus
 from .metrics import evaluate_zero_shot
 from .prototypes import encode_bank
 from .synth import generate_corpus, manifest_json, prompts_json, read_prompts
@@ -89,12 +88,6 @@ def _load_cfg(args) -> EngineConfig:
     return replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
 
 
-def _read_corpus_checked(path):
-    corpus = read_corpus(path)
-    validate_corpus(corpus)
-    return corpus
-
-
 def _cmd_generate(args) -> int:
     cfg = _load_cfg(args)
     corpus, prompts = generate_corpus(cfg)
@@ -109,7 +102,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_curate(args) -> int:
     cfg = _load_cfg(args)
-    corpus = _read_corpus_checked(args.corpus)
+    corpus = read_corpus(args.corpus)
     selection, bank = run_curation(corpus, cfg)
     commit_outputs([
         (args.out, selection.to_csv()),
@@ -127,7 +120,7 @@ def _cmd_train(args) -> int:
     if args.selection and given:
         raise UsageError(f"joint-train options {', '.join(given)} cannot be used with --selection")
     cfg = _load_cfg(args)
-    corpus = _read_corpus_checked(args.corpus)
+    corpus = read_corpus(args.corpus)
     joint_outputs = []
     if args.selection:
         rows = CuratedSelection.read_csv(args.selection, corpus).records["row"]
@@ -147,7 +140,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    corpus = _read_corpus_checked(args.corpus)
+    corpus = read_corpus(args.corpus)
     if corpus.labels is None:
         raise UsageError("eval requires a labeled corpus")
     names, positive, negative = read_prompts(args.prompts)
@@ -172,7 +165,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cfg = _load_cfg(args)
-    corpus = _read_corpus_checked(args.corpus)
+    corpus = read_corpus(args.corpus)
     rows = None
     if args.selection:
         rows = CuratedSelection.read_csv(args.selection, corpus).records["row"]

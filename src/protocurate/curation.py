@@ -22,9 +22,8 @@ import numpy as np
 
 from .config import EngineConfig
 from .embedding import _U64, pairwise_sq_distance, unify_batch, unit_scaled
-from .errors import DegenerateVectorError, FormatError, InsufficientWarmupError
-from .errors import NumericalFailureError, UsageError
-from .io import Corpus, rows_for_ids, table_csv, validate_corpus
+from .errors import FormatError, InsufficientWarmupError, NumericalFailureError, UsageError
+from .io import Corpus, rows_for_ids, table_csv
 from .prototypes import PrototypeBank, init_kmeans, sinkhorn_plan, update_prototypes
 
 REASONS = ("distant", "fps")
@@ -366,9 +365,8 @@ def run_curation(
     (frozen mode) the raw halves are normalised; with one (joint mode: any
     object with a ``unified(img, txt, space)`` method) they go through it,
     so the space evolves with the head.  ``on_minibatch`` gets the emitted
-    corpus rows after each iteration so a trainer can take a step.  A
-    degenerate input row is named by sample id, as ``validate_corpus``
-    names it, when the rows holding it are embedded.
+    corpus rows after each iteration so a trainer can take a step.  The
+    corpus must be one ``validate_corpus`` accepts, as ``read_corpus`` returns.
     """
     if corpus.n <= cfg.warmup_samples:
         raise InsufficientWarmupError(
@@ -384,13 +382,7 @@ def run_curation(
     unify = unify_batch if head is None else head.unified
 
     def embed(rows: np.ndarray) -> np.ndarray:
-        img, txt = corpus.img[rows], corpus.txt[rows]
-        try:
-            return unify(img, txt, cfg.curation_space)
-        except DegenerateVectorError:
-            # The error names a position in ``rows``; name the sample instead.
-            validate_corpus(Corpus(ids=corpus.ids[rows], img=img, txt=txt))
-            raise
+        return unify(corpus.img[rows], corpus.txt[rows], cfg.curation_space)
 
     bank = init_kmeans(
         embed(warm),

@@ -175,7 +175,8 @@ def encode_corpus(corpus: Corpus) -> bytearray:
 
 def decode_corpus(data: bytes) -> Corpus:
     """Parse the binary format into a Corpus whose img/txt are read-only
-    float32 views of ``data``'s records; ids and labels are copied out."""
+    float32 views of ``data``'s records; ids and labels are copied out.
+    Only the format is checked; ``read_corpus`` also checks the rows."""
     header, rec = decode_records(data, MAGIC, HEADER_FIELDS, _corpus_layout, version=VERSION)
     n_labels = header[-1]
     labels = None
@@ -185,8 +186,16 @@ def decode_corpus(data: bytes) -> Corpus:
 
 
 def read_corpus(path) -> Corpus:
+    """The corpus file at ``path``, decoded and checked by ``validate_corpus``;
+    an error keeps its class and gains the prefix ``corpus file <path>: ``."""
     with open(path, "rb") as fh:
-        return decode_corpus(fh.read())
+        try:
+            corpus = decode_corpus(fh.read())
+            validate_corpus(corpus)
+        except (FormatError, UsageError) as exc:
+            exc.args = (f"corpus file {path}: {exc}",)
+            raise
+    return corpus
 
 
 def validate_corpus(corpus: Corpus) -> None:

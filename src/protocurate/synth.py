@@ -134,6 +134,8 @@ def read_prompts(path) -> tuple[list[str], np.ndarray, np.ndarray]:
                 np.asarray([entry[key] for entry in classes], dtype=np.float64)
                 for key in ("positive", "negative")
             )
+        except UnicodeDecodeError:
+            raise FormatError(f"prompts file {path}: not UTF-8 text") from None
         except KeyError as exc:
             raise FormatError(f"prompts file {path}: missing field {exc}") from None
         except (TypeError, ValueError) as exc:

@@ -324,8 +324,6 @@ def train_joint(
             corpus, cfg, head=head, on_minibatch=lambda rows: step(rows, 1)
         )
     except DegenerateVectorError as exc:
-        if exc.row is None:  # a bad corpus row, named by id; else the head lost a direction
-            raise
         raise _diverged(len(steps) + 1, 1, f"projected {exc}") from None
     _epochs(step, selection.records["row"], cfg, 2)
     return head, np.array(steps, dtype=LOSS_RECORD), selection, bank
@@ -351,4 +349,8 @@ def decode_head(data: bytes) -> ProjectionHead:
 
 def load_head(path) -> ProjectionHead:
     with open(path, "rb") as fh:
-        return decode_head(fh.read())
+        try:
+            return decode_head(fh.read())
+        except FormatError as exc:
+            exc.args = (f"head file {path}: {exc}",)
+            raise

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, artifacts, exit codes."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -64,6 +65,47 @@ SELECTION_OUTPUTS = {
     "train": lambda d: ["--head-out", str(d / "h.bin"), "--loss-out", str(d / "l.csv")],
     "analyze": lambda d: ["--out-dir", str(d / "analysis")],
 }
+
+
+# The outputs of each command that reads a corpus, under a directory.
+CORPUS_READERS = {
+    "curate": lambda ws, d: [
+        "curate", "--out", d / "s.csv", "--proto-out", d / "p.bin", "--stats-out", d / "st.json",
+    ],
+    "train-selection": lambda ws, d: [
+        "train", "--selection", ws["selection"], *SELECTION_OUTPUTS["train"](d),
+    ],
+    "train-joint": lambda ws, d: [
+        "train", *SELECTION_OUTPUTS["train"](d), "--selection-out", d / "s.csv",
+        "--proto-out", d / "p.bin", "--stats-out", d / "st.json",
+    ],
+    "eval": lambda ws, d: [
+        "eval", "--prompts", ws["prompts"], "--out", d / "m.json", "--csv-out", d / "m.csv",
+    ],
+    "analyze": lambda ws, d: [
+        "analyze", "--selection", ws["selection"], *SELECTION_OUTPUTS["analyze"](d),
+    ],
+}
+
+
+def _nan_img(corpus):
+    corpus.img[7, 2] = np.nan
+    return f"sample id {int(corpus.ids[7])} has non-finite img vector"
+
+
+def _zero_txt(corpus):
+    corpus.txt[11] = 0.0
+    return f"sample id {int(corpus.ids[11])} has all-zero txt vector"
+
+
+def _duplicate_id(corpus):
+    corpus.ids[9] = corpus.ids[4]
+    return f"duplicate sample id {int(corpus.ids[4])} in corpus"
+
+
+# Rows the codec keeps but the corpus check refuses: each edits a writable
+# corpus and returns the check's message.
+CORPUS_DEFECTS = {"nan-img": _nan_img, "zero-txt": _zero_txt, "duplicate-id": _duplicate_id}
 
 
 def set_prompt_vector(doc, index, field, make):
@@ -340,7 +382,7 @@ class TestFailureModes:
             ]
         )
         assert code == 2
-        assert "magic" in capsys.readouterr().err
+        assert f"error: corpus file {bad}: bad magic" in capsys.readouterr().err
 
     def test_insufficient_warmup_is_usage_error(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "big_warmup.cfg"
@@ -545,6 +587,61 @@ class TestMalformedInputs:
         assert f"selection file {sel}: missing expected CSV header" in err
         assert [path.name for path in tmp_path.iterdir()] == ["sel.csv"]
 
+    @pytest.mark.parametrize("command", sorted(CORPUS_READERS))
+    @pytest.mark.parametrize("defect", sorted(CORPUS_DEFECTS))
+    def test_bad_corpus_row_named_by_sample_id(
+        self, workspace, tmp_path, capsys, command, defect
+    ):
+        corpus = read_corpus(workspace["corpus"])
+        corpus = dataclasses.replace(corpus, img=corpus.img.copy(), txt=corpus.txt.copy())
+        message = CORPUS_DEFECTS[defect](corpus)
+        path = tmp_path / "corpus.bin"
+        commit_outputs([(path, encode_corpus(corpus))])
+        out = tmp_path / "out"
+        out.mkdir()
+        name, *rest = CORPUS_READERS[command](workspace, out)
+        code = main([name, "--config", workspace["cfg"], "--corpus", str(path), *map(str, rest)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: corpus file {path}: {message}\n"
+        assert list(out.iterdir()) == []
+
+    def test_truncated_corpus_names_the_file(self, workspace, tmp_path):
+        path = tmp_path / "cut.bin"
+        path.write_bytes(pathlib.Path(workspace["corpus"]).read_bytes()[:100])
+        code, err = run_cli(
+            "curate", "--config", workspace["cfg"], "--corpus", path,
+            "--out", tmp_path / "s.csv", "--proto-out", tmp_path / "p.bin",
+        )
+        assert code == 2
+        assert_one_line_error(err)
+        assert err.startswith(f"error: corpus file {path}: header (version=1, count=320,")
+        assert err.endswith("file has 100 (at byte offset 100)\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cut.bin"]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda corpus: {"labels": None}, "eval requires a labeled corpus"),
+            (
+                lambda corpus: {"txt": corpus.txt[:, :6]},
+                "eval without --head needs d_img == d_txt for the identity head",
+            ),
+        ],
+        ids=["unlabeled", "unequal-dims"],
+    )
+    def test_eval_corpus_usage_errors(self, workspace, tmp_path, edit, message):
+        corpus = read_corpus(workspace["corpus"])
+        path = tmp_path / "corpus.bin"
+        commit_outputs([(path, encode_corpus(dataclasses.replace(corpus, **edit(corpus))))])
+        code, err = run_cli(
+            "eval", "--config", workspace["cfg"], "--corpus", path,
+            "--prompts", workspace["prompts"], "--out", tmp_path / "m.json",
+            "--csv-out", tmp_path / "m.csv",
+        )
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.bin"]
+
     def test_analyze_one_sample_selection(self, workspace, tmp_path):
         rows = open(workspace["selection"]).read().splitlines()
         sel = tmp_path / "one.csv"
@@ -589,6 +686,17 @@ class TestMalformedInputs:
         assert_one_line_error(err)
         assert "prompts file" in err
         assert detail in err
+        assert [path.name for path in tmp_path.iterdir()] == ["p.json"]
+
+    def test_non_utf8_prompts(self, workspace, tmp_path):
+        prompts = tmp_path / "p.json"
+        prompts.write_bytes(b"\xff\xfe\x00")
+        code, err = run_cli(
+            "eval", "--config", workspace["cfg"], "--corpus", workspace["corpus"],
+            "--prompts", prompts, "--out", tmp_path / "m.json",
+        )
+        assert code == 2
+        assert err == f"error: prompts file {prompts}: not UTF-8 text\n"
         assert [path.name for path in tmp_path.iterdir()] == ["p.json"]
 
     @pytest.mark.parametrize("bad_id", ["-1", "18446744073709551616"], ids=["negative", "2**64"])
@@ -653,8 +761,21 @@ class TestMalformedInputs:
         )
         assert code == 2
         assert_one_line_error(err)
-        assert "invalid head checkpoint" in err and detail in err
+        assert f"head file {path}: invalid head checkpoint" in err and detail in err
         assert [p.name for p in tmp_path.iterdir()] == ["h.bin"]
+
+    def test_corpus_as_head_names_the_head_file(self, workspace, tmp_path):
+        code, err = run_cli(
+            "eval", "--config", workspace["cfg"], "--corpus", workspace["corpus"],
+            "--prompts", workspace["prompts"], "--head", workspace["corpus"],
+            "--out", tmp_path / "m.json",
+        )
+        assert code == 2
+        assert err == (
+            f"error: head file {workspace['corpus']}: bad magic b'XFICEMB1', "
+            "expected b'XFICHEAD' (at byte offset 0)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_collapsed_projection_named(self, workspace, tmp_path):
         head = load_head(workspace["head"])

@@ -21,7 +21,6 @@ from protocurate.curation import (
     trim_outliers,
 )
 from protocurate.errors import (
-    DegenerateVectorError,
     FormatError,
     InsufficientWarmupError,
     NumericalFailureError,
@@ -30,7 +29,6 @@ from protocurate.errors import (
 from protocurate.io import commit_outputs
 from protocurate.prototypes import init_kmeans
 from protocurate.synth import generate_corpus
-from protocurate.trainer import train_joint
 
 
 def small_cfg(**overrides):
@@ -454,18 +452,6 @@ class TestRunCuration:
         run_curation(corpus, cfg)
         assert sizes == [128, 64, 64, 64, 20]  # warm-up rows, then each super-batch
         assert max(sizes) <= max(cfg.warmup_samples, cfg.superbatch_size)
-
-    @pytest.mark.parametrize("mode", ["frozen", "joint"])
-    def test_degenerate_row_named_by_sample_id(self, mode):
-        # Corpus row 399 is stream position 264: position 8 of iteration 5.
-        corpus = small_corpus(400)
-        corpus.img[399, 2] = np.nan
-        curate = run_curation if mode == "frozen" else train_joint
-        with pytest.raises(
-            DegenerateVectorError,
-            match=f"^sample id {int(corpus.ids[399])} has non-finite img vector$",
-        ):
-            curate(corpus, small_cfg())
 
     def test_solver_failure_names_solve_and_iteration(self, monkeypatch):
         # Each iteration solves the pool, then the mini-batch update: fail the

@@ -262,6 +262,42 @@ class TestValidation:
         ):
             validate_corpus(decode_corpus(encode_corpus(corpus)))
 
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            (lambda c: c.img.__setitem__((3, 1), np.nan), DegenerateVectorError,
+             "sample id 24 has non-finite img vector"),
+            (lambda c: c.txt.__setitem__(1, 0.0), DegenerateVectorError,
+             "sample id 10 has all-zero txt vector"),
+            (lambda c: c.ids.__setitem__(4, 17), UsageError, "duplicate sample id 17 in corpus"),
+        ],
+        ids=["nan-img", "zero-txt", "duplicate-id"],
+    )
+    def test_read_corpus_refuses_what_decode_corpus_returns(
+        self, tmp_path, edit, error, message
+    ):
+        corpus = make_corpus(6, 2, 3, n_labels=2)  # ids 3, 10, 17, 24, ...
+        edit(corpus)
+        data = encode_corpus(corpus)
+        path = tmp_path / "c.emb"
+        commit_outputs([(path, data)])
+        with pytest.raises(error, match=f"^corpus file {re.escape(str(path))}: {message}$"):
+            read_corpus(path)
+        back = decode_corpus(bytes(data))
+        assert np.array_equal(back.ids, corpus.ids)
+        assert np.array_equal(back.img, corpus.img, equal_nan=True)
+        assert np.array_equal(back.txt, corpus.txt)
+
+    def test_read_corpus_names_the_file_of_a_format_error(self, tmp_path):
+        data = encode_corpus(make_corpus(4, 2, 2))
+        path = tmp_path / "c.emb"
+        path.write_bytes(bytes(data[:-1]))
+        with pytest.raises(
+            FormatError, match=f"^corpus file {re.escape(str(path))}: header .* file has"
+        ) as info:
+            read_corpus(path)
+        assert info.value.offset == len(data) - 1
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(UsageError):
             Corpus(

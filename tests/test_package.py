@@ -109,6 +109,12 @@ def test_one_id_to_row_lookup():
     assert refs[("io", "rows_for_ids")] == {("curation", "CuratedSelection")}
 
 
+def test_one_corpus_check():
+    """A corpus is checked once, where it is read: no stage re-checks its rows."""
+    _, refs = scan_package(PACKAGE)
+    assert refs[("io", "validate_corpus")] == {("io", "read_corpus")}
+
+
 def test_one_trainer_setup():
     """The head and its optimizer are built in one place, for both training modes."""
     _, refs = scan_package(PACKAGE)
