@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .embedding import CURATION_SPACES
+from .io import input_file
 
 # Canonical long-tailed class weights for the default 6-cluster corpus.
 DEFAULT_WEIGHTS_6 = (0.70, 0.15, 0.07, 0.04, 0.025, 0.015)
@@ -131,12 +132,8 @@ def parse_config(text: str) -> EngineConfig:
 
 
 def load_config(path) -> EngineConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            raise ConfigError(f"config file {path}: not UTF-8 text") from None
-    return parse_config(text)
+    with input_file(path, "config") as data:
+        return parse_config(data.decode("utf-8"))
 
 
 def _require(cond: bool, message: str) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from .config import EngineConfig
 from .embedding import _U64, pairwise_sq_distance, unify_batch, unit_scaled
 from .errors import FormatError, InsufficientWarmupError, NumericalFailureError, UsageError
-from .io import Corpus, rows_for_ids, table_csv
+from .io import Corpus, input_file, rows_for_ids, table_csv
 from .prototypes import PrototypeBank, init_kmeans, sinkhorn_plan, update_prototypes
 
 REASONS = ("distant", "fps")
@@ -59,58 +59,52 @@ class CuratedSelection:
         A malformed line, a numeral the writer never writes included, is a format
         error; a file without samples, or an id the corpus lacks, is a usage error.
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                lines = fh.read().splitlines()
-            except UnicodeDecodeError:
-                raise FormatError(f"selection file {path}: not UTF-8 text") from None
-        if not lines or lines[0] != HEADER:
-            raise FormatError(f"selection file {path}: missing expected CSV header")
-        records = []
-        line_of_id: dict[int, int] = {}
+        with input_file(path, "selection") as data:
+            lines = data.decode("utf-8").splitlines()
+            if not lines or lines[0] != HEADER:
+                raise FormatError("missing expected CSV header")
+            records = []
+            line_of_id: dict[int, int] = {}
 
-        def malformed(detail: str) -> FormatError:
-            return FormatError(f"selection file {path} line {lineno}: {detail}")
+            def malformed(detail: str) -> FormatError:
+                return FormatError(f"line {lineno}: {detail}")
 
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise malformed("expected 5 fields")
-            i, iteration, reason, proto, distance = parts
-            try:
-                values = int(i), int(iteration), int(proto), float(distance)
-            except ValueError:
-                values = ()
-            # int() and float() also take signs, spaces, underscores, leading
-            # zeros and non-ASCII digits; a field must be the value's str, as
-            # the writer writes it.
-            if list(map(str, values)) != [i, iteration, proto, distance]:
-                raise malformed("malformed field")
-            i, iteration, proto, distance = values
-            if not 0 <= i < 2**64:
-                raise malformed(f"id {i} is not a uint64")
-            if reason not in REASONS:
-                raise malformed(f"unknown reason {reason!r}")
-            for name, value, ok in (
-                ("iteration", iteration, 1 <= iteration < 2**63),
-                ("proto", proto, 0 <= proto < 2**63),
-                ("distance", distance, 0.0 <= distance < math.inf),
-            ):
-                if not ok:
-                    raise malformed(f"{name} {value!r} out of range")
-            if i in line_of_id:
-                raise malformed(f"duplicate id {i} (first on line {line_of_id[i]})")
-            line_of_id[i] = lineno
-            records.append((0, i, iteration, reason, proto, distance))
-        if not records:
-            raise UsageError(f"selection file {path} holds no samples")
-        records = np.array(records, dtype=RECORD)
-        try:
+            for lineno, line in enumerate(lines[1:], start=2):
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) != 5:
+                    raise malformed("expected 5 fields")
+                i, iteration, reason, proto, distance = parts
+                try:
+                    values = int(i), int(iteration), int(proto), float(distance)
+                except ValueError:
+                    values = ()
+                # int() and float() also take signs, spaces, underscores, leading
+                # zeros and non-ASCII digits; a field must be the value's str, as
+                # the writer writes it.
+                if list(map(str, values)) != [i, iteration, proto, distance]:
+                    raise malformed("malformed field")
+                i, iteration, proto, distance = values
+                if not 0 <= i < 2**64:
+                    raise malformed(f"id {i} is not a uint64")
+                if reason not in REASONS:
+                    raise malformed(f"unknown reason {reason!r}")
+                for name, value, ok in (
+                    ("iteration", iteration, 1 <= iteration < 2**63),
+                    ("proto", proto, 0 <= proto < 2**63),
+                    ("distance", distance, 0.0 <= distance < math.inf),
+                ):
+                    if not ok:
+                        raise malformed(f"{name} {value!r} out of range")
+                if i in line_of_id:
+                    raise malformed(f"duplicate id {i} (first on line {line_of_id[i]})")
+                line_of_id[i] = lineno
+                records.append((0, i, iteration, reason, proto, distance))
+            if not records:
+                raise UsageError("holds no samples")
+            records = np.array(records, dtype=RECORD)
             records["row"] = rows_for_ids(corpus.ids, records["id"])
-        except UsageError as exc:
-            raise UsageError(f"selection file {path}: {exc}") from None
         return cls(records)
 
     def stats_json(self) -> str:

@@ -15,8 +15,9 @@ The prototype and head checkpoints use the same codec: a magic tag, u32
 header fields, then fixed records described by one numpy structured dtype.
 
 Every CSV the engine writes is a table: named columns and one printf format
-per column, formatted by ``table_csv``.  Every file the engine writes goes
-through ``commit_outputs``, which writes a command's outputs all or nothing.
+per column, formatted by ``table_csv``.  Every file the engine reads goes
+through ``input_file``, whose errors name the file, as every file it writes
+goes through ``commit_outputs``, which writes a command's outputs all or nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import check_directions
-from .errors import DegenerateVectorError, FormatError, UsageError
+from .errors import DegenerateVectorError, FormatError, ProtocurateError, UsageError
 
 MAGIC = b"XFICEMB1"
 VERSION = 1
@@ -185,16 +186,27 @@ def decode_corpus(data: bytes) -> Corpus:
     return Corpus(ids=rec["id"].copy(), img=rec["img"], txt=rec["txt"], labels=labels)
 
 
-def read_corpus(path) -> Corpus:
-    """The corpus file at ``path``, decoded and checked by ``validate_corpus``;
-    an error keeps its class and gains the prefix ``corpus file <path>: ``."""
+@contextlib.contextmanager
+def input_file(path, what: str):
+    """Yield the bytes of the file at ``path``, read once.  An engine error
+    raised in the block keeps its class and attributes and gains the prefix
+    ``<what> file <path>: ``; text in it that is not UTF-8 is a FormatError."""
     with open(path, "rb") as fh:
-        try:
-            corpus = decode_corpus(fh.read())
-            validate_corpus(corpus)
-        except (FormatError, UsageError) as exc:
-            exc.args = (f"corpus file {path}: {exc}",)
-            raise
+        data = fh.read()
+    try:
+        yield data
+    except UnicodeDecodeError:
+        raise FormatError(f"{what} file {path}: not UTF-8 text") from None
+    except ProtocurateError as exc:
+        exc.args = (f"{what} file {path}: {exc}",)
+        raise
+
+
+def read_corpus(path) -> Corpus:
+    """The corpus file at ``path``, decoded and checked by ``validate_corpus``."""
+    with input_file(path, "corpus") as data:
+        corpus = decode_corpus(data)
+        validate_corpus(corpus)
     return corpus
 
 

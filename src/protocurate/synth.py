@@ -17,7 +17,7 @@ import numpy as np
 from .config import EngineConfig
 from .embedding import NO_DIRECTION, check_directions, normalize_rows
 from .errors import DegenerateVectorError, FormatError
-from .io import Corpus
+from .io import Corpus, input_file
 
 # Rows per block of generate_corpus's draws and arithmetic: a block's float64
 # scratch stays small, 1 MB at 128 dims.
@@ -126,36 +126,33 @@ def prompts_json(positive: np.ndarray, negative: np.ndarray) -> str:
 
 def read_prompts(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Inverse of prompts_json; any malformed document is a FormatError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with input_file(path, "prompts") as data:
+        text = data.decode("utf-8")
         try:
-            classes = json.load(fh)["classes"]
+            classes = json.loads(text)["classes"]
             names = [entry["name"] for entry in classes]
             positive, negative = (
                 np.asarray([entry[key] for entry in classes], dtype=np.float64)
                 for key in ("positive", "negative")
             )
-        except UnicodeDecodeError:
-            raise FormatError(f"prompts file {path}: not UTF-8 text") from None
         except KeyError as exc:
-            raise FormatError(f"prompts file {path}: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"prompts file {path}: {exc}") from None
-    for index, name in enumerate(names):
-        if not isinstance(name, str) or any(ch in name for ch in ",\r\n"):
+            raise FormatError(f"missing field {exc}") from None
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise FormatError(str(exc)) from None
+        for index, name in enumerate(names):
+            if not isinstance(name, str) or any(ch in name for ch in ",\r\n"):
+                raise FormatError(
+                    f"class {index} name {name!r} is not a string free of commas and line breaks"
+                )
+        if positive.ndim != 2 or positive.shape != negative.shape:
             raise FormatError(
-                f"prompts file {path}: class {index} name {name!r} is not a string "
-                "free of commas and line breaks"
+                "needs equal-length positive and negative vectors for one or more classes"
             )
-    if positive.ndim != 2 or positive.shape != negative.shape:
-        raise FormatError(
-            f"prompts file {path}: needs equal-length positive and negative vectors "
-            "for one or more classes"
-        )
-    for key, mat in (("positive", positive), ("negative", negative)):
-        try:
-            check_directions(mat, np.linalg.norm(mat, axis=1))
-        except DegenerateVectorError as exc:
-            raise FormatError(
-                f"prompts file {path}: class {exc.row} {key} vector {NO_DIRECTION[exc.kind]}"
-            ) from None
+        for key, mat in (("positive", positive), ("negative", negative)):
+            try:
+                check_directions(mat, np.linalg.norm(mat, axis=1))
+            except DegenerateVectorError as exc:
+                raise FormatError(
+                    f"class {exc.row} {key} vector {NO_DIRECTION[exc.kind]}"
+                ) from None
     return names, positive, negative

@@ -27,7 +27,7 @@ from .config import EngineConfig
 from .curation import CuratedSelection, run_curation
 from .embedding import check_directions, unify_batch
 from .errors import DegenerateVectorError, FormatError, NumericalFailureError, UsageError
-from .io import Corpus, decode_records, encode_records
+from .io import Corpus, decode_records, encode_records, input_file
 from .prototypes import PrototypeBank
 
 HEAD_MAGIC = b"XFICHEAD"
@@ -348,9 +348,5 @@ def decode_head(data: bytes) -> ProjectionHead:
 
 
 def load_head(path) -> ProjectionHead:
-    with open(path, "rb") as fh:
-        try:
-            return decode_head(fh.read())
-        except FormatError as exc:
-            exc.args = (f"head file {path}: {exc}",)
-            raise
+    with input_file(path, "head") as data:
+        return decode_head(data)

@@ -502,7 +502,7 @@ class TestFailureModes:
             ]
         )
         assert code == 1
-        assert f"selection file {sel} holds no samples" in capsys.readouterr().err
+        assert f"selection file {sel}: holds no samples" in capsys.readouterr().err
         assert [path.name for path in tmp_path.iterdir()] == ["empty.csv"]
 
 
@@ -536,7 +536,7 @@ class TestMalformedInputs:
         assert code == 2
         assert_one_line_error(err)
         line, dup = len(rows) + 1, rows[1].split(",")[0]
-        assert f"selection file {sel} line {line}: duplicate id {dup}" in err
+        assert f"selection file {sel}: line {line}: duplicate id {dup}" in err
         assert not (tmp_path / "h.bin").exists()
 
     # int() and float() read each of these lines as a valid sample (id 10 at
@@ -556,7 +556,7 @@ class TestMalformedInputs:
         )
         assert code == 2
         assert_one_line_error(err)
-        assert f"selection file {sel} line 3: malformed field" in err
+        assert f"selection file {sel}: line 3: malformed field" in err
         assert [path.name for path in tmp_path.iterdir()] == ["sel.csv"]
 
     @pytest.mark.parametrize("command", ["train", "analyze"])
@@ -688,6 +688,31 @@ class TestMalformedInputs:
         assert detail in err
         assert [path.name for path in tmp_path.iterdir()] == ["p.json"]
 
+    def test_deeply_nested_prompts(self, workspace, tmp_path):
+        prompts = tmp_path / "deep.json"
+        prompts.write_text("[" * 200_000)
+        code, err = run_cli(
+            "eval", "--config", workspace["cfg"], "--corpus", workspace["corpus"],
+            "--prompts", prompts, "--out", tmp_path / "m.json",
+        )
+        assert code == 2
+        assert_one_line_error(err)
+        assert err.startswith(f"error: prompts file {prompts}: maximum recursion depth exceeded")
+        assert [path.name for path in tmp_path.iterdir()] == ["deep.json"]
+
+    @pytest.mark.parametrize("missing", ["--config", "--corpus", "--prompts", "--head"])
+    def test_missing_input_file(self, workspace, tmp_path, missing):
+        inputs = {"--config": workspace["cfg"], "--corpus": workspace["corpus"],
+                  "--prompts": workspace["prompts"], "--head": workspace["head"],
+                  missing: tmp_path / "absent"}
+        code, err = run_cli(
+            "eval", *(str(arg) for pair in inputs.items() for arg in pair),
+            "--out", tmp_path / "m.json",
+        )
+        assert code == 2
+        assert err == f"error: cannot open {tmp_path / 'absent'}: no such file\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_utf8_prompts(self, workspace, tmp_path):
         prompts = tmp_path / "p.json"
         prompts.write_bytes(b"\xff\xfe\x00")
@@ -711,7 +736,7 @@ class TestMalformedInputs:
         )
         assert code == 2
         assert_one_line_error(err)
-        assert f"selection file {sel} line {len(rows) + 1}: id {bad_id}" in err
+        assert f"selection file {sel}: line {len(rows) + 1}: id {bad_id}" in err
         assert [path.name for path in tmp_path.iterdir()] == ["sel.csv"]
 
     def test_prompt_class_name_with_comma(self, workspace, tmp_path):
@@ -796,7 +821,7 @@ class TestMalformedInputs:
         cfg = tmp_path / "engine.cfg"
         cfg.write_bytes(b"\xff\xfe\x00")
         code, err = run_cli("generate", "--config", cfg, "--out", tmp_path / "c.bin")
-        assert code == 1
+        assert code == 2
         assert_one_line_error(err)
         assert f"config file {cfg}" in err
         assert not (tmp_path / "c.bin").exists()
@@ -906,6 +931,31 @@ class TestConfigOverrides:
         assert code == 1
         assert_one_line_error(err)
         assert f"'{key}'" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("line, message", [
+        ("x = 1", "line 3: unknown key 'x'"),
+        ("K = 1", "key 'K': must be >= 2"),
+    ], ids=["unknown-key", "K-below-2"])
+    def test_config_file_error_names_the_file(self, workspace, tmp_path, line, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"# engine\nseed = 0\n{line}\n")
+        outputs = tmp_path / "out"
+        outputs.mkdir()
+        code, err = run_cli(
+            "curate", "--config", cfg, "--corpus", workspace["corpus"],
+            "--out", outputs / "s.csv", "--proto-out", outputs / "p.bin",
+        )
+        assert code == 1
+        assert err == f"error: config file {cfg}: {message}\n"
+        assert list(outputs.iterdir()) == []
+
+    def test_flag_error_names_no_file(self, workspace, tmp_path):
+        code, err = run_cli(
+            "generate", "--config", workspace["cfg"], "--out", tmp_path / "c.bin", "--seed", "-1"
+        )
+        assert code == 1
+        assert err == "error: key 'seed': must be >= 0\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_negative_seed_in_config_file(self, tmp_path):

@@ -17,7 +17,7 @@ from protocurate.config import (
     load_config,
     parse_config,
 )
-from protocurate.errors import ConfigError
+from protocurate.errors import ConfigError, FormatError
 
 FLOAT_KEYS = sorted(
     key for key, hint in typing.get_type_hints(EngineConfig).items()
@@ -161,7 +161,7 @@ class TestLoadConfig:
     def test_non_utf8_file_names_the_file(self, tmp_path):
         path = tmp_path / "engine.cfg"
         path.write_bytes(b"\xff\xfe\x00")
-        with pytest.raises(ConfigError, match=re.escape(f"config file {path}: not UTF-8")):
+        with pytest.raises(FormatError, match=re.escape(f"config file {path}: not UTF-8")):
             load_config(path)
 
 

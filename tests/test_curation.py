@@ -546,7 +546,7 @@ class TestSelectionCsv:
             "distance-trailing-zero", "distance-capital-exponent"])
     def test_numeral_the_writer_never_writes(self, tmp_path, line):
         good = self.HEADER + "1,1,fps,0,0.5\n"
-        with pytest.raises(FormatError, match=f"{self.named(tmp_path)} line 3: malformed field$"):
+        with pytest.raises(FormatError, match=f"{self.named(tmp_path)}: line 3: malformed field$"):
             self.read(tmp_path, good + line + "\n")
 
     def test_crlf_line_ends_accepted(self, tmp_path):
@@ -569,11 +569,11 @@ class TestSelectionCsv:
     ])
     def test_field_out_of_range(self, tmp_path, line, detail):
         good = self.HEADER + "1,1,fps,0,0.5\n"
-        with pytest.raises(FormatError, match=f"{self.named(tmp_path)} line 3: {detail}$"):
+        with pytest.raises(FormatError, match=f"{self.named(tmp_path)}: line 3: {detail}$"):
             self.read(tmp_path, good + line + "\n")
 
     def test_empty_selection(self, tmp_path):
-        with pytest.raises(UsageError, match=self.named(tmp_path) + " holds no samples$"):
+        with pytest.raises(UsageError, match=self.named(tmp_path) + ": holds no samples$"):
             self.read(tmp_path, self.HEADER)
 
     def test_id_not_in_corpus(self, tmp_path):

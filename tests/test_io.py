@@ -14,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import encode_records_direct, record_size
-from protocurate.config import EngineConfig
-from protocurate.errors import DegenerateVectorError, FormatError, UsageError
+from protocurate.config import EngineConfig, load_config
+from protocurate.errors import DegenerateVectorError, FormatError, ProtocurateError, UsageError
 import protocurate
 from protocurate import io, prototypes, trainer
 from protocurate.io import (
@@ -31,7 +31,7 @@ from protocurate.io import (
 )
 from protocurate.curation import RECORD, CuratedSelection
 from protocurate.prototypes import PROTO_MAGIC, PrototypeBank, decode_bank, encode_bank
-from protocurate.synth import generate_corpus
+from protocurate.synth import generate_corpus, prompts_json, read_prompts
 from protocurate.trainer import HEAD_MAGIC, decode_head, encode_head, init_head
 
 
@@ -384,6 +384,109 @@ class TestDecoderFuzz:
             DECODERS[name][0](blob)
         except FormatError:
             pass
+
+
+_SELECTED = make_corpus(3, 2, 3, n_labels=2)  # ids 3, 10, 17
+# What each reader's errors call its file -> (the reader, a valid file).
+READERS = {
+    "corpus": (read_corpus, encode_corpus(_SELECTED)),
+    "head": (trainer.load_head, encode_head(init_head(2, 3, 2, tau_init=0.01, seed=0))),
+    "selection": (
+        lambda path: CuratedSelection.read_csv(path, _SELECTED),
+        CuratedSelection(np.array([(0, 10, 1, "fps", 0, 0.5)], dtype=RECORD)).to_csv().encode(),
+    ),
+    "prompts": (read_prompts, prompts_json(np.eye(2), -np.eye(2)).encode()),
+    "config": (load_config, b"# engine\nK = 4\nclusters = 2\ncluster_weights = 0.6, 0.4\n"),
+}
+
+
+def _reader_files(name: str):
+    valid = READERS[name][1]
+    mutated = st.builds(
+        _mutate,
+        st.just(valid),
+        st.integers(0, len(valid)),
+        st.integers(0, len(valid)),
+        st.integers(0, 255),
+    )
+    return st.tuples(st.just(name), st.binary(max_size=60) | mutated)
+
+
+@pytest.fixture(scope="module")
+def reader_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("readers")
+
+
+class TestReaderFuzz:
+    """Each reader returns, or raises an engine error that names its file."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=st.sampled_from(sorted(READERS)).flatmap(_reader_files))
+    @example(case=("config", b"\xff\xfe\x00"))
+    @example(case=("selection", b"\xff\xfe\x00"))
+    @example(case=("prompts", b"\xff\xfe\x00"))
+    @example(case=("prompts", b"[" * 200_000))
+    @example(case=("config", b"# engine\nK = 4\nx = 1\n"))
+    def test_reader_returns_or_names_the_file(self, reader_dir, case):
+        name, blob = case
+        path = reader_dir / name
+        path.write_bytes(blob)
+        try:
+            READERS[name][0](path)
+        except ProtocurateError as exc:
+            assert str(exc).startswith(f"{name} file {path}: ")
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_valid_file_reads(self, reader_dir, name):
+        path = reader_dir / name
+        path.write_bytes(READERS[name][1])
+        READERS[name][0](path)
+
+
+class TestInputFile:
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"\xffabc")
+        return path
+
+    def test_yields_the_bytes(self, path):
+        with io.input_file(path, "thing") as data:
+            assert data == b"\xffabc"
+
+    def test_format_error_keeps_its_offset(self, path):
+        with pytest.raises(FormatError) as info:
+            with io.input_file(path, "thing"):
+                raise FormatError("bad byte", offset=7)
+        assert str(info.value) == f"thing file {path}: bad byte (at byte offset 7)"
+        assert info.value.offset == 7
+
+    def test_degenerate_vector_error_keeps_row_and_kind(self, path):
+        with pytest.raises(DegenerateVectorError) as info:
+            with io.input_file(path, "thing"):
+                raise DegenerateVectorError("row 2 is all-zero", row=2, kind="all-zero")
+        assert str(info.value) == f"thing file {path}: row 2 is all-zero"
+        assert (info.value.row, info.value.kind) == (2, "all-zero")
+
+    def test_text_not_utf8_is_a_format_error(self, path):
+        with pytest.raises(FormatError) as info:
+            with io.input_file(path, "thing") as data:
+                data.decode("utf-8")
+        assert str(info.value) == f"thing file {path}: not UTF-8 text"
+        assert info.value.offset is None
+
+    def test_other_error_passes_unprefixed(self, path):
+        with pytest.raises(KeyError) as info:
+            with io.input_file(path, "thing"):
+                raise KeyError("k")
+        assert info.value.args == ("k",)
+
+    def test_missing_file_raises_file_not_found(self, tmp_path):
+        path = tmp_path / "absent"
+        with pytest.raises(FileNotFoundError) as info:
+            with io.input_file(path, "thing"):
+                pytest.fail("the block ran without a file")
+        assert str(info.value.filename) == str(path)
 
 
 class TestCommitOutputs:

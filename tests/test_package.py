@@ -115,6 +115,37 @@ def test_one_corpus_check():
     assert refs[("io", "validate_corpus")] == {("io", "read_corpus")}
 
 
+def test_one_input_file_reader():
+    """Every file the engine reads goes through ``io.input_file``: only ``io``
+    calls the ``open`` builtin or handles a ``UnicodeDecodeError``, and the
+    five readers are the places that use ``input_file``."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    opens = {
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"
+    }
+    decode_handlers = {
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        for name in ast.walk(node.type)
+        if isinstance(name, ast.Name) and name.id == "UnicodeDecodeError"
+    }
+    assert opens == {"io"}
+    assert decode_handlers == {"io"}
+    _, refs = scan_package(PACKAGE)
+    assert refs[("io", "input_file")] == {
+        ("io", "read_corpus"),
+        ("trainer", "load_head"),
+        ("curation", "CuratedSelection"),
+        ("synth", "read_prompts"),
+        ("config", "load_config"),
+    }
+
+
 def test_one_trainer_setup():
     """The head and its optimizer are built in one place, for both training modes."""
     _, refs = scan_package(PACKAGE)
