@@ -88,16 +88,15 @@ def knn_mean_distance(points: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     q, _ = unit_scaled(points)
     sq = np.einsum("ij,ij->i", q, q)
     d = q.shape[1]
-    # The augmented rows, written straight into float32: [q, |q|^2, 1] and
-    # [-2q, 1, |q|^2], each value rounded once from its float64 value.  A
-    # padding row [0, ..., 0, max] gives entries of exactly float32's largest
-    # value (1 * max plus zeros), which no cut reaches.
-    left = np.empty((n, d + 2), dtype=np.float32)
-    left[:, :d], left[:, d], left[:, d + 1] = q, sq, 1.0
+    # The augmented rows [q, |q|^2, 1], cast a block at a time by the scan, and
+    # [-2q, 1, |q|^2], written straight into float32: each value is rounded
+    # once from its float64 value.  A padding row [0, ..., 0, max] gives entries
+    # of exactly float32's largest value (1 * max plus zeros), which no cut reaches.
     right = np.zeros((groups * per, d + 2), dtype=np.float32)
     np.multiply(q, -2.0, out=right[:n, :d], casting="same_kind")
     right[:n, d], right[:n, d + 1] = 1.0, sq
     right[n:, -1] = np.finfo(np.float32).max
+    left = (q, sq[:, None], np.broadcast_to(1.0, (n, 1)))
     # sum_k |x_ik y_jk| <= (|q_i| + |q_j|)^2 for the augmented rows, whose |q|^2
     # column is within a relative d 2^-53 < 2^-24 of its exact value.
     margin, blocks = float32_scan(left, right, 4.0 * sq.max())
@@ -235,14 +234,19 @@ def pca2(points: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
 
     Returns (n x 2 projections, explained-variance fractions).  Sign
     convention: each component's largest-magnitude loading is positive.
+    ``points`` is left as it is: the rows are centred in a copy.
     """
     points = np.asarray(points, dtype=np.float64)
-    n, d = points.shape
+    return _pca2_centered(points - points.mean(axis=0))
+
+
+def _pca2_centered(centered: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
+    """``pca2`` of rows already centred as ``points - points.mean(axis=0)``."""
+    n, d = centered.shape
     if n < 3:
         raise UsageError("PCA projection needs at least 3 points")
     if d < 2:
         raise UsageError("PCA projection needs dimension >= 2")
-    centered = points - points.mean(axis=0)
     cov = (centered.T @ centered) / (n - 1)
     total = float(np.trace(cov))
     if total == 0.0:
@@ -283,7 +287,9 @@ def run_analysis(
         )
     unified = unify_batch(corpus.img, corpus.txt, cfg.curation_space)
     values, k = knn_mean_distance(unified, cfg.knn_k)
-    proj, explained = pca2(unified)
+    # The kNN scan is done with the rows: centre them in place, not in a copy.
+    unified -= unified.mean(axis=0)
+    proj, explained = _pca2_centered(unified)
     knn = {"id": corpus.ids, "knn_mean": values}
     pcs = {"id": corpus.ids, "pc1": proj[:, 0], "pc2": proj[:, 1]}
     files = {

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .embedding import CURATION_SPACES
-from .io import input_file
+from .io import input_file, text_lines
 
 # Canonical long-tailed class weights for the default 6-cluster corpus.
 DEFAULT_WEIGHTS_6 = (0.70, 0.15, 0.07, 0.04, 0.025, 0.015)
@@ -116,7 +116,7 @@ def _parse_value(key: str, raw: str):
 def parse_config(text: str) -> EngineConfig:
     """Parse `key = value` lines (# comments, blank lines allowed) into a checked config."""
     overrides = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text_lines(text), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

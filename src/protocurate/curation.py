@@ -23,7 +23,7 @@ import numpy as np
 from .config import EngineConfig
 from .embedding import _U64, pairwise_sq_distance, unify_batch, unit_scaled
 from .errors import FormatError, InsufficientWarmupError, NumericalFailureError, UsageError
-from .io import Corpus, input_file, rows_for_ids, table_csv
+from .io import Corpus, input_file, rows_for_ids, table_csv, text_lines
 from .prototypes import PrototypeBank, init_kmeans, sinkhorn_plan, update_prototypes
 
 REASONS = ("distant", "fps")
@@ -60,8 +60,8 @@ class CuratedSelection:
         error; a file without samples, or an id the corpus lacks, is a usage error.
         """
         with input_file(path, "selection") as data:
-            lines = data.decode("utf-8").splitlines()
-            if not lines or lines[0] != HEADER:
+            lines = text_lines(data.decode("utf-8"))
+            if lines[0] != HEADER:
                 raise FormatError("missing expected CSV header")
             records = []
             line_of_id: dict[int, int] = {}

@@ -127,7 +127,7 @@ def pairwise_sq_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Rows of the left operand per float32 product in the exact scans of ``eval``
 # and ``analyze``; a block of the product is SCAN_BLOCK x n float32.  Read at
 # call time, so a test can vary it: no result depends on it.
-SCAN_BLOCK = 256
+SCAN_BLOCK = 128
 _U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoffs of float32 and float64
 
 
@@ -143,12 +143,14 @@ def unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
     return (x if shift == 0 else np.ldexp(x, -shift)), shift
 
 
-def float32_scan(a: np.ndarray, b: np.ndarray, magnitude: float):
+def float32_scan(a: tuple, b: np.ndarray, magnitude: float):
     """The filter of an exact scan: ``(margin, blocks)``.  ``blocks`` yields
     ``(start, S)`` for each row block of fl32(a) fl32(b)^T, one float32 GEMM
-    into one buffer; a float32 operand is used as it is, not copied.  Any two
-    entries of S each lie within margin/2 of the float64 values r the scan
-    decides with, so S_ij - S_il > margin proves r_ij > r_il.
+    into one buffer.  ``a`` is a tuple of the left operand's column blocks,
+    ``(x,)`` for one matrix x, cast side by side into one SCAN_BLOCK-row
+    float32 buffer a block at a time; ``b`` is cast once, a float32 ``b`` not
+    copied.  Any two entries of S each lie within margin/2 of the float64
+    values r the scan decides with, so S_ij - S_il > margin proves r_ij > r_il.
 
     The contract.  Each pair's value is v_ij = x_i . y_j for real rows x_i,
     y_j of length m.  Each product a_ik b_jk is x_ik y_jk to within a
@@ -169,18 +171,22 @@ def float32_scan(a: np.ndarray, b: np.ndarray, magnitude: float):
     comparison against the margin.  ``float32_cut`` rounds a threshold to
     float32 outward, so that rounding loses no entry.
     """
-    m = a.shape[1]
+    n, m = len(a[0]), b.shape[1]
     g32, g64 = (m * e / (1.0 - m * e) for e in (_U32, _U64))
     p = (1.0 + _U32) ** 3 - 1.0
     margin = 4.0 * (g32 * (1.0 + p) + p + g64) * magnitude
-    a32, b32 = (np.asarray(x, dtype=np.float32) for x in (a, b))
+    b32 = np.asarray(b, dtype=np.float32)
+    edges = np.cumsum([0] + [part.shape[1] for part in a])
 
     def blocks():
         block = SCAN_BLOCK
-        buf = np.empty((min(block, len(a32)), len(b32)), dtype=np.float32)
-        for start in range(0, len(a32), block):
-            stop = min(start + block, len(a32))
-            yield start, np.matmul(a32[start:stop], b32.T, out=buf[: stop - start])
+        left = np.empty((min(block, n), m), dtype=np.float32)
+        buf = np.empty((len(left), len(b32)), dtype=np.float32)
+        for start in range(0, n, block):
+            rows = min(block, n - start)
+            for part, lo, hi in zip(a, edges, edges[1:]):
+                left[:rows, lo:hi] = part[start : start + rows]
+            yield start, np.matmul(left[:rows], b32.T, out=buf[:rows])
 
     return margin, blocks()
 

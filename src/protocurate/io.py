@@ -202,6 +202,12 @@ def input_file(path, what: str):
         raise
 
 
+def text_lines(text: str) -> list[str]:
+    """The lines of a text file, split at "\n" alone and each without a final
+    "\r": a CRLF file reads as LF, and no other character ends a line."""
+    return [line.removesuffix("\r") for line in text.split("\n")]
+
+
 def read_corpus(path) -> Corpus:
     """The corpus file at ``path``, decoded and checked by ``validate_corpus``."""
     with input_file(path, "corpus") as data:

@@ -143,7 +143,7 @@ def _exact_hits(a: np.ndarray, b: np.ndarray, rows: np.ndarray, magnitude: float
     float32 entry is at least the diagonal one minus the margin can beat it,
     so only those get an exact dot product."""
     hits = np.empty(len(rows), dtype=bool)
-    margin, blocks = float32_scan(a[rows], b, magnitude)
+    margin, blocks = float32_scan((a[rows],), b, magnitude)
     for start, sim in blocks:
         own = rows[start : start + len(sim)]
         local = np.arange(len(sim))
@@ -179,7 +179,7 @@ def recall_both_blocked(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     (a, _), (b, _) = unit_scaled(u), unit_scaled(v)
     # sum_k |a_ik b_jk| <= |a_i| |b_j| (Cauchy-Schwarz).
     magnitude = math.sqrt(np.einsum("ij,ij->i", a, a).max() * np.einsum("ij,ij->i", b, b).max())
-    margin, blocks = float32_scan(a, b, magnitude)
+    margin, blocks = float32_scan((a,), b, magnitude)
     diag = np.empty(n, dtype=np.float32)
     row_max = np.empty(n, dtype=np.float32)
     col_max = np.full(n, -np.inf, dtype=np.float32)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,6 +407,12 @@ class TestPca2:
         np.testing.assert_allclose(p1, p2, atol=1e-8)
         assert e1 == pytest.approx(e2, abs=1e-10)
 
+    def test_input_left_unchanged(self):
+        points = np.random.default_rng(16).standard_normal((30, 4)) + 3.0
+        kept = points.copy()
+        pca2(points)
+        assert np.array_equal(points, kept)
+
     def test_zero_variance_rejected(self):
         with pytest.raises(DegenerateVectorError):
             pca2(np.ones((5, 3)))
@@ -546,6 +553,25 @@ class TestRunAnalysis:
         labels = (out / "labels.csv").read_text().splitlines()
         assert labels[0] == "class,count_full,frac_full,count_subset,frac_subset,delta"
         assert len(labels) == 4  # 3 classes
+
+    def test_holds_one_copy_of_the_rows(self, monkeypatch):
+        # 4096 rows of 64+64 dims: the unified rows are 1024 bytes a row.  With
+        # 32-row scan blocks the kNN scan adds about 700 bytes a row to them;
+        # a PCA that centres a second copy adds 1024, and traces 2243 in all.
+        monkeypatch.setattr(embedding, "SCAN_BLOCK", 32)
+        n, d = 4096, 64
+        rng = np.random.default_rng(46)
+        img = rng.standard_normal((n, d)).astype(np.float32)
+        txt = (img + rng.standard_normal((n, d))).astype(np.float32)
+        corpus = Corpus(ids=np.arange(n), img=img, txt=txt)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_analysis(corpus, EngineConfig(knn_k=5))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * (2 * d) * 8
 
     @pytest.mark.parametrize("with_selection", [False, True], ids=["corpus", "selection"])
     def test_tables_match_per_line_oracle(self, with_selection):

@@ -79,6 +79,21 @@ class TestParsing:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("K 4")
 
+    # Characters other than "\n" that str.splitlines also breaks lines at.
+    @pytest.mark.parametrize("sep", ["\r", "\v", "\f", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_lines_end_at_newline_alone(self, sep):
+        assert parse_config(f"# K is left at its default{sep}K = 3\n").K == 6
+        with pytest.raises(ConfigError, match="^line 2: unknown key 'x'$"):
+            parse_config(f"K = 4{sep}\nx = 1\n")
+
+    def test_crlf_line_ends_accepted(self, tmp_path):
+        path = tmp_path / "engine.cfg"
+        path.write_bytes(b"# paper defaults but K\r\nK = 4  # inline\r\n\r\nknn_k = 5\r\n")
+        cfg = load_config(path)
+        assert (cfg.K, cfg.knn_k) == (4, 5)
+        with pytest.raises(ConfigError, match="^line 2: unknown key 'x'$"):
+            parse_config("K = 4\r\nx = 1\r\n")
+
     def test_cluster_weights_list(self):
         cfg = parse_config("clusters = 3\ncluster_weights = 0.5, 0.3, 0.2")
         assert cfg.cluster_weights == (0.5, 0.3, 0.2)

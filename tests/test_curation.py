@@ -556,6 +556,17 @@ class TestSelectionCsv:
         assert back.records["row"].tolist() == [3, 5]
         assert back.records["distance"].tolist() == [0.5, 1e-05]
 
+    # Characters other than "\n" that str.splitlines also breaks lines at: one
+    # joins the records of line 3 into one line of 9 fields.
+    @pytest.mark.parametrize("sep", ["\r", "\v", "\f", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_lines_end_at_newline_alone(self, tmp_path, sep):
+        corpus = small_corpus(16)
+        ids = corpus.ids
+        line = f"{ids[5]},2,distant,1,1e-05{sep}{ids[7]},2,fps,0,0.5"
+        text = self.HEADER + f"{ids[3]},1,fps,0,0.5\n{line}\n"
+        with pytest.raises(FormatError, match=f"{self.named(tmp_path)}: line 3: expected 5 fields$"):
+            self.read(tmp_path, text, corpus)
+
     @pytest.mark.parametrize("line, detail", [
         ("5,0,fps,0,0.5", "iteration 0 out of range"),
         ("5,-1,fps,0,0.5", "iteration -1 out of range"),

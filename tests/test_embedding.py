@@ -1,6 +1,7 @@
 """Unified embedding construction and distance geometry."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from oracles import EmbeddingPair, first_without_direction, normalize_rows_direct
 from oracles import pairwise_distance, unify, unify_batch_direct
+from protocurate import embedding
+from protocurate.analysis import knn_mean_distance
 from protocurate.embedding import (
     CURATION_SPACES,
     normalize_rows,
@@ -17,6 +20,7 @@ from protocurate.embedding import (
 )
 from protocurate.errors import DegenerateVectorError, FormatError, UsageError
 from protocurate.io import Corpus, validate_corpus
+from protocurate.metrics import recall_both_blocked
 from protocurate.synth import read_prompts
 
 
@@ -230,3 +234,45 @@ class TestPairwiseDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError, match="mismatch"):
             pairwise_sq_distance(np.ones((2, 3)), np.ones((2, 4)))
+
+
+class TestScanMemory:
+    """The exact scans of ``eval`` and ``analyze`` allocate, on n rows, one
+    float32 column operand, one SCAN_BLOCK x n float32 block and a quarter
+    block more for its reductions, and O(n) vectors: here eight float64 per
+    row.  An n-row float32 copy of the left operand adds 4 bytes per row per
+    column and fails this: at 8192 rows of 32 dims the kNN scan traces 307
+    bytes a row against a budget of 360 (443 with the copy), and the recall
+    scan 273 against 352 (400 with the copy)."""
+
+    N, D, BLOCK = 8192, 32, 32
+
+    def traced_peak(self, scan):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            scan()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def budget(self, columns):
+        n = self.N
+        return 4 * n * columns + 1.25 * 4 * self.BLOCK * n + 8 * 8 * n
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        # Unit rows, as both scans get them: unit_scaled needs no copy.
+        monkeypatch.setattr(embedding, "SCAN_BLOCK", self.BLOCK)
+        rng = np.random.default_rng(45)
+        u = normalize_rows(rng.standard_normal((self.N, self.D)))
+        return u, normalize_rows(u + 0.5 * rng.standard_normal(u.shape))
+
+    def test_knn_scan(self, rows):
+        u, _ = rows
+        # The column operand is the augmented [-2q, 1, |q|^2], D + 2 wide.
+        assert self.traced_peak(lambda: knn_mean_distance(u, 20)) < self.budget(self.D + 2)
+
+    def test_recall_scan(self, rows):
+        u, v = rows
+        assert self.traced_peak(lambda: recall_both_blocked(u, v)) < self.budget(self.D)
