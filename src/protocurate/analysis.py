@@ -17,7 +17,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .config import EngineConfig
-from .embedding import exact_pairs, float32_cut, float32_scan, unify_batch, unit_scaled
+from .embedding import (
+    SCAN_GROUP, exact_pairs, float32_cut, float32_scan, unify_batch, unit_shift,
+)
 from .errors import DegenerateVectorError, UsageError
 from .io import Corpus, commit_outputs, table_csv
 
@@ -48,9 +50,16 @@ class TestResult:
         return doc
 
 
+# Rows per block while the kNN scan writes its scaled right operand.
+_FILL_ROWS = 256
+
+
 def _k_smallest(values: np.ndarray, row: np.ndarray, rows: int, k: int) -> np.ndarray:
     """Each of ``rows`` rows' k smallest ``values``, unsorted; ``row`` gives the
-    row of each value in nondecreasing order, and every row has at least k."""
+    row of each value, and every row has at least k."""
+    # In the smallest integer type that holds them, row numbers sort by radix.
+    order = np.argsort(row.astype(np.min_scalar_type(rows)), kind="stable")
+    row, values = row[order], values[order]
     counts = np.bincount(row, minlength=rows)
     padded = np.full((rows, counts.max()), np.inf, dtype=values.dtype)
     padded[row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]] = values
@@ -63,56 +72,87 @@ def knn_mean_distance(points: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     the k used: k is clamped to n-1.  Large values mark low-density (long-tail)
     regions.
 
-    Exact, and the same bits for any SCAN_BLOCK: each value is the mean of the
-    square roots of the row's k smallest float64 ||p_i - p_j||^2, computed by
-    elementwise difference and summed in ascending order.  Only the pairs
-    that can be among them are computed: ``float32_scan`` of [p, |p|^2, 1] .
-    [-2p, 1, |p|^2] approximates every squared distance, and with t_i the k-th
-    smallest off-diagonal entry of row i, each of the k nearest has an entry
-    <= t_i + margin.  Column j falls in group j % groups; a row's k-th
-    smallest group minimum is an entry of k other points, so it bounds t_i
-    from above, and only groups whose minimum is under the cut are read.
+    Exact, and the same bits for any SCAN_BLOCK and SCAN_COLS: each value is
+    the mean of the square roots of the row's k smallest float64
+    ||p_i - p_j||^2, computed by elementwise difference and summed in
+    ascending order.  Only the pairs that can be among them are computed:
+    ``float32_scan`` of [q, |q|^2, 1] . [-2q, 1, |q|^2], q = p 2^-s with s
+    from ``unit_shift``, approximates every squared distance (times 4^-s),
+    and with t_i the k-th smallest off-diagonal entry of row i, each of the k
+    nearest has an entry <= t_i + margin.  Column j falls in group j % groups,
+    and the right operand holds each group's members side by side, so a tile
+    holds whole groups.  A tile is formed as part left^T: a group's members
+    are consecutive tile rows, and its minimum for every left row is one
+    elementwise pass over them.  A row's k-th smallest group minimum is an
+    entry of k other points, so it bounds t_i from above, over any subset of
+    the groups.
+
+    The running cut.  Per row, the tiles keep the k smallest group minima seen
+    so far; U, ``float32_cut`` of the k-th of them plus the margin (+inf until
+    k groups have been seen), only falls as tiles pass and ends at the final
+    cut, that of all groups.  So the entries under U at their tile hold every
+    entry under the final cut, and filtering them by the final cut leaves the
+    pairs that a whole-row scan keeps.
     """
     points = np.asarray(points, dtype=np.float64)
-    n = len(points)
+    n, d = points.shape
     if n < 2:
         raise UsageError("kNN profile needs at least 2 points")
     if k < 1:
         raise UsageError("k must be >= 1")
     k_eff = min(k, n - 1)
 
-    # With at least 32 groups of 32 columns, the < 32 padding columns sit in
-    # the last layer, so every group minimum is a real entry of another point.
-    per = 32 if n >= 32 * max(k_eff + 1, 32) else 1
+    # With at least 32 groups of SCAN_GROUP columns, the < SCAN_GROUP padding
+    # columns sit in the last layer, so every group minimum is a real entry
+    # of another point.
+    per = SCAN_GROUP if n >= SCAN_GROUP * max(k_eff + 1, 32) else 1
     groups = -(-n // per)
-    q, _ = unit_scaled(points)
-    sq = np.einsum("ij,ij->i", q, q)
-    d = q.shape[1]
-    # The augmented rows [q, |q|^2, 1], cast a block at a time by the scan, and
-    # [-2q, 1, |q|^2], written straight into float32: each value is rounded
-    # once from its float64 value.  A padding row [0, ..., 0, max] gives entries
-    # of exactly float32's largest value (1 * max plus zeros), which no cut reaches.
+    shift = unit_shift(points)
+    sq = np.empty(n)
+    # [-2q, 1, |q|^2] at each column's position, written straight into float32
+    # a block of scaled rows at a time: each value is rounded once from its
+    # float64 value, and each |q|^2 is the einsum of its own row.  A padding
+    # row [0, ..., 0, max] gives entries of exactly float32's largest value
+    # (1 * max plus zeros), which no finite cut reaches.
     right = np.zeros((groups * per, d + 2), dtype=np.float32)
-    np.multiply(q, -2.0, out=right[:n, :d], casting="same_kind")
-    right[:n, d], right[:n, d + 1] = 1.0, sq
-    right[n:, -1] = np.finfo(np.float32).max
-    left = (q, sq[:, None], np.broadcast_to(1.0, (n, 1)))
+    right[:, -1] = np.finfo(np.float32).max
+    for start in range(0, n, _FILL_ROWS):
+        j = slice(start, start + _FILL_ROWS)
+        q = np.ldexp(points[j], -shift)
+        np.einsum("ij,ij->i", q, q, out=sq[j])
+        at = np.arange(start, start + len(q))
+        at = (at % groups) * per + at // groups
+        right[at, :d], right[at, d], right[at, d + 1] = -2.0 * q, 1.0, sq[j]
     # sum_k |x_ik y_jk| <= (|q_i| + |q_j|)^2 for the augmented rows, whose |q|^2
     # column is within a relative d 2^-53 < 2^-24 of its exact value.
-    margin, blocks = float32_scan(left, right, 4.0 * sq.max())
+    margin, blocks = float32_scan(n, right, 4.0 * sq.max())
     values = np.empty(n, dtype=np.float64)
-    for start, approx in blocks:
-        rows = len(approx)
-        local = np.arange(rows)
-        approx[local, start + local] = np.inf  # exclude self
-        layers = approx.reshape(rows, per, groups)
-        low = layers.min(axis=1)
-        cut = float32_cut(np.partition(low, k_eff - 1, axis=1)[:, k_eff - 1], margin)
-        hit = np.flatnonzero(low <= cut[:, None])
-        row, group = hit // groups, hit % groups
-        flat = np.flatnonzero(layers[row, :, group] <= cut[row, None])
-        row, col = row[flat // per], group[flat // per] + groups * (flat % per)
-        exact = exact_pairs(points, points, start + row, col, distance=True)
+    for start, left, tiles in blocks:
+        rows = len(left)
+        np.ldexp(points[start : start + rows], -shift, out=left[:, :d])
+        left[:, d], left[:, d + 1] = sq[start : start + rows], 1.0
+        own = np.arange(start, start + rows)
+        own_at = (own % groups) * per + own // groups
+        smallest = np.full((rows, k_eff), np.inf, dtype=np.float32)
+        kept = []
+        for col, part, out in tiles:
+            approx = np.matmul(part, left.T, out=out.reshape(len(part), rows))
+            inside = np.flatnonzero((own_at >= col) & (own_at < col + len(approx)))
+            approx[own_at[inside] - col, inside] = np.inf  # exclude self
+            members = approx.reshape(-1, per, rows)
+            low = members.min(axis=1)
+            smallest = np.concatenate([smallest, low.T], axis=1)
+            smallest.partition(k_eff - 1, axis=1)
+            smallest = smallest[:, :k_eff]
+            cut = float32_cut(smallest[:, -1], margin)
+            group, row = np.divmod(np.flatnonzero(low <= cut), rows)
+            near = members[group, :, row]
+            hit, member = np.divmod(np.flatnonzero(near <= cut[row, None]), per)
+            kept.append((row[hit], col // per + group[hit] + groups * member, near[hit, member]))
+        row, other, entry = (np.concatenate(part) for part in zip(*kept))
+        final = entry <= cut[row]  # the last tile's cut is that of all groups
+        row, other = row[final], other[final]
+        exact = exact_pairs(points, points, start + row, other, distance=True)
         nearest = np.sort(_k_smallest(exact, row, rows, k_eff), axis=1)
         values[start : start + rows] = np.sqrt(nearest).mean(axis=1)
     return values, k_eff
@@ -257,7 +297,9 @@ def _pca2_centered(centered: np.ndarray) -> tuple[np.ndarray, tuple[float, float
     for v in (vecs[:, -1], vecs[:, -2]):
         peak = int(np.argmax(np.abs(v)))
         comps.append(-v if v[peak] < 0 else v)
-    proj = centered @ np.stack(comps, axis=1)
+    # The two components go on the left: for a skinny ``centered @ C`` OpenBLAS
+    # packs all of ``centered`` (10 MB at 20k x 64), for ``C^T centered^T`` a block.
+    proj = (np.stack(comps) @ centered.T).T
     return proj, (float(vals[-1]) / total, max(float(vals[-2]), 0.0) / total)
 
 

@@ -124,41 +124,57 @@ def pairwise_sq_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-# Rows of the left operand per float32 product in the exact scans of ``eval``
-# and ``analyze``; a block of the product is SCAN_BLOCK x n float32.  Read at
-# call time, so a test can vary it: no result depends on it.
-SCAN_BLOCK = 128
+# The exact scans of ``eval`` and ``analyze`` form their float32 product in
+# tiles of SCAN_BLOCK left rows by SCAN_COLS right rows, in one 2 MB buffer
+# whatever n is.  A tile holds whole groups of SCAN_GROUP right rows, the
+# groups of the kNN scan: SCAN_COLS is rounded up to a multiple of it.  Read
+# at call time, so a test can vary them: no result depends on them.
+SCAN_BLOCK, SCAN_COLS, SCAN_GROUP = 128, 4096, 32
 _U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoffs of float32 and float64
 
 
-def unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(x 2^-s, s)`` for the s that puts the largest |entry| of x 2^-s in
-    [1/2, 1) (s = 0 when x is all zero): exact for every entry that stays
-    normal, and safe from float32 range limits.  When s = 0 the result is
-    ``x`` itself, not a copy, so callers only read it."""
+def unit_shift(x: np.ndarray) -> int:
+    """The s that puts the largest |entry| of x 2^-s in [1/2, 1) (s = 0 when
+    x is all zero), read without a copy of x."""
     peak = max(float(np.max(x, initial=0.0)), -float(np.min(x, initial=0.0)))
     if not np.isfinite(peak):
         raise UsageError("an exact scan needs finite values")
-    shift = int(np.frexp(peak)[1])
+    return int(np.frexp(peak)[1])
+
+
+def unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(x 2^-s, s)`` for s = ``unit_shift(x)``: exact for every entry that
+    stays normal, and safe from float32 range limits.  When s = 0 the result
+    is ``x`` itself, not a copy, so callers only read it."""
+    shift = unit_shift(x)
     return (x if shift == 0 else np.ldexp(x, -shift)), shift
 
 
-def float32_scan(a: tuple, b: np.ndarray, magnitude: float):
-    """The filter of an exact scan: ``(margin, blocks)``.  ``blocks`` yields
-    ``(start, S)`` for each row block of fl32(a) fl32(b)^T, one float32 GEMM
-    into one buffer.  ``a`` is a tuple of the left operand's column blocks,
-    ``(x,)`` for one matrix x, cast side by side into one SCAN_BLOCK-row
-    float32 buffer a block at a time; ``b`` is cast once, a float32 ``b`` not
-    copied.  Any two entries of S each lie within margin/2 of the float64
-    values r the scan decides with, so S_ij - S_il > margin proves r_ij > r_il.
+def float32_scan(n: int, b: np.ndarray, magnitude: float):
+    """The filter of an exact scan of n left rows against the rows of ``b``:
+    ``(margin, blocks)``.  ``blocks`` yields ``(start, left, tiles)`` for each
+    block of at most SCAN_BLOCK left rows from ``start``; the caller writes
+    the block's rows, as float32, into ``left`` (rows x m).  ``tiles`` then
+    yields ``(col, part, out)`` for each tile of at most SCAN_COLS rows of
+    fl32(b) from ``col``: ``part`` is those rows and ``out`` the scan's one
+    float32 buffer, of rows x len(part) entries, overwritten by the next tile.
+    The caller forms the tile's products there with one float32 GEMM, left
+    part^T or part left^T, whichever layout its reductions read fastest.
+    ``b`` is cast once, a float32 ``b`` not copied, and no buffer grows with n.
+
+    Any float32 evaluation S_ij of a pair's dot product lies within margin/2
+    of the float64 value r_ij the scan decides with, whichever tile, block,
+    layout or pass computed it.  So S_ij - S_il > margin proves r_ij > r_il
+    even when the two entries come from different tiles or scans, and a
+    diagonal entry read in one pass can set the cut of another.
 
     The contract.  Each pair's value is v_ij = x_i . y_j for real rows x_i,
     y_j of length m.  Each product a_ik b_jk is x_ik y_jk to within a
-    relative u (u = 2^-24, w = 2^-53), the data went through ``unit_scaled``,
-    and ``magnitude`` >= 1/4 bounds every M_ij = sum_k |x_ik| |y_jk|.  The
-    caller computes r_ij in float64 by a fixed-order sum of terms that pass
-    through at most m roundings, so |r_ij - v_ij| <= g_m(w) M_ij, where
-    g_m(e) = m e / (1 - m e).
+    relative u (u = 2^-24, w = 2^-53), the data went through ``unit_scaled``
+    (or its power-of-two scaling, a block at a time), and ``magnitude`` >= 1/4
+    bounds every M_ij = sum_k |x_ik| |y_jk|.  The caller computes r_ij in
+    float64 by a fixed-order sum of terms that pass through at most m
+    roundings, so |r_ij - v_ij| <= g_m(w) M_ij, where g_m(e) = m e / (1 - m e).
 
     The bound.  With the float32 casts, fl32(a_ik) fl32(b_jk) = x_ik y_jk
     (1 + t), |t| <= (1 + u)^3 - 1 =: p.  A float32 GEMM of length m, in any
@@ -171,22 +187,24 @@ def float32_scan(a: tuple, b: np.ndarray, magnitude: float):
     comparison against the margin.  ``float32_cut`` rounds a threshold to
     float32 outward, so that rounding loses no entry.
     """
-    n, m = len(a[0]), b.shape[1]
+    m = b.shape[1]
     g32, g64 = (m * e / (1.0 - m * e) for e in (_U32, _U64))
     p = (1.0 + _U32) ** 3 - 1.0
     margin = 4.0 * (g32 * (1.0 + p) + p + g64) * magnitude
     b32 = np.asarray(b, dtype=np.float32)
-    edges = np.cumsum([0] + [part.shape[1] for part in a])
+    block, cols = SCAN_BLOCK, min(-(-SCAN_COLS // SCAN_GROUP) * SCAN_GROUP, len(b32))
+    left = np.empty((min(block, n), m), dtype=np.float32)
+    buf = np.empty(len(left) * cols, dtype=np.float32)
+
+    def tiles(rows):
+        for col in range(0, len(b32), cols):
+            part = b32[col : col + cols]
+            yield col, part, buf[: rows * len(part)]
 
     def blocks():
-        block = SCAN_BLOCK
-        left = np.empty((min(block, n), m), dtype=np.float32)
-        buf = np.empty((len(left), len(b32)), dtype=np.float32)
         for start in range(0, n, block):
             rows = min(block, n - start)
-            for part, lo, hi in zip(a, edges, edges[1:]):
-                left[:rows, lo:hi] = part[start : start + rows]
-            yield start, np.matmul(left[:rows], b32.T, out=buf[:rows])
+            yield start, left[:rows], tiles(rows)
 
     return margin, blocks()
 

@@ -137,36 +137,67 @@ def _macro(values: np.ndarray) -> tuple[float | None, int]:
     return (float(defined.mean()) if len(defined) else None), len(values) - len(defined)
 
 
-def _exact_hits(a: np.ndarray, b: np.ndarray, rows: np.ndarray, magnitude: float) -> np.ndarray:
+def _exact_hits(
+    a: np.ndarray, b: np.ndarray, rows: np.ndarray, diag: np.ndarray, magnitude: float
+) -> np.ndarray:
     """Whether each of ``rows`` of a b^T has its largest float64 dot product on
-    the diagonal, ties going to the smallest index.  Only a column whose
-    float32 entry is at least the diagonal one minus the margin can beat it,
-    so only those get an exact dot product."""
-    hits = np.empty(len(rows), dtype=bool)
-    margin, blocks = float32_scan((a[rows],), b, magnitude)
-    for start, sim in blocks:
-        own = rows[start : start + len(sim)]
-        local = np.arange(len(sim))
-        flat = np.flatnonzero(sim >= float32_cut(sim[local, own], -margin)[:, None])
-        row, col = flat // len(b), flat % len(b)
-        exact = exact_pairs(a, b, own[row], col, distance=False)
-        on_diag = col == own[row]
-        diag = np.empty(len(sim))
-        diag[row[on_diag]] = exact[on_diag]
-        beats = (exact > diag[row]) | ((exact == diag[row]) & (col < own[row]))
-        hits[start : start + len(sim)] = np.bincount(row[beats], minlength=len(sim)) == 0
-    return hits
+    the diagonal, ties going to the smallest index.  ``diag`` holds the first
+    pass's float32 diagonal entries of ``rows``: this pass's entries lie
+    within margin/2 of the same float64 values (``float32_scan``), so only a
+    column whose entry is at least the diagonal one minus the margin can beat
+    it, and only those get an exact dot product."""
+    margin, blocks = float32_scan(len(rows), b, magnitude)
+    cut = float32_cut(diag, -margin)
+    own_value = exact_pairs(a, b, rows, rows, distance=False)
+    beaten = np.zeros(len(rows), dtype=bool)
+    for start, left, tiles in blocks:
+        block = slice(start, start + len(left))
+        left[...] = a[rows[block]]
+        for col, part, out in tiles:
+            sim = np.matmul(left, part.T, out=out.reshape(len(left), len(part)))
+            row, other = np.divmod(np.flatnonzero(sim >= cut[block, None]), len(part))
+            row += start
+            other += col
+            exact = exact_pairs(a, b, rows[row], other, distance=False)
+            mine = own_value[row]
+            beaten[row[(exact > mine) | ((exact == mine) & (other < rows[row]))]] = True
+    return ~beaten
+
+
+def _scan_maxima(a: np.ndarray, b: np.ndarray, magnitude: float):
+    """One ``float32_scan`` of a b^T: its margin, its diagonal entries, and
+    each row's and each column's largest off-diagonal entry, as running
+    maxima over the tiles.  A function of its own, so that the scan's
+    buffers are freed before ``_exact_hits`` runs its own scan."""
+    n = len(a)
+    margin, blocks = float32_scan(n, b, magnitude)
+    diag = np.empty(n, dtype=np.float32)
+    row_max = np.full(n, -np.inf, dtype=np.float32)
+    col_max = np.full(n, -np.inf, dtype=np.float32)
+    for start, left, tiles in blocks:
+        stop = start + len(left)
+        left[...] = a[start:stop]
+        for col, part, out in tiles:
+            sim = np.matmul(left, part.T, out=out.reshape(len(left), len(part)))
+            end = col + len(part)
+            own = np.arange(max(start, col), min(stop, end))  # diagonal entries in this tile
+            diag[own] = sim[own - start, own - col]
+            sim[own - start, own - col] = -np.inf
+            np.maximum(row_max[start:stop], sim.max(axis=1), out=row_max[start:stop])
+            np.maximum(col_max[col:end], sim.max(axis=0), out=col_max[col:end])
+    return margin, diag, row_max, col_max
 
 
 def recall_both_blocked(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     """Recall@1 both ways: the share of rows of U V^T, and of columns, whose
     largest entry is their diagonal one, ties going to the smallest index.
 
-    Exact, and the same for any SCAN_BLOCK: the entries are float64 dot
-    products computed outside BLAS.  One ``float32_scan`` keeps each row's
-    and each column's largest off-diagonal float32 entry.  Where that lies
-    more than the margin from the diagonal entry, the float32 gap decides;
-    the rest go to ``_exact_hits``, rows of U V^T and columns as rows of V U^T.
+    Exact, and the same for any SCAN_BLOCK and SCAN_COLS: the entries are
+    float64 dot products computed outside BLAS.  ``_scan_maxima`` keeps each
+    row's and each column's largest off-diagonal float32 entry and the
+    diagonal entries.  Where the largest lies more than the margin from the
+    diagonal entry, the float32 gap decides; the rest go to ``_exact_hits``
+    with those diagonal entries, rows of U V^T and columns as rows of V U^T.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -179,24 +210,14 @@ def recall_both_blocked(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     (a, _), (b, _) = unit_scaled(u), unit_scaled(v)
     # sum_k |a_ik b_jk| <= |a_i| |b_j| (Cauchy-Schwarz).
     magnitude = math.sqrt(np.einsum("ij,ij->i", a, a).max() * np.einsum("ij,ij->i", b, b).max())
-    margin, blocks = float32_scan((a,), b, magnitude)
-    diag = np.empty(n, dtype=np.float32)
-    row_max = np.empty(n, dtype=np.float32)
-    col_max = np.full(n, -np.inf, dtype=np.float32)
-    for start, sim in blocks:
-        local = np.arange(len(sim))
-        own = slice(start, start + len(sim))
-        diag[own] = sim[local, start + local]
-        sim[local, start + local] = -np.inf
-        sim.max(axis=1, out=row_max[own])
-        np.maximum(col_max, sim.max(axis=0), out=col_max)
+    margin, diag, row_max, col_max = _scan_maxima(a, b, magnitude)
     recalls = []
     for x, y, rival in ((a, b, row_max), (b, a, col_max)):
         gap = diag.astype(np.float64) - rival
         hits = gap > margin
         unsure = np.flatnonzero(np.abs(gap) <= margin)
         if len(unsure):
-            hits[unsure] = _exact_hits(x, y, unsure, magnitude)
+            hits[unsure] = _exact_hits(x, y, unsure, diag[unsure], magnitude)
         recalls.append(int(np.count_nonzero(hits)) / n)
     return recalls[0], recalls[1]
 

@@ -26,7 +26,9 @@ from protocurate.analysis import (
     write_analysis_bundle,
 )
 from protocurate.config import EngineConfig
-from protocurate.embedding import SCAN_BLOCK, normalize_rows, unify_batch
+from protocurate.embedding import (
+    SCAN_BLOCK, SCAN_COLS, SCAN_GROUP, normalize_rows, unify_batch,
+)
 from protocurate.errors import DegenerateVectorError, UsageError
 from protocurate.io import Corpus
 from protocurate.synth import generate_corpus
@@ -149,13 +151,43 @@ class TestKnnBitIdentity:
 
     @pytest.mark.parametrize("block", [64, SCAN_BLOCK, None], ids=["64", "scan-block", "n"])
     def test_block_size_invariance(self, block, monkeypatch):
-        n = 4 * SCAN_BLOCK + 45  # enough rows for column groups
-        monkeypatch.setattr(embedding, "SCAN_BLOCK", block or n)
-        unit = normalize_rows(np.random.default_rng(13).standard_normal((n, 16)))
-        for points in (unit, lattice_points(14, n, copies=120)):
-            for k in (1, 20):
-                want = oracles.knn_mean_distance_direct(points, k)
-                assert np.array_equal(knn_mean_distance(points, k)[0], want)
+        # Every SCAN_BLOCK against tiles of one group of columns, of three
+        # groups, of the default width and of all n.  557 rows scan one column
+        # per group (n < 32 max(k + 1, 32)), where 32 and 96 do not divide n,
+        # a 64-row block's own columns straddle tiles, and k = n - 1 keeps the
+        # running cut at +inf until the last tile.  1100 rows form 35 groups
+        # of 32 with 20 padding columns, and three groups do not divide 35.
+        for n, ks in ((4 * SCAN_BLOCK + 45, (1, 20, 4 * SCAN_BLOCK + 44)), (1100, (1, 20))):
+            monkeypatch.setattr(embedding, "SCAN_BLOCK", block or n)
+            unit = normalize_rows(np.random.default_rng(13).standard_normal((n, 16)))
+            for points in (unit, lattice_points(14, n, copies=120)):
+                for k in ks:
+                    want = oracles.knn_mean_distance_direct(points, k)
+                    for cols in (SCAN_GROUP, 3 * SCAN_GROUP, SCAN_COLS, n):
+                        monkeypatch.setattr(embedding, "SCAN_COLS", cols)
+                        assert np.array_equal(knn_mean_distance(points, k)[0], want)
+
+    @pytest.mark.parametrize("scale", [2.0**40, 2.0**-40], ids=["2^40", "2^-40"])
+    def test_off_scale_rows_match_oracle(self, scale):
+        # Rows whose largest entry lies far outside [1/2, 1) are scaled a
+        # block at a time; the scaling is exact, so the bits are the oracle's.
+        for n in (300, 1100):
+            lattice = lattice_points(15, n, copies=60)
+            normal = np.random.default_rng(16).standard_normal((n, 8))
+            for points in (lattice * scale, normal * scale):
+                for k in (1, 20):
+                    want = oracles.knn_mean_distance_direct(points, k)
+                    assert np.array_equal(knn_mean_distance(points, k)[0], want)
+
+    def test_block_row_norms_are_all_rows_norms(self):
+        # The scan takes |q|^2 a block of rows at a time; each is the einsum
+        # of its own row, the same bits as one einsum over all rows.
+        rng = np.random.default_rng(17)
+        for n, d in ((700, 1), (700, 16), (1000, 33), (257, 128)):
+            q = rng.standard_normal((n, d)) * 2.0 ** rng.integers(-20, 20, (n, 1))
+            whole = np.einsum("ij,ij->i", q, q)
+            blocks = [np.einsum("ij,ij->i", q[i : i + 256], q[i : i + 256]) for i in range(0, n, 256)]
+            assert whole.tobytes() == np.concatenate(blocks).tobytes()
 
     @pytest.mark.parametrize("d, k", [(64, 20), (3, 5), (2, 1)])
     def test_within_float64_roundoff_of_long_double(self, d, k):

@@ -1,6 +1,9 @@
 """Unified embedding construction and distance geometry."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -238,14 +241,18 @@ class TestPairwiseDistance:
 
 class TestScanMemory:
     """The exact scans of ``eval`` and ``analyze`` allocate, on n rows, one
-    float32 column operand, one SCAN_BLOCK x n float32 block and a quarter
-    block more for its reductions, and O(n) vectors: here eight float64 per
-    row.  An n-row float32 copy of the left operand adds 4 bytes per row per
-    column and fails this: at 8192 rows of 32 dims the kNN scan traces 307
-    bytes a row against a budget of 360 (443 with the copy), and the recall
-    scan 273 against 352 (400 with the copy)."""
+    float32 column operand, one SCAN_BLOCK x SCAN_COLS float32 tile and a
+    quarter tile more for its reductions, and O(n) vectors: here eight
+    float64 per row.  Each scan runs at two n, so that a buffer that grows
+    with n, such as a SCAN_BLOCK x n block (128 bytes a row here) or an
+    n-row float64 copy of the points (256), fails at one of them.  Beyond
+    its column operand, the kNN scan traces about 117 bytes a row at 8192
+    rows of 32 dims and 66 at 16384, the recall scan 79 and 46, against
+    budgets of 144 and 104.  Scans that hold a SCAN_BLOCK x n block trace
+    171 and 159 (kNN) and 145 (recall); a kNN scan that scales off-scale rows
+    in one n-row copy, 427 and 415."""
 
-    N, D, BLOCK = 8192, 32, 32
+    NS, D, BLOCK, COLS = (8192, 16384), 32, 32, 4096
 
     def traced_peak(self, scan):
         tracemalloc.start()
@@ -256,23 +263,60 @@ class TestScanMemory:
         finally:
             tracemalloc.stop()
 
-    def budget(self, columns):
-        n = self.N
-        return 4 * n * columns + 1.25 * 4 * self.BLOCK * n + 8 * 8 * n
+    def budget(self, n, columns):
+        return 4 * n * columns + 1.25 * 4 * self.BLOCK * self.COLS + 8 * 8 * n
 
-    @pytest.fixture
-    def rows(self, monkeypatch):
-        # Unit rows, as both scans get them: unit_scaled needs no copy.
+    @pytest.fixture(autouse=True)
+    def tile(self, monkeypatch):
         monkeypatch.setattr(embedding, "SCAN_BLOCK", self.BLOCK)
+        monkeypatch.setattr(embedding, "SCAN_COLS", self.COLS)
+
+    def rows(self, n):
+        # Unit rows, as both scans get them: unit_scaled needs no copy.
         rng = np.random.default_rng(45)
-        u = normalize_rows(rng.standard_normal((self.N, self.D)))
+        u = normalize_rows(rng.standard_normal((n, self.D)))
         return u, normalize_rows(u + 0.5 * rng.standard_normal(u.shape))
 
-    def test_knn_scan(self, rows):
-        u, _ = rows
-        # The column operand is the augmented [-2q, 1, |q|^2], D + 2 wide.
-        assert self.traced_peak(lambda: knn_mean_distance(u, 20)) < self.budget(self.D + 2)
+    def test_knn_scan(self):
+        for n in self.NS:
+            u, _ = self.rows(n)
+            # The column operand is the augmented [-2q, 1, |q|^2], D + 2 wide.
+            assert self.traced_peak(lambda: knn_mean_distance(u, 20)) < self.budget(n, self.D + 2)
 
-    def test_recall_scan(self, rows):
-        u, v = rows
-        assert self.traced_peak(lambda: recall_both_blocked(u, v)) < self.budget(self.D)
+    def test_knn_scan_off_scale_rows(self):
+        # Standard normal rows peak near 4, outside [1/2, 1): the scan scales
+        # them a block at a time, with no n x D scaled copy.
+        for n in self.NS:
+            points = np.random.default_rng(47).standard_normal((n, self.D))
+            peak = self.traced_peak(lambda: knn_mean_distance(points, 20))
+            assert peak < self.budget(n, self.D + 2)
+
+    def test_recall_scan(self):
+        for n in self.NS:
+            u, v = self.rows(n)
+            assert self.traced_peak(lambda: recall_both_blocked(u, v)) < self.budget(n, self.D)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+    def test_pca_projection_packs_no_copy(self):
+        # A fresh process, whose BLAS and LAPACK have each run once, so that
+        # loading their code does not count.  The n x 2 projection with the
+        # tall operand on the left raised the peak by about 10 MB at 20k x 64
+        # rows, a copy of the rows; with it on the right, the PCA adds about
+        # 0.9 MB, the covariance product's buffers and the projection itself.
+        script = """
+import numpy as np
+from protocurate.analysis import _pca2_centered
+def hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM"))
+rows = np.random.default_rng(48).standard_normal((20000, 64))
+rows -= rows.mean(axis=0)
+np.linalg.eigh(rows[:64, :64].T @ rows[:64, :64])
+before = hwm()
+_pca2_centered(rows)
+print(hwm() - before)
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert int(out.stdout) < 2 * 1024  # kB

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from oracles import midranks, recall_at_1, zero_shot_prob
 from protocurate import embedding, metrics
-from protocurate.embedding import SCAN_BLOCK, normalize_rows
+from protocurate.embedding import SCAN_BLOCK, SCAN_COLS, normalize_rows
 from protocurate.errors import DegenerateVectorError, UsageError
 from protocurate.io import commit_outputs
 from protocurate.metrics import (
@@ -375,9 +375,9 @@ class TestRecallBothBlocked:
         v[2] *= 1.0 - 2.0**-40
         unsure, exact_hits = [], metrics._exact_hits
 
-        def spy(a, b, rows, magnitude):
+        def spy(a, b, rows, diag, magnitude):
             unsure.append(set(rows.tolist()))
-            return exact_hits(a, b, rows, magnitude)
+            return exact_hits(a, b, rows, diag, magnitude)
 
         monkeypatch.setattr(metrics, "_exact_hits", spy)
         sim = np.asarray(u, np.longdouble) @ np.asarray(v, np.longdouble).T
@@ -391,24 +391,28 @@ class TestRecallBothBlocked:
     def test_block_size_invariance(self, block, monkeypatch):
         # Integer entries with exact ties; then rows of U in identical pairs,
         # whose columns tie exactly, which only the float64 check can settle.
+        # Every SCAN_BLOCK against tiles of 32, 96, the default and n columns:
+        # 32 and 96 do not divide n, and a 64-row block's diagonal straddles
+        # two tiles of either.
         n = 2 * SCAN_BLOCK + 45
         monkeypatch.setattr(embedding, "SCAN_BLOCK", block or n)
         rng = np.random.default_rng(44)
         x = rng.standard_normal((n, 2))
-        u = np.rint(10 * x)
-        v = np.rint(10 * (x + 0.3 * rng.standard_normal((n, 2))))
-        sim = u @ v.T
-        assert recall_both_blocked(u, v) == (
-            recall_at_1(sim, "image_to_text"), recall_at_1(sim, "text_to_image")
-        )
+        ties = np.rint(10 * x), np.rint(10 * (x + 0.3 * rng.standard_normal((n, 2))))
+        sim = ties[0] @ ties[1].T
+        want_ties = recall_at_1(sim, "image_to_text"), recall_at_1(sim, "text_to_image")
         u = normalize_rows(rng.standard_normal((n, 8)))
         v = u + 2.0**-30 * rng.standard_normal((n, 8))
         u[1::2] = u[::2][: n // 2]
         sim = np.asarray(u, np.longdouble) @ np.asarray(v, np.longdouble).T
-        assert recall_both_blocked(u, v) == (
+        want_pairs = (
             np.mean(np.argmax(sim, axis=1) == np.arange(n)),
             np.mean(np.argmax(sim, axis=0) == np.arange(n)),
         )
+        for cols in (32, 96, SCAN_COLS, n):
+            monkeypatch.setattr(embedding, "SCAN_COLS", cols)
+            assert recall_both_blocked(*ties) == want_ties
+            assert recall_both_blocked(u, v) == want_pairs
 
 
 def tie_structure(sim):
