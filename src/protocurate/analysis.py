@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import EngineConfig
 from .embedding import (
-    SCAN_GROUP, exact_pairs, float32_cut, float32_scan, unify_batch, unit_shift,
+    SCAN_GROUP, exact_pairs, float32_cut, float32_scan, scan_cols, unify_batch, unit_shift,
 )
 from .errors import DegenerateVectorError, UsageError
 from .io import Corpus, commit_outputs, table_csv
@@ -80,12 +80,12 @@ def knn_mean_distance(points: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     from ``unit_shift``, approximates every squared distance (times 4^-s),
     and with t_i the k-th smallest off-diagonal entry of row i, each of the k
     nearest has an entry <= t_i + margin.  Column j falls in group j % groups,
-    and the right operand holds each group's members side by side, so a tile
-    holds whole groups.  A tile is formed as part left^T: a group's members
-    are consecutive tile rows, and its minimum for every left row is one
-    elementwise pass over them.  A row's k-th smallest group minimum is an
-    entry of k other points, so it bounds t_i from above, over any subset of
-    the groups.
+    in layer j // groups.  The right operand holds each tile's groups whole,
+    layer after layer, and a tile is formed as part left^T: each layer of its
+    groups is a slab of consecutive tile rows, so the group minima of every
+    left row are one elementwise pass over the slabs.  A row's k-th smallest
+    group minimum is an entry of k other points, so it bounds t_i from above,
+    over any subset of the groups.
 
     The running cut.  Per row, the tiles keep the k smallest group minima seen
     so far; U, ``float32_cut`` of the k-th of them plus the margin (+inf until
@@ -107,6 +107,14 @@ def knn_mean_distance(points: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     # of another point.
     per = SCAN_GROUP if n >= SCAN_GROUP * max(k_eff + 1, 32) else 1
     groups = -(-n // per)
+    tile = scan_cols(groups * per) // per  # groups per tile
+
+    def position(j):
+        """Where column j sits: each tile holds whole groups, layer by layer."""
+        group, layer = j % groups, j // groups
+        first = group - group % tile
+        return first * per + layer * np.minimum(tile, groups - first) + group - first
+
     shift = unit_shift(points)
     sq = np.empty(n)
     # [-2q, 1, |q|^2] at each column's position, written straight into float32
@@ -120,8 +128,7 @@ def knn_mean_distance(points: np.ndarray, k: int) -> tuple[np.ndarray, int]:
         j = slice(start, start + _FILL_ROWS)
         q = np.ldexp(points[j], -shift)
         np.einsum("ij,ij->i", q, q, out=sq[j])
-        at = np.arange(start, start + len(q))
-        at = (at % groups) * per + at // groups
+        at = position(np.arange(start, start + len(q)))
         right[at, :d], right[at, d], right[at, d + 1] = -2.0 * q, 1.0, sq[j]
     # sum_k |x_ik y_jk| <= (|q_i| + |q_j|)^2 for the augmented rows, whose |q|^2
     # column is within a relative d 2^-53 < 2^-24 of its exact value.
@@ -131,25 +138,24 @@ def knn_mean_distance(points: np.ndarray, k: int) -> tuple[np.ndarray, int]:
         rows = len(left)
         np.ldexp(points[start : start + rows], -shift, out=left[:, :d])
         left[:, d], left[:, d + 1] = sq[start : start + rows], 1.0
-        own = np.arange(start, start + rows)
-        own_at = (own % groups) * per + own // groups
+        own_at = position(np.arange(start, start + rows))
         smallest = np.full((rows, k_eff), np.inf, dtype=np.float32)
         kept = []
         for col, part, out in tiles:
             approx = np.matmul(part, left.T, out=out.reshape(len(part), rows))
             inside = np.flatnonzero((own_at >= col) & (own_at < col + len(approx)))
             approx[own_at[inside] - col, inside] = np.inf  # exclude self
-            members = approx.reshape(-1, per, rows)
-            low = members.min(axis=1)
+            layers = approx.reshape(per, -1, rows)
+            low = layers.min(axis=0) if per > 1 else approx
             smallest = np.concatenate([smallest, low.T], axis=1)
             smallest.partition(k_eff - 1, axis=1)
             smallest = smallest[:, :k_eff]
             cut = float32_cut(smallest[:, -1], margin)
             group, row = np.divmod(np.flatnonzero(low <= cut), rows)
-            near = members[group, :, row]
-            hit, member = np.divmod(np.flatnonzero(near <= cut[row, None]), per)
-            kept.append((row[hit], col // per + group[hit] + groups * member, near[hit, member]))
-        row, other, entry = (np.concatenate(part) for part in zip(*kept))
+            near = layers[:, group, row]
+            layer, hit = np.divmod(np.flatnonzero(near <= cut[row]), len(row))
+            kept.append((row[hit], col // per + group[hit] + groups * layer, near[layer, hit]))
+        row, other, entry = (np.concatenate(arrays) for arrays in zip(*kept))
         final = entry <= cut[row]  # the last tile's cut is that of all groups
         row, other = row[final], other[final]
         exact = exact_pairs(points, points, start + row, other, distance=True)

@@ -150,6 +150,12 @@ def unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
     return (x if shift == 0 else np.ldexp(x, -shift)), shift
 
 
+def scan_cols(width: int) -> int:
+    """Rows of ``b`` per tile of ``float32_scan`` against ``width`` of them:
+    SCAN_COLS rounded up to whole SCAN_GROUPs, and at most ``width``."""
+    return min(-(-SCAN_COLS // SCAN_GROUP) * SCAN_GROUP, width)
+
+
 def float32_scan(n: int, b: np.ndarray, magnitude: float):
     """The filter of an exact scan of n left rows against the rows of ``b``:
     ``(margin, blocks)``.  ``blocks`` yields ``(start, left, tiles)`` for each
@@ -192,7 +198,7 @@ def float32_scan(n: int, b: np.ndarray, magnitude: float):
     p = (1.0 + _U32) ** 3 - 1.0
     margin = 4.0 * (g32 * (1.0 + p) + p + g64) * magnitude
     b32 = np.asarray(b, dtype=np.float32)
-    block, cols = SCAN_BLOCK, min(-(-SCAN_COLS // SCAN_GROUP) * SCAN_GROUP, len(b32))
+    block, cols = SCAN_BLOCK, scan_cols(len(b32))
     left = np.empty((min(block, n), m), dtype=np.float32)
     buf = np.empty(len(left) * cols, dtype=np.float32)
 

@@ -167,10 +167,13 @@ class TestKnnBitIdentity:
                         monkeypatch.setattr(embedding, "SCAN_COLS", cols)
                         assert np.array_equal(knn_mean_distance(points, k)[0], want)
 
-    @pytest.mark.parametrize("scale", [2.0**40, 2.0**-40], ids=["2^40", "2^-40"])
+    @pytest.mark.parametrize(
+        "scale", [2.0**40, 2.0**-40, 2.0**200, 2.0**-200], ids=["2^40", "2^-40", "2^200", "2^-200"]
+    )
     def test_off_scale_rows_match_oracle(self, scale):
         # Rows whose largest entry lies far outside [1/2, 1) are scaled a
         # block at a time; the scaling is exact, so the bits are the oracle's.
+        # At 2^200 a float32 cast before the scaling would overflow.
         for n in (300, 1100):
             lattice = lattice_points(15, n, copies=60)
             normal = np.random.default_rng(16).standard_normal((n, 8))
